@@ -20,7 +20,7 @@ from .claims import (
     linear_table,
     run_claims,
 )
-from .engine import stress_space
+from .engine import lsop_check, stress_space, vanishing_stress_space
 from .errors import CsStressError, InputError, LsopNotFound
 from .polytopes import bipyramid, cross_polytope, polygon, polytope_to_json_obj
 
@@ -98,11 +98,22 @@ def cmd_stress(cfg: RunConfig, affine: bool, degree, show_basis: bool) -> int:
         default_top = cx.dim + 1
     top = cfg.max_degree if cfg.max_degree is not None else default_top
     degrees = [degree] if degree is not None else list(range(top + 1))
+    if any(i < 0 for i in degrees):
+        raise InputError("degrees are nonnegative")
+    d = cx.dim + 1
+    # Above degree d an l.s.o.p. leaves no stresses.  Sampled linear forms
+    # passed lsop_check already; canonical forms are checked here.
+    vanish_above_d = any(i > d for i in degrees) and (
+        not affine or lsop_check(cx, seq.forms[:d])
+    )
     spaces = {}
     for i in degrees:
-        if i < 0:
-            raise InputError("degrees are nonnegative")
-        spaces[i] = table[i] if i < len(table) else stress_space(cx, seq, i)
+        if i < len(table):
+            spaces[i] = table[i]
+        elif i > d and vanish_above_d:
+            spaces[i] = vanishing_stress_space(cx, seq, i)
+        else:
+            spaces[i] = stress_space(cx, seq, i)
     if cfg.output_format == "json":
         obj = {
             "seed": cfg.seed,
@@ -282,10 +293,6 @@ def main(argv=None) -> int:
     except CsStressError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-
-
-def run() -> None:  # console-script entry point
-    raise SystemExit(main())
 
 
 if __name__ == "__main__":

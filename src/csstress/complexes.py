@@ -3,8 +3,9 @@
 Vertices are nonzero integers.  A complex is centrally symmetric (cs) when
 the relabeling v -> -v maps every nonempty face to a different face of the
 complex, so the involution acts freely on faces.  Complexes are stored by
-their facets; face membership is answered by subset queries against the
-facet list.
+their facets plus one face set, built on first use and kept: face
+membership is a lookup in that set, and the cs and redundancy checks work
+on facets, so a pure complex never builds it just to be constructed.
 """
 
 from __future__ import annotations
@@ -56,13 +57,13 @@ class SimplicialComplex:
 
     def __init__(self, facets, ground_set=None, _cs=None):
         fs = sorted({face(f) for f in facets})
-        for a, b in itertools.permutations(fs, 2):
-            if set(a) <= set(b):
-                raise RedundantFacet(f"facet {a} is contained in facet {b}")
         if not fs:
             raise InputError("at least one facet is required")
         self.facets = tuple(fs)
-        verts = sorted({v for f in fs for v in f})
+        self._faces = None
+        if not self.is_pure():
+            self._check_redundancy()
+        verts = self.vertices
         if ground_set is None:
             gs = verts
         else:
@@ -72,7 +73,6 @@ class SimplicialComplex:
             if not set(verts) <= set(gs):
                 raise InputError("ground set must contain every vertex")
         self.ground_set = tuple(gs)
-        self._faces = None
         self.cs = self._check_cs() if _cs is None else _cs
 
     @classmethod
@@ -84,16 +84,38 @@ class SimplicialComplex:
             )
         return cx
 
+    def _check_redundancy(self) -> None:
+        """Raise RedundantFacet if a facet lies inside another facet.
+
+        Facets are distinct, so only a smaller facet f can lie inside a
+        larger one, and it does exactly when f plus one more vertex is a
+        face.  A pure complex has nothing to check.
+        """
+        top = self.dim + 1
+        verts = self.vertices
+        for f in self.facets:
+            if len(f) == top:
+                continue
+            if any(v not in f and self.contains(f + (v,)) for v in verts):
+                big = next(g for g in self.facets if set(f) < set(g))
+                raise RedundantFacet(f"facet {f} is contained in facet {big}")
+
     def _check_cs(self) -> bool:
+        """cs test on facets: the ground set and the facet set are closed
+        under negation, and no facet holds an antipodal pair {v, -v}.
+
+        This is the face-level definition.  Negation preserves inclusion,
+        so it maps the complex onto itself exactly when it maps maximal
+        faces to maximal faces.  A nonempty face fixed by negation
+        contains some pair {v, -v}, which is then a fixed face itself.
+        """
         if set(self.ground_set) != {-v for v in self.ground_set}:
             return False
-        for tau in self.all_faces():
-            if not tau:
-                continue
-            minus = negate(tau)
-            if minus == tau or not self.contains(minus):
-                return False
-        return True
+        facets = set(self.facets)
+        return all(
+            negate(f) in facets and len({abs(v) for v in f}) == len(f)
+            for f in self.facets
+        )
 
     # -- basic queries ---------------------------------------------------
 
@@ -109,17 +131,18 @@ class SimplicialComplex:
         return len({len(f) for f in self.facets}) == 1
 
     def contains(self, tau) -> bool:
-        t = set(tau)
-        return any(t <= set(f) for f in self.facets)
+        """Is the vertex set of tau (any order, repeats allowed) a face?"""
+        return tuple(sorted(set(tau))) in self.all_faces()
 
     def all_faces(self) -> frozenset:
         """Every face, including the empty face."""
         if self._faces is None:
-            out = set()
-            for f in self.facets:
-                for s in range(len(f) + 1):
-                    out.update(itertools.combinations(f, s))
-            self._faces = frozenset(out)
+            # filled in place: no set copy is ever alive beside it
+            self._faces = frozenset(itertools.chain.from_iterable(
+                itertools.combinations(f, s)
+                for f in self.facets
+                for s in range(len(f) + 1)
+            ))
         return self._faces
 
     def faces_of_dim(self, i) -> list[Face]:
@@ -257,25 +280,33 @@ def complex_from_json(text: str) -> SimplicialComplex:
     return complex_from_json_obj(obj)
 
 
-def complex_from_json_obj(obj) -> SimplicialComplex:
-    if not isinstance(obj, dict) or "facets" not in obj:
-        raise InputError('missing "facets" field')
-    facets = obj["facets"]
+def _is_label_list(value) -> bool:
+    # JSON true/false arrive as bool, a subclass of int: not labels
+    return isinstance(value, list) and all(type(v) is int for v in value)
+
+
+def facets_from_json(facets) -> list:
+    """Check a JSON "facets" value: a nonempty list of integer lists,
+    none of which repeats a label."""
     if (
         not isinstance(facets, list)
         or not facets
-        or not all(
-            isinstance(f, list) and all(isinstance(v, int) for v in f)
-            for f in facets
-        )
+        or not all(_is_label_list(f) for f in facets)
     ):
         raise InputError('"facets" must be a nonempty list of integer lists')
+    for f in facets:
+        if len(set(f)) != len(f):
+            raise InputError(f"facet {f} repeats a label")
+    return facets
+
+
+def complex_from_json_obj(obj) -> SimplicialComplex:
+    if not isinstance(obj, dict) or "facets" not in obj:
+        raise InputError('missing "facets" field')
+    facets = facets_from_json(obj["facets"])
     expect_cs = bool(obj.get("cs", False))
     ground = obj.get("ground_set")
-    if ground is not None and (
-        not isinstance(ground, list)
-        or not all(isinstance(v, int) for v in ground)
-    ):
+    if ground is not None and not _is_label_list(ground):
         raise InputError('"ground_set" must be a list of integers')
     return SimplicialComplex.from_facets(
         facets, expect_cs=expect_cs, ground_set=ground

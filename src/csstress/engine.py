@@ -300,15 +300,34 @@ def stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:
     )
     kernel = nullspace(matrix)
     plus = minus = None
-    if cx.cs and all(f.parity in ("minus", "plus") for f in form_list):
-        # the involution preserves the space only when every form has a
-        # definite parity, so the split is computed just in that case
+    if _has_parity_split(cx, form_list):
         plus, minus = _split_basis(kernel, columns)
         if plus.dim + minus.dim != kernel.dim:
             raise RuntimeError(
                 "parity split lost dimensions; involution-invariance bug"
             )
     return StressSpace(cx, forms, i, columns, kernel, plus, minus)
+
+
+def vanishing_stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:
+    """The zero space of degree-i stresses, for i above d = dim + 1.
+
+    Only valid when `forms` contain an l.s.o.p. of cx, which the caller
+    certifies.  Then K[cx]/(forms) is spanned by face monomials (Stanley,
+    Combinatorics and Commutative Algebra, III.2.4), whose degree is at
+    most d, so no stress has degree above d and no monomial is listed.
+    """
+    if i <= cx.dim + 1:
+        raise ValueError("stresses vanish by theorem only above degree d")
+    empty = Basis((), (), ())
+    split = empty if _has_parity_split(cx, forms) else None
+    return StressSpace(cx, forms, i, (), empty, split, split)
+
+
+def _has_parity_split(cx: SimplicialComplex, forms) -> bool:
+    # the involution preserves the space only when every form has a
+    # definite parity, so the split is computed just in that case
+    return cx.cs and all(f.parity in ("minus", "plus") for f in forms)
 
 
 def _split_basis(kernel: Basis, columns) -> tuple[Basis, Basis]:
@@ -372,31 +391,23 @@ def restrict_stress_space(s: StressSpace, sub: SimplicialComplex) -> StressSpace
 
 
 def cm_certificate(cx: SimplicialComplex, seed: int) -> dict:
-    """One-sided CM certificate by graded dimension count.
+    """CM certificate by graded dimension count.
 
-    dims == h for a verified l.s.o.p. witnesses Cohen-Macaulayness (the
-    property holds for some sequence exactly when it holds for every one);
-    any dims entry exceeding h proves the complex is not CM.  Dimensions
-    below h are impossible for a verified sequence and raise.
+    For a verified l.s.o.p., cx is Cohen-Macaulay exactly when dims == h
+    (the property holds for some sequence exactly when it holds for every
+    one), so any difference proves it is not.  A difference may go either
+    way: two disjoint triangles have h_3 = 1 but no degree-3 stress.
     """
     vectors = cx.fhg_vectors()
     d = vectors.d
     seq = special_lsop(cx, seed) if cx.cs else generic_lsop(cx, seed)
     dims = [stress_space(cx, seq, i).dim for i in range(d + 1)]
-    for i, (got, want) in enumerate(zip(dims, vectors.h)):
-        if got < want:
-            raise RuntimeError(
-                f"degree-{i} stress dimension {got} fell below h_{i}={want}; "
-                "this contradicts the l.s.o.p. certificate"
-            )
     witnessed = dims == list(vectors.h)
     return {
         "dims": dims,
         "h": list(vectors.h),
         "is_cm_witnessed": witnessed,
-        "definitive_non_cm": any(
-            got > want for got, want in zip(dims, vectors.h)
-        ),
+        "definitive_non_cm": not witnessed,
         "seed": seed,
         "kind": seq.kind,
         "attempts": seq.attempts,

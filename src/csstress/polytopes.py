@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .complexes import SimplicialComplex, face
+from .complexes import SimplicialComplex, face, facets_from_json
 from .errors import InputError, NotCs, NotSimplicial
 from .exactla import SparseMatrix, rank
 
@@ -189,11 +189,9 @@ def polytope_from_json(text: str) -> Polytope:
 
 def polytope_from_json_obj(obj: dict) -> Polytope:
     coords = obj.get("coordinates")
-    facets = obj.get("facets")
     if not isinstance(coords, dict) or not coords:
         raise InputError('missing or empty "coordinates" field')
-    if not isinstance(facets, list) or not facets:
-        raise InputError('missing or empty "facets" field')
+    facets = facets_from_json(obj.get("facets"))
     parsed = {}
     for key, vec in coords.items():
         try:
@@ -208,11 +206,6 @@ def polytope_from_json_obj(obj: dict) -> Polytope:
             raise InputError(
                 f"coordinates of {key} are not rationals"
             ) from None
-    for f in facets:
-        if not isinstance(f, list) or not all(
-            isinstance(v, int) for v in f
-        ):
-            raise InputError('"facets" must be lists of integers')
     return Polytope(parsed, [face(f) for f in facets])
 
 

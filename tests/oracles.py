@@ -171,3 +171,29 @@ def brute_cross_polytope_pairs(facets, j) -> list[tuple[int, ...]]:
         if all(tuple(sorted(p)) in faces for p in patterns):
             hits.append(combo)
     return hits
+
+
+# -- complex-layer checks by facet scans ---------------------------------------
+
+
+def brute_contains(facets, tau) -> bool:
+    """Is tau a face: does some facet hold every label of tau?"""
+    return any(set(tau) <= set(f) for f in facets)
+
+
+def brute_is_cs(facets, ground_set) -> bool:
+    """Face-level definition: v -> -v maps the ground set onto itself and
+    every nonempty face to a different face."""
+    if set(ground_set) != {-v for v in ground_set}:
+        return False
+    for tau in brute_faces(facets):
+        minus = tuple(sorted(-v for v in tau))
+        if tau and (minus == tau or not brute_contains(facets, minus)):
+            return False
+    return True
+
+
+def brute_has_redundant_facet(facets) -> bool:
+    """Does one of the distinct facets lie inside another?"""
+    distinct = {frozenset(f) for f in facets}
+    return any(a < b for a in distinct for b in distinct)

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import csstress.claims as claims_module
+import csstress.cli as cli_module
 from csstress import LsopNotFound
 from csstress.cli import main
 from conftest import CORPUS_DIR
@@ -91,6 +95,72 @@ def test_stress_max_degree_extends_table(capsys):
     assert rows[-1].split() == ["4", "0", "0", "0"]
 
 
+@pytest.mark.parametrize("mode", [[], ["--affine"]])
+def test_stress_degree_60_is_answered_without_enumeration(mode):
+    # a subprocess so that a regression fails by timeout instead of hanging
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "csstress.cli", "stress",
+         str(CORPUS_DIR / "crosspoly_d3.json"), "--degree", "60", *mode],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == ["60", "0", "0", "0"]
+
+
+def test_stress_above_d_without_parity_split(capsys):
+    path = str(CORPUS_DIR / "simplex2.json")
+    code, out, _ = run(capsys, "stress", path, "--degree", "9",
+                       "--format", "json", "--basis")
+    assert code == 0
+    assert json.loads(out)["degrees"] == [
+        {"degree": 9, "dim": 0, "plus": None, "minus": None, "basis": []}
+    ]
+
+
+def test_affine_shortcut_needs_certified_forms(tmp_path, capsys, monkeypatch):
+    # the edge {1, 2} lies on a line through the origin, so the coordinate
+    # forms are no l.s.o.p. and degree 4 must be computed
+    flat = tmp_path / "flat.json"
+    flat.write_text(json.dumps({
+        "coordinates": {"1": ["1", "1"], "-1": ["-1", "-1"],
+                        "2": ["2", "2"], "-2": ["-2", "-2"],
+                        "3": ["0", "1"], "-3": ["0", "-1"]},
+        "facets": [[1, 2], [2, 3], [3, -1], [-1, -2], [-2, -3], [-3, 1]],
+    }))
+    used = []
+    real = cli_module.vanishing_stress_space
+    monkeypatch.setattr(cli_module, "vanishing_stress_space",
+                        lambda *a: used.append(a[2]) or real(*a))
+    for path, shortcut in ((flat, []), (CORPUS_DIR / "polygon_m3.json", [4])):
+        used.clear()
+        code, out, _ = run(capsys, "stress", str(path), "--affine",
+                           "--degree", "4")
+        assert code == 0
+        assert out.splitlines()[-1].split() == ["4", "0", "0", "0"]
+        assert used == shortcut, path
+
+
+@pytest.mark.parametrize("text", [
+    '{"facets": [[true, 2], [-1, -2]]}',
+    '{"facets": [[1, 2], [-1, -2]], "ground_set": [1, -1, 2, -2, true]}',
+    '{"facets": [[1, 2], [-1, false]]}',
+    '{"facets": [[1, 1]]}',
+    '{"facets": [[1, 2], [-2, 3, -2]]}',
+    '{"coordinates": {"1": ["1"], "-1": ["-1"]}, "facets": [[true], [-1]]}',
+    '{"coordinates": {"1": ["1"], "-1": ["-1"]}, "facets": [[1, 1], [-1]]}',
+])
+def test_info_rejects_boolean_and_repeated_labels(tmp_path, capsys, text):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    code, out, err = run(capsys, "info", str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:")
+
+
 def test_stress_basis_listing(capsys):
     path = str(CORPUS_DIR / "crosspoly_d2.json")
     code, out, _ = run(capsys, "stress", path, "--degree", "0", "--basis")
@@ -143,6 +213,14 @@ def test_verify_reports_failure_with_exit_one(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(bad))
     assert code == 1
     assert "fail" in out
+
+
+def test_verify_non_cm_complex_below_h(tmp_path, capsys):
+    p = tmp_path / "triangles.json"
+    p.write_text('{"facets": [[1, 2, 3], [-1, -2, -3]]}')
+    code, out, _ = run(capsys, "verify", str(p))
+    assert code == 0
+    assert "CM          pass  [definitively not Cohen-Macaulay]" in out
 
 
 def test_verify_missing_file_is_input_error(capsys):

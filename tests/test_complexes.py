@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import itertools
 import json
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csstress import (
     CsViolation,
@@ -20,7 +24,15 @@ from csstress import (
     join,
     negate,
 )
-from oracles import brute_cross_polytope_pairs, brute_f_vector, h_from_f
+from oracles import (
+    brute_contains,
+    brute_cross_polytope_pairs,
+    brute_f_vector,
+    brute_has_redundant_facet,
+    brute_is_cs,
+    h_from_f,
+)
+from strategies import LABELS, near_cs_facets
 
 
 def test_face_normalizes_and_rejects_zero():
@@ -209,3 +221,48 @@ def test_json_rejects_malformed_input():
         complex_from_json('{"facets": [[1, "a"]]}')
     with pytest.raises(InputError):
         complex_from_json('[1, 2]')
+
+
+# -- the face-indexed layer against facet-scan oracles ---------------------
+
+ANY_FACETS = st.lists(st.lists(LABELS, max_size=4), min_size=1, max_size=6)
+
+
+@given(
+    facets=st.one_of(ANY_FACETS, near_cs_facets()),
+    extra=st.lists(LABELS, max_size=2),
+    probes=st.lists(st.lists(st.integers(-5, 5), max_size=4), max_size=8),
+)
+@settings(max_examples=300, deadline=None)
+def test_complex_layer_matches_facet_scan_oracles(facets, extra, probes):
+    ground = sorted({v for f in facets for v in f} | set(extra))
+    if brute_has_redundant_facet(facets):
+        with pytest.raises(RedundantFacet):
+            SimplicialComplex(facets, ground_set=ground)
+        return
+    cx = SimplicialComplex(facets, ground_set=ground)
+    assert cx.cs == brute_is_cs(facets, ground)
+    for tau in probes + [[]] + [list(reversed(f)) * 2 for f in facets]:
+        assert cx.contains(tau) == brute_contains(facets, tau), tau
+
+
+def test_pure_complex_builds_no_face_set_to_construct():
+    cx = SimplicialComplex.from_facets(
+        [(1, 2), (2, -1), (-1, -2), (-2, 1)], expect_cs=True
+    )
+    assert cx._faces is None
+    faces = cx.all_faces()
+    assert cx.contains((2, 1)) and cx.all_faces() is faces
+
+
+def test_ten_cross_polytope_loads_with_closed_form_f_vector():
+    facets = [
+        tuple(k * s for k, s in zip(range(1, 11), signs))
+        for signs in itertools.product((1, -1), repeat=10)
+    ]
+    cx = SimplicialComplex.from_facets(facets, expect_cs=True)
+    assert cx.cs
+    assert len(cx.facets) == 1024
+    assert cx.fhg_vectors().f == tuple(
+        2**k * comb(10, k) for k in range(11)
+    )

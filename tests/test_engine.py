@@ -30,7 +30,9 @@ from csstress import (
     restrict_stress_space,
     special_lsop,
     stress_space,
+    vanishing_stress_space,
 )
+from csstress.claims import linear_table
 from oracles import brute_stress_dim, same_span
 
 
@@ -323,9 +325,50 @@ def test_certificate_on_disjoint_edges(noncm):
     assert cert["definitive_non_cm"] is True
 
 
+def test_certificate_on_disjoint_triangles_falls_below_h():
+    # h_3 = 1 counts the two components; a non-CM complex may have fewer
+    # top-degree stresses than h says
+    cx = SimplicialComplex([(1, 2, 3), (-1, -2, -3)])
+    cert = cm_certificate(cx, seed=1)
+    assert cert["dims"] == [1, 3, 0, 0]
+    assert cert["h"] == [1, 3, -3, 1]
+    assert cert["is_cm_witnessed"] is False
+    assert cert["definitive_non_cm"] is True
+
+
 def test_certificate_on_simplex_uses_generic_forms():
     simplex = SimplicialComplex([(1, 2, 3)])
     cert = cm_certificate(simplex, seed=1)
     assert cert["dims"] == [1, 0, 0, 0]
     assert cert["is_cm_witnessed"] is True
     assert cert["kind"] == "custom"
+
+
+# -- degrees above d ------------------------------------------------------------
+
+
+def test_vanishing_space_matches_computed_spaces_above_d(corpus):
+    for inst in corpus:
+        cx = inst.complex
+        if not cx.is_pure():
+            continue
+        d = cx.dim + 1
+        sequences = [linear_table(cx, 1)[0]]
+        if inst.polytope is not None:
+            seq = canonical_forms(inst.polytope)
+            assert lsop_check(cx, seq.forms[:d]), inst.name
+            sequences.append(seq)
+        for seq in sequences:
+            for i in (d + 1, d + 2):
+                fast = vanishing_stress_space(cx, seq, i)
+                slow = stress_space(cx, seq, i)
+                assert (fast.dim, fast.plus_dim, fast.minus_dim) == (
+                    slow.dim, slow.plus_dim, slow.minus_dim
+                ), (inst.name, seq.kind, i)
+                assert fast.basis == slow.basis == []
+
+
+def test_vanishing_space_refuses_degrees_up_to_d(octahedron):
+    seq = special_lsop(octahedron, seed=1)
+    with pytest.raises(ValueError):
+        vanishing_stress_space(octahedron, seq, 3)
