@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,6 +21,7 @@ from .complexes import (
     complex_from_json_obj,
     cross_polytope_boundary,
     detect_cross_polytope_subcomplexes,
+    load_json,
 )
 from .engine import (
     StressSpace,
@@ -33,7 +33,6 @@ from .engine import (
     stress_space,
 )
 from .errors import HypothesisUnmet, InputError, NotCs, PreconditionUnmet
-from .exactla import Basis, intersect
 from .polynomials import (
     LinearForm,
     Monomial,
@@ -154,10 +153,7 @@ class CorpusInstance:
 
 
 def instance_from_json(text: str, fallback_name="instance") -> CorpusInstance:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InputError(f"invalid JSON at line {e.lineno}: {e.msg}") from e
+    obj = load_json(text)
     if not isinstance(obj, dict):
         raise InputError("instance JSON must be an object")
     name = obj.get("name", fallback_name)
@@ -190,6 +186,28 @@ def linear_table(cx: SimplicialComplex, seed: int):
     return hit
 
 
+def cm_certificate(cx: SimplicialComplex, seed: int) -> dict:
+    """CM certificate by graded dimension count over `linear_table`.
+
+    For a verified l.s.o.p., cx is Cohen-Macaulay exactly when dims == h
+    (the property holds for some sequence exactly when it holds for every
+    one), so any difference proves it is not.  A difference may go either
+    way: two disjoint triangles have h_3 = 1 but no degree-3 stress.
+    """
+    seq, table = linear_table(cx, seed)
+    dims = [s.dim for s in table]
+    h = list(cx.fhg_vectors().h)
+    return {
+        "dims": dims,
+        "h": h,
+        "is_cm_witnessed": dims == h,
+        "definitive_non_cm": dims != h,
+        "seed": seed,
+        "kind": seq.kind,
+        "attempts": seq.attempts,
+    }
+
+
 def affine_table(p: Polytope):
     """(canonical forms, stress spaces for degrees 0..floor(d/2)+1)."""
     hit = _AFFINE_TABLES.get(p)
@@ -216,22 +234,6 @@ def _sample_combination(rng, space: StressSpace) -> Polynomial:
     for b in space.basis:
         poly = poly + b.scale(rng.randint(-9, 9))
     return poly
-
-
-def _cm_summary(cx, seq, table) -> dict:
-    vec = cx.fhg_vectors()
-    dims = [s.dim for s in table]
-    h = list(vec.h)
-    # dims == h exactly when cx is CM; see engine.cm_certificate
-    return {
-        "dims": dims,
-        "h": h,
-        "is_cm_witnessed": dims == h,
-        "definitive_non_cm": dims != h,
-        "seed": seq.seed,
-        "kind": seq.kind,
-        "attempts": seq.attempts,
-    }
 
 
 # -- theorem checks -----------------------------------------------------------
@@ -716,14 +718,14 @@ def verify_cor37(cx, i, seed, instance="") -> VerificationReport:
     gamma = SimplicialComplex.from_facets(
         [
             tuple(s * k for k, s in zip(sigma, signs))
-            for signs in _all_signs(len(sigma))
+            for signs in itertools.product((1, -1), repeat=len(sigma))
         ],
         expect_cs=True,
     )
     failures = []
     dims = {}
     for j in range(i, d + 1):
-        restricted = restrict_dim(table[j], gamma)
+        restricted = restrict_stress_space(table[j], gamma).dim
         dims[j] = {"full": table[j].dim, "restricted": restricted}
         if restricted != table[j].dim:
             failures.append(
@@ -738,17 +740,6 @@ def verify_cor37(cx, i, seed, instance="") -> VerificationReport:
         computed={"degree": i, "gamma_pairs": list(sigma), "dims": dims},
         witness=failures or None,
     )
-
-
-def _all_signs(j):
-    out = [()]
-    for _ in range(j):
-        out = [p + (s,) for p in out for s in (1, -1)]
-    return out
-
-
-def restrict_dim(space: StressSpace, sub: SimplicialComplex) -> int:
-    return restrict_stress_space(space, sub).dim
 
 
 def verify_polytope_cor37(p: Polytope, i, instance="") -> VerificationReport:
@@ -796,8 +787,7 @@ def _expect_report(inst: CorpusInstance, seed: int) -> VerificationReport:
             {k: list(getattr(vec, k)) for k in ("f", "h", "g") if k in exp}
         )
     if "cm" in exp:
-        seq, table = linear_table(cx, seed)
-        computed["cm"] = _cm_summary(cx, seq, table)["is_cm_witnessed"]
+        computed["cm"] = cm_certificate(cx, seed)["is_cm_witnessed"]
     for key in sorted(exp):
         if key not in computed:
             mismatches.append({"key": key, "reason": "not computable"})
@@ -816,41 +806,45 @@ def _expect_report(inst: CorpusInstance, seed: int) -> VerificationReport:
     )
 
 
+def _antipodal_link(cx: SimplicialComplex, k: int):
+    """lk(k) ∩ lk(-k), or None when it has no nonempty face."""
+    meets = {
+        tuple(sorted(set(a) & set(b)))
+        for a in cx.link((k,)).facets
+        for b in cx.link((-k,)).facets
+    }
+    facets = [f for f in meets if not any(set(f) < set(g) for g in meets)]
+    if facets == [()]:
+        return None
+    return SimplicialComplex(facets)
+
+
 def _lemma31_suite(cx, seq, table, instance) -> VerificationReport:
+    # A symmetric stress supported on st(v) is also supported on st(-v),
+    # hence on st(v) ∩ st(-v) = lk(v) ∩ lk(-v).  Stresses are local, so
+    # those are the symmetric stresses of that complex: each of its plus
+    # basis vectors is checked against the lemma on cx.
     d = cx.dim + 1
+    pairs = sorted({abs(v) for v in cx.vertices})
+    links = {k: _antipodal_link(cx, k) for k in pairs}
     checked = 0
     failures = []
     for i in range(1, d + 1):
-        space = table[i]
-        if space.dim == 0 or space.plus_vectors is None:
+        if table[i].dim == 0:
             continue
-        columns = space.columns
-        for v in sorted(cx.vertices, key=lambda u: (abs(u), u < 0)):
-            star = cx.star((v,))
-            allowed = [
-                j for j, m in enumerate(columns)
-                if star.contains(m.support)
-            ]
-            if not allowed:
+        for k in pairs:
+            if links[k] is None:
                 continue
-            units = []
-            for j in allowed:
-                vec = [Fraction(0)] * len(columns)
-                vec[j] = Fraction(1)
-                units.append(tuple(vec))
-            coord = Basis(space.plus_vectors.columns, units, allowed)
-            inter = intersect(space.plus_vectors, coord)
-            for vecs in inter.vectors:
-                w = Polynomial(
-                    [(m, c) for m, c in zip(columns, vecs) if c]
-                )
-                report = verify_lemma31(cx, seq, w, v, instance)
-                checked += 1
-                if report.verdict == FAIL:
-                    failures.append(
-                        {"vertex": v, "degree": i,
-                         "faces": report.witness}
-                    )
+            plus = stress_space(links[k], seq, i).plus_basis
+            for v in (k, -k):
+                for w in plus:
+                    report = verify_lemma31(cx, seq, w, v, instance)
+                    checked += 1
+                    if report.verdict == FAIL:
+                        failures.append(
+                            {"vertex": v, "degree": i,
+                             "faces": report.witness}
+                        )
     if checked == 0:
         return VerificationReport(
             CLAIM_STAR_SUPPORT, instance, UNMET,
@@ -874,7 +868,7 @@ def instance_reports(inst: CorpusInstance, seed: int) -> list[VerificationReport
         out.append(_expect_report(inst, seed))
     if cx.is_pure():
         seq, table = linear_table(cx, seed)
-        summary = _cm_summary(cx, seq, table)
+        summary = cm_certificate(cx, seed)
         note = (
             "witnessed" if summary["is_cm_witnessed"]
             else "definitively not Cohen-Macaulay"

@@ -271,13 +271,20 @@ def detect_cross_polytope_subcomplexes(cx: SimplicialComplex, j) -> list:
 # -- JSON ----------------------------------------------------------------
 
 
-def complex_from_json(text: str) -> SimplicialComplex:
-    """Parse {"facets": [[..]], "cs": bool, "ground_set"?: [..]}."""
+def load_json(text: str):
+    """json.loads with every parse failure raised as InputError."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise InputError(f"invalid JSON at line {e.lineno}: {e.msg}") from e
-    return complex_from_json_obj(obj)
+    except ValueError as e:
+        # an integer beyond Python's digit limit for int(str)
+        raise InputError(f"invalid JSON: {e}") from e
+
+
+def complex_from_json(text: str) -> SimplicialComplex:
+    """Parse {"facets": [[..]], "cs": bool, "ground_set"?: [..]}."""
+    return complex_from_json_obj(load_json(text))
 
 
 def _is_label_list(value) -> bool:
@@ -304,7 +311,9 @@ def complex_from_json_obj(obj) -> SimplicialComplex:
     if not isinstance(obj, dict) or "facets" not in obj:
         raise InputError('missing "facets" field')
     facets = facets_from_json(obj["facets"])
-    expect_cs = bool(obj.get("cs", False))
+    expect_cs = obj.get("cs", False)
+    if not isinstance(expect_cs, bool):
+        raise InputError('"cs" must be true or false')
     ground = obj.get("ground_set")
     if ground is not None and not _is_label_list(ground):
         raise InputError('"ground_set" must be a list of integers')

@@ -3,9 +3,11 @@
 A degree-i stress is a homogeneous polynomial whose monomials are each
 supported on a face and which is annihilated by the derivative operator of
 every form in the chosen sequence.  Stress spaces are computed as exact
-nullspaces; for centrally symmetric complexes they are split into the
-symmetric (plus) and antisymmetric (minus) parts under the involution
-x_v -> x_{-v}, whose dimensions carry the face-number content.
+nullspaces.  For a centrally symmetric complex and forms of definite
+parity, the involution x_v -> x_{-v} splits the constraint matrix into a
+symmetric (plus) and an antisymmetric (minus) block, solved separately;
+their dimensions carry the face-number content.  Stresses are local, so
+the stresses of a subcomplex are computed on the subcomplex itself.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (
     NotSimplicial,
     NotSubcomplex,
 )
-from .exactla import Basis, SparseMatrix, nullspace, rank, span_basis, intersect
+from .exactla import Basis, SparseMatrix, nullspace, rank
 from .polynomials import (
     LinearForm,
     Polynomial,
@@ -79,47 +81,26 @@ class FormSequence:
 
 
 class StressSpace:
-    """Reduced basis of the space of degree-i stresses.
+    """Reduced bases of the space of degree-i stresses.
 
     `columns` lists the candidate monomials (those supported on faces of the
-    parent complex); basis vectors are coordinates over `columns`.  For cs
-    complexes `plus_basis`/`minus_basis` hold the symmetric and antisymmetric
-    parts; for other complexes they are None.
+    complex); basis vectors are coordinates over `columns`.  `blocks` holds
+    one reduced basis of the whole space, or, when the involution splits
+    it, the pair (symmetric, antisymmetric).  `plus_*`/`minus_*` read the
+    pair and are None without a split.
     """
 
-    __slots__ = (
-        "complex",
-        "forms",
-        "degree",
-        "columns",
-        "vector_basis",
-        "plus_vectors",
-        "minus_vectors",
-    )
+    __slots__ = ("complex", "forms", "degree", "columns", "blocks")
 
-    def __init__(
-        self, complex, forms, degree, columns, vector_basis,
-        plus_vectors, minus_vectors,
-    ):
+    def __init__(self, complex, forms, degree, columns, blocks):
         self.complex = complex
         self.forms = forms
         self.degree = degree
         self.columns = tuple(columns)
-        self.vector_basis = vector_basis
-        self.plus_vectors = plus_vectors
-        self.minus_vectors = minus_vectors
+        self.blocks = tuple(blocks)
 
-    @property
-    def dim(self) -> int:
-        return self.vector_basis.dim
-
-    @property
-    def plus_dim(self):
-        return None if self.plus_vectors is None else self.plus_vectors.dim
-
-    @property
-    def minus_dim(self):
-        return None if self.minus_vectors is None else self.minus_vectors.dim
+    def _part(self, k):
+        return self.blocks[k] if len(self.blocks) == 2 else None
 
     def _to_polynomials(self, basis) -> list[Polynomial]:
         return [
@@ -130,20 +111,33 @@ class StressSpace:
         ]
 
     @property
+    def dim(self) -> int:
+        return sum(b.dim for b in self.blocks)
+
+    @property
     def basis(self) -> list[Polynomial]:
-        return self._to_polynomials(self.vector_basis)
+        """Symmetric vectors first when the space is split."""
+        return [w for b in self.blocks for w in self._to_polynomials(b)]
+
+    @property
+    def plus_dim(self):
+        part = self._part(0)
+        return None if part is None else part.dim
+
+    @property
+    def minus_dim(self):
+        part = self._part(1)
+        return None if part is None else part.dim
 
     @property
     def plus_basis(self):
-        if self.plus_vectors is None:
-            return None
-        return self._to_polynomials(self.plus_vectors)
+        part = self._part(0)
+        return None if part is None else self._to_polynomials(part)
 
     @property
     def minus_basis(self):
-        if self.minus_vectors is None:
-            return None
-        return self._to_polynomials(self.minus_vectors)
+        part = self._part(1)
+        return None if part is None else self._to_polynomials(part)
 
     def vectorize(self, w: Polynomial):
         """Coordinates of w over `columns`; None if w leaves the space."""
@@ -157,12 +151,16 @@ class StressSpace:
         return tuple(vec)
 
     def contains(self, w: Polynomial) -> bool:
-        if w.is_zero():
-            return True
-        vec = self.vectorize(w)
-        if vec is None:
-            return False
-        return self.vector_basis.contains(vec)
+        # the two blocks together are not one reduced basis, so each
+        # parity part of w is tested against its own block
+        parts = (w,) if len(self.blocks) == 1 else pm_split(w)
+        for part, block in zip(parts, self.blocks):
+            if part.is_zero():
+                continue
+            vec = self.vectorize(part)
+            if vec is None or not block.contains(vec):
+                return False
+        return True
 
     def __repr__(self):
         return (
@@ -273,12 +271,13 @@ def lsop_check(cx: SimplicialComplex, forms) -> bool:
 
 
 def stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:
-    """Exact nullspace basis of the degree-i stress equations.
+    """Exact nullspace bases of the degree-i stress equations.
 
     The constraint matrix D has one column per face-supported degree-i
     monomial and one row per (form k, degree-(i-1) monomial) pair; its
     entry is the coefficient of that monomial in the k-th derivative of
-    the column monomial.
+    the column monomial.  With a parity split the kernel is computed as
+    two blocks (see `_parity_blocks`), otherwise as one.
     """
     if i < 0:
         raise ValueError("degree must be nonnegative")
@@ -295,18 +294,63 @@ def stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:
                 key = (k, m.divide(v))
                 r = row_index.setdefault(key, len(row_index))
                 entries[(r, j)] = entries.get((r, j), Fraction(0)) + e * c
-    matrix = SparseMatrix(
-        len(row_index), len(columns), entries, col_labels=columns
-    )
-    kernel = nullspace(matrix)
-    plus = minus = None
     if _has_parity_split(cx, form_list):
-        plus, minus = _split_basis(kernel, columns)
-        if plus.dim + minus.dim != kernel.dim:
-            raise RuntimeError(
-                "parity split lost dimensions; involution-invariance bug"
-            )
-    return StressSpace(cx, forms, i, columns, kernel, plus, minus)
+        blocks = _parity_blocks(columns, row_index, entries)
+    else:
+        matrix = SparseMatrix(
+            len(row_index), len(columns), entries, col_labels=columns
+        )
+        blocks = (nullspace(matrix),)
+    return StressSpace(cx, forms, i, columns, blocks)
+
+
+def _parity_blocks(columns, row_index, entries) -> tuple[Basis, Basis]:
+    """Symmetric and antisymmetric kernels of D, in full coordinates.
+
+    The involution sigma permutes the columns of a cs complex, freely
+    except for the degree-0 monomial 1.  A form of parity e (+1 or -1)
+    has sigma D_k sigma = e D_k, so on a vector of definite parity row
+    (k, sigma r) of D is +-e times row (k, r).  Hence the kernel splits
+    into a symmetric part, solved over the columns m + sigma m, and an
+    antisymmetric part, over the columns m - sigma m, one column per
+    orbit representative m and one row per mirror pair of rows.  The
+    fixed monomial 1 is a symmetric column only.
+    """
+    col_of = {m: j for j, m in enumerate(columns)}
+    mirror = [col_of[m.negate()] for m in columns]
+    kept = {}
+    for (k, r), n in row_index.items():
+        if n <= row_index[(k, r.negate())]:
+            kept[n] = len(kept)
+    by_col = [{} for _ in columns]
+    for (n, j), x in entries.items():
+        if n in kept:
+            by_col[j][kept[n]] = x
+    blocks = []
+    for sign in (1, -1):
+        reps = [
+            j for j, p in enumerate(mirror)
+            if j < p or (j == p and sign == 1)
+        ]
+        block = {}
+        for b, j in enumerate(reps):
+            col = dict(by_col[j])
+            if mirror[j] != j:
+                for n, x in by_col[mirror[j]].items():
+                    col[n] = col.get(n, 0) + sign * x
+            block.update(((n, b), x) for n, x in col.items())
+        kernel = nullspace(SparseMatrix(len(kept), len(reps), block))
+        vectors = []
+        for u in kernel.vectors:
+            vec = [Fraction(0)] * len(columns)
+            for j, x in zip(reps, u):
+                if x:
+                    vec[j] = x
+                    vec[mirror[j]] = sign * x
+            vectors.append(vec)
+        pivots = [reps[b] for b in kernel.pivots]
+        blocks.append(Basis(columns, vectors, pivots))
+    return tuple(blocks)
 
 
 def vanishing_stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:
@@ -320,32 +364,14 @@ def vanishing_stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:
     if i <= cx.dim + 1:
         raise ValueError("stresses vanish by theorem only above degree d")
     empty = Basis((), (), ())
-    split = empty if _has_parity_split(cx, forms) else None
-    return StressSpace(cx, forms, i, (), empty, split, split)
+    blocks = (empty, empty) if _has_parity_split(cx, forms) else (empty,)
+    return StressSpace(cx, forms, i, (), blocks)
 
 
 def _has_parity_split(cx: SimplicialComplex, forms) -> bool:
     # the involution preserves the space only when every form has a
     # definite parity, so the split is computed just in that case
     return cx.cs and all(f.parity in ("minus", "plus") for f in forms)
-
-
-def _split_basis(kernel: Basis, columns) -> tuple[Basis, Basis]:
-    index = {m: j for j, m in enumerate(columns)}
-    plus_vecs, minus_vecs = [], []
-    for vec in kernel.vectors:
-        w = Polynomial([(m, c) for m, c in zip(columns, vec) if c])
-        for part, bucket in zip(pm_split(w), (plus_vecs, minus_vecs)):
-            if part.is_zero():
-                continue
-            coords = [Fraction(0)] * len(columns)
-            for m, c in part.terms.items():
-                coords[index[m]] = c
-            bucket.append(tuple(coords))
-    return (
-        span_basis(plus_vecs, kernel.columns),
-        span_basis(minus_vecs, kernel.columns),
-    )
 
 
 def is_stress(cx: SimplicialComplex, forms, w: Polynomial) -> bool:
@@ -361,7 +387,11 @@ def is_stress(cx: SimplicialComplex, forms, w: Polynomial) -> bool:
 
 
 def restrict_stress_space(s: StressSpace, sub: SimplicialComplex) -> StressSpace:
-    """Stresses of a subcomplex: intersect with its coordinate subspace."""
+    """Stresses of s supported on the subcomplex sub.
+
+    Stresses are local: the derivatives do not see the ambient complex,
+    so these are exactly the stresses of sub itself.
+    """
     parent = s.complex
     for f in sub.facets:
         if not parent.contains(f):
@@ -370,45 +400,4 @@ def restrict_stress_space(s: StressSpace, sub: SimplicialComplex) -> StressSpace
             )
     if sub == parent:
         return s
-    allowed = [
-        j for j, m in enumerate(s.columns) if sub.contains(m.support)
-    ]
-    unit_vectors = []
-    n = len(s.columns)
-    for j in allowed:
-        vec = [Fraction(0)] * n
-        vec[j] = Fraction(1)
-        unit_vectors.append(tuple(vec))
-    coord_basis = Basis(s.vector_basis.columns, unit_vectors, allowed)
-    kernel = intersect(s.vector_basis, coord_basis)
-    plus = minus = None
-    if sub.cs:
-        plus, minus = _split_basis(kernel, s.columns)
-    return StressSpace(sub, s.forms, s.degree, s.columns, kernel, plus, minus)
-
-
-# -- Cohen-Macaulay certification --------------------------------------------
-
-
-def cm_certificate(cx: SimplicialComplex, seed: int) -> dict:
-    """CM certificate by graded dimension count.
-
-    For a verified l.s.o.p., cx is Cohen-Macaulay exactly when dims == h
-    (the property holds for some sequence exactly when it holds for every
-    one), so any difference proves it is not.  A difference may go either
-    way: two disjoint triangles have h_3 = 1 but no degree-3 stress.
-    """
-    vectors = cx.fhg_vectors()
-    d = vectors.d
-    seq = special_lsop(cx, seed) if cx.cs else generic_lsop(cx, seed)
-    dims = [stress_space(cx, seq, i).dim for i in range(d + 1)]
-    witnessed = dims == list(vectors.h)
-    return {
-        "dims": dims,
-        "h": list(vectors.h),
-        "is_cm_witnessed": witnessed,
-        "definitive_non_cm": not witnessed,
-        "seed": seed,
-        "kind": seq.kind,
-        "attempts": seq.attempts,
-    }
+    return stress_space(sub, s.forms, s.degree)

@@ -9,7 +9,6 @@ is the eligible row with the fewest nonzeros (ties by original row index).
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -206,67 +205,3 @@ def nullspace(matrix: SparseMatrix) -> Basis:
                 vec[c] = -Fraction(row[f], row[c])
         vectors.append(tuple(vec))
     return Basis(matrix.col_labels, vectors, free_cols)
-
-
-def span_basis(vectors, columns) -> Basis:
-    """Canonical reduced basis of the span of the given vectors."""
-    columns = tuple(columns)
-    mat = [[Fraction(x) for x in v] for v in vectors]
-    for v in mat:
-        if len(v) != len(columns):
-            raise IndexMismatch("vector length differs from column count")
-    pivots = []
-    rows = [r for r in mat if any(r)]
-    reduced = []
-    for row in rows:
-        row = list(row)
-        for vec, p in zip(reduced, pivots):
-            coef = row[p]
-            if coef:
-                for j, x in enumerate(vec):
-                    if x:
-                        row[j] -= coef * x
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is None:
-            continue
-        inv = row[lead]
-        row = [x / inv for x in row]
-        for vec, _ in zip(reduced, pivots):
-            coef = vec[lead]
-            if coef:
-                for j, x in enumerate(row):
-                    if x:
-                        vec[j] -= coef * x
-        reduced.append(row)
-        pivots.append(lead)
-    order = sorted(range(len(reduced)), key=lambda i: pivots[i])
-    return Basis(
-        columns,
-        [tuple(reduced[i]) for i in order],
-        [pivots[i] for i in order],
-    )
-
-
-def intersect(b1: Basis, b2: Basis) -> Basis:
-    """Basis of span(b1) & span(b2) via the stacked nullspace."""
-    if b1.columns != b2.columns:
-        raise IndexMismatch("bases indexed by different column sets")
-    n = len(b1.columns)
-    p, q = b1.dim, b2.dim
-    entries = {}
-    for j, vec in enumerate(itertools.chain(b1.vectors, b2.vectors)):
-        sign = 1 if j < p else -1
-        for r, x in enumerate(vec):
-            if x:
-                entries[(r, j)] = sign * x
-    kernel = nullspace(SparseMatrix(n, p + q, entries))
-    combos = []
-    for coeffs in kernel.vectors:
-        vec = [Fraction(0)] * n
-        for j in range(p):
-            if coeffs[j]:
-                for r, x in enumerate(b1.vectors[j]):
-                    if x:
-                        vec[r] += coeffs[j] * x
-        combos.append(tuple(vec))
-    return span_basis(combos, b1.columns)

@@ -65,6 +65,10 @@ class Monomial:
             raise ValueError(f"x_{v} does not divide {self}")
         return Monomial(out)
 
+    def negate(self) -> "Monomial":
+        """Image under the involution x_v -> x_{-v}."""
+        return Monomial((-v, e) for v, e in self.exps)
+
     def exponent(self, v: int) -> int:
         for u, e in self.exps:
             if u == v:
@@ -314,12 +318,7 @@ def apply_derivative(c: LinearForm, w: Polynomial) -> Polynomial:
 
 def involution_action(w: Polynomial) -> Polynomial:
     """Substitute x_{-v} for x_v throughout."""
-    return Polynomial(
-        [
-            (Monomial((-v, e) for v, e in m.exps), c)
-            for m, c in w.terms.items()
-        ]
-    )
+    return Polynomial([(m.negate(), c) for m, c in w.terms.items()])
 
 
 def is_symmetric(w: Polynomial) -> bool:

@@ -9,10 +9,11 @@ circle so that coordinates stay exact.
 
 from __future__ import annotations
 
-import json
+import itertools
+import sys
 from fractions import Fraction
 
-from .complexes import SimplicialComplex, face, facets_from_json
+from .complexes import SimplicialComplex, face, facets_from_json, load_json
 from .errors import InputError, NotCs, NotSimplicial
 from .exactla import SparseMatrix, rank
 
@@ -117,16 +118,9 @@ def cross_polytope(d) -> Polytope:
         coords[-k] = tuple(-x for x in unit)
     facets = [
         tuple(s * k for k, s in zip(range(1, d + 1), signs))
-        for signs in _sign_patterns(d)
+        for signs in itertools.product((1, -1), repeat=d)
     ]
     return Polytope(coords, facets)
-
-
-def _sign_patterns(d):
-    out = [()]
-    for _ in range(d):
-        out = [p + (s,) for p in out for s in (1, -1)]
-    return out
 
 
 def _circle_point(t: Fraction) -> tuple[Fraction, Fraction]:
@@ -178,10 +172,7 @@ def bipyramid(m) -> Polytope:
 
 def polytope_from_json(text: str) -> Polytope:
     """Parse {"coordinates": {"1": ["2","0"], ...}, "facets": [[..]]}."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InputError(f"invalid JSON at line {e.lineno}: {e.msg}") from e
+    obj = load_json(text)
     if not isinstance(obj, dict):
         raise InputError("polytope JSON must be an object")
     return polytope_from_json_obj(obj)
@@ -201,12 +192,25 @@ def polytope_from_json_obj(obj: dict) -> Polytope:
         if not isinstance(vec, list):
             raise InputError(f"coordinates of {key} must be a list")
         try:
-            parsed[v] = tuple(Fraction(str(x)) for x in vec)
+            parsed[v] = tuple(_rational(str(x), key) for x in vec)
         except (ValueError, ZeroDivisionError):
             raise InputError(
                 f"coordinates of {key} are not rationals"
             ) from None
     return Polytope(parsed, [face(f) for f in facets])
+
+
+def _rational(text: str, key) -> Fraction:
+    # Fraction applies a decimal exponent as 10**exp, which for "1e30000000"
+    # takes about a minute; Python's own int(str) digit limit bounds it
+    _, e, exp = text.lower().partition("e")
+    if e:
+        limit = sys.get_int_max_str_digits()
+        if limit and abs(int(exp)) > limit:
+            raise InputError(
+                f"coordinates of {key} have a decimal exponent above {limit}"
+            )
+    return Fraction(text)
 
 
 def polytope_to_json_obj(p: Polytope) -> dict:

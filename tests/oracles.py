@@ -129,16 +129,17 @@ def _face_monomials(faces, i):
     return sorted(out)
 
 
-def brute_stress_dim(facets, coeff_rows, i) -> int:
-    """dim of degree-i stresses; coeff_rows maps each form to {vertex: coeff}.
+def _stress_system(facets, coeff_rows, i):
+    """(degree-i monomials on the complex, dense derivative rows).
 
-    Builds the derivative system densely: one column per degree-i monomial
-    on the complex, one row per (form, degree-(i-1) monomial) pair.
+    One column per degree-i monomial on the complex, one row per (form,
+    degree-(i-1) monomial) pair; coeff_rows maps each form to
+    {vertex: coeff}.
     """
     faces = brute_faces(facets)
     cols = _face_monomials(faces, i)
     if i == 0:
-        return 1 if cols else 0
+        return cols, []
     lower = {m: idx for idx, m in enumerate(_face_monomials(faces, i - 1))}
     rows = [
         [Fraction(0)] * len(cols)
@@ -155,6 +156,32 @@ def brute_stress_dim(facets, coeff_rows, i) -> int:
                 if c and reduced in lower:
                     r = fidx * len(lower) + lower[reduced]
                     rows[r][cidx] += e * c
+    return cols, rows
+
+
+def brute_stress_dim(facets, coeff_rows, i) -> int:
+    """dim of degree-i stresses; coeff_rows maps each form to {vertex: coeff}."""
+    cols, rows = _stress_system(facets, coeff_rows, i)
+    return len(cols) - dense_rank(rows)
+
+
+def brute_symmetric_star_dim(facets, coeff_rows, i, v) -> int:
+    """dim of the symmetric degree-i stresses supported on st(v).
+
+    Derivatives of a monomial on st(v) stay on st(v), so these solve the
+    stress system of the star plus c_m = c_{-m} for every column m, with
+    c_{-m} = 0 when -m is off the star.
+    """
+    cols, rows = _stress_system([f for f in facets if v in f], coeff_rows, i)
+    index = {m: j for j, m in enumerate(cols)}
+    for j, exps in enumerate(cols):
+        mirror = tuple(sorted(((-u, k) for u, k in exps),
+                              key=lambda t: (abs(t[0]), t[0] < 0)))
+        row = [Fraction(0)] * len(cols)
+        row[j] += 1
+        if mirror in index:
+            row[index[mirror]] -= 1
+        rows.append(row)
     return len(cols) - dense_rank(rows)
 
 

@@ -8,11 +8,11 @@ LABELS = st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4])
 
 
 @st.composite
-def near_cs_facets(draw):
-    """A pure cs facet list, or one with a facet dropped or added, or a
-    facet pair widened by an antipodal vertex."""
-    size = draw(st.integers(1, 3))
-    half = draw(st.lists(
+def cs_facet_halves(draw, max_size=3):
+    """Facets of one sign class of a pure cs complex on pairs 1..4; the
+    complex is these plus their negations."""
+    size = draw(st.integers(1, max_size))
+    return draw(st.lists(
         st.tuples(
             st.permutations([1, 2, 3, 4]),
             st.lists(st.sampled_from([1, -1]), min_size=size,
@@ -20,6 +20,13 @@ def near_cs_facets(draw):
         ).map(lambda t: [k * s for k, s in zip(t[0], t[1])]),
         min_size=1, max_size=4,
     ))
+
+
+@st.composite
+def near_cs_facets(draw):
+    """A pure cs facet list, or one with a facet dropped or added, or a
+    facet pair widened by an antipodal vertex."""
+    half = draw(cs_facet_halves())
     facets = half + [[-v for v in f] for f in half]
     change = draw(st.sampled_from(["none", "drop", "add", "antipodal"]))
     if change == "antipodal":

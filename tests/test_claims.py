@@ -38,6 +38,8 @@ from csstress import (
     verify_thm35,
     verify_thm36,
 )
+from csstress.claims import instance_reports, linear_table
+from oracles import brute_symmetric_star_dim
 
 
 # -- report plumbing -------------------------------------------------------------
@@ -203,6 +205,25 @@ def test_lemma31_rejects_out_of_scope_inputs(octahedron):
 
 
 # -- squarefree / pair-sum structure -------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["crosspoly_d3", "bipyramid_m3"])
+def test_lemma31_checks_every_symmetric_star_stress(corpus_by_name, name):
+    # one check per basis vector of the symmetric stresses on each st(v)
+    inst = corpus_by_name[name]
+    cx = inst.complex
+    seq, _ = linear_table(cx, 1)
+    rows = [{v: f.coefficient(v) for v in cx.vertices} for f in seq]
+    dense = sum(
+        brute_symmetric_star_dim(cx.facets, rows, i, v)
+        for i in range(1, cx.dim + 2)
+        for v in cx.vertices
+    )
+    record = next(r for r in instance_reports(inst, 1)
+                  if r.claim_id == "Lem3.1")
+    assert dense > 0
+    assert record.verdict == "pass"
+    assert record.computed == {"checked": dense}
 
 
 def test_lemma32_34_on_octahedron(octahedron):

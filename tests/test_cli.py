@@ -95,16 +95,23 @@ def test_stress_max_degree_extends_table(capsys):
     assert rows[-1].split() == ["4", "0", "0", "0"]
 
 
-@pytest.mark.parametrize("mode", [[], ["--affine"]])
-def test_stress_degree_60_is_answered_without_enumeration(mode):
-    # a subprocess so that a regression fails by timeout instead of hanging
+def run_subprocess(*argv, timeout):
+    """The CLI in a child process, so that a regression to a slow path
+    fails by timeout instead of hanging the suite."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "csstress.cli", "stress",
-         str(CORPUS_DIR / "crosspoly_d3.json"), "--degree", "60", *mode],
-        capture_output=True, text=True, env=env, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-m", "csstress.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
+@pytest.mark.parametrize("mode", [[], ["--affine"]])
+def test_stress_degree_60_is_answered_without_enumeration(mode):
+    proc = run_subprocess(
+        "stress", str(CORPUS_DIR / "crosspoly_d3.json"), "--degree", "60",
+        *mode, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].split() == ["60", "0", "0", "0"]
@@ -159,6 +166,63 @@ def test_info_rejects_boolean_and_repeated_labels(tmp_path, capsys, text):
     assert code == 2
     assert out == ""
     assert err.startswith("input error:")
+
+
+@pytest.mark.parametrize("command", ["info", "verify"])
+@pytest.mark.parametrize("text", [
+    '{"facets": [[1, 2], [-1, -2]], "junk": %s}' % ("9" * 5000),
+    '{"coordinates": {"1": [%s], "-1": ["-1"]}, "facets": [[1], [-1]]}'
+    % ("9" * 5000),
+])
+def test_oversized_json_integer_is_input_error(tmp_path, capsys, command,
+                                               text):
+    # json.loads raises ValueError past Python's int digit limit; exit 1
+    # would read as "a claim failed"
+    p = tmp_path / "big.json"
+    p.write_text(text)
+    code, out, err = run(capsys, command, str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:")
+
+
+@pytest.mark.parametrize("value", ['"false"', '"true"', "0", "1", "null"])
+def test_cs_flag_must_be_a_json_boolean(tmp_path, capsys, value):
+    p = tmp_path / "flag.json"
+    p.write_text('{"facets": [[1, 2]], "cs": %s}' % value)
+    code, out, err = run(capsys, "info", str(p))
+    assert code == 2
+    assert err == 'input error: "cs" must be true or false\n'
+
+
+LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.skipif(LIMIT == 0, reason="int digit limit switched off")
+@pytest.mark.parametrize("exponent", [
+    "e30000000", "E-30000000", f"e{LIMIT + 1}", f"e-{LIMIT + 1}",
+])
+def test_huge_coordinate_exponent_is_refused_quickly(tmp_path, exponent):
+    # Fraction builds 10**exp, which for 3e7 takes about a minute
+    p = tmp_path / "exp.json"
+    p.write_text(json.dumps({
+        "coordinates": {"1": ["1" + exponent], "-1": ["-1" + exponent]},
+        "facets": [[1], [-1]],
+    }))
+    proc = run_subprocess("info", str(p), timeout=20)
+    assert proc.returncode == 2
+    assert "decimal exponent above" in proc.stderr
+
+
+def test_coordinate_exponent_at_the_limit_is_accepted(tmp_path, capsys):
+    p = tmp_path / "exp.json"
+    p.write_text(json.dumps({
+        "coordinates": {"1": [f"1e{LIMIT}"], "-1": [f"-1e{LIMIT}"]},
+        "facets": [[1], [-1]],
+    }))
+    code, out, _ = run(capsys, "info", str(p))
+    assert code == 0
+    assert out.startswith("d=1, f=(1,2), h=(1,1), cs=yes")
 
 
 def test_stress_basis_listing(capsys):

@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import csstress.engine as engine_module
 from csstress import (
@@ -22,9 +24,11 @@ from csstress import (
     cross_polytope,
     cross_polytope_boundary,
     generic_lsop,
+    involution_action,
     is_stress,
     is_symmetric,
     lsop_check,
+    negate,
     pair_sum,
     polygon,
     restrict_stress_space,
@@ -34,6 +38,13 @@ from csstress import (
 )
 from csstress.claims import linear_table
 from oracles import brute_stress_dim, same_span
+from strategies import cs_facet_halves
+
+CS_COMPLEXES = cs_facet_halves().map(
+    lambda half: SimplicialComplex.from_facets(
+        half + [[-v for v in f] for f in half], expect_cs=True
+    )
+)
 
 
 def coeff_rows(forms, labels):
@@ -270,7 +281,46 @@ def test_is_stress_requires_annihilation(octahedron):
     assert not is_stress(octahedron, seq, w)
 
 
+@settings(max_examples=40, deadline=None)
+@given(cx=CS_COMPLEXES, seed=st.integers(0, 99))
+def test_parity_blocks_match_dense_oracle(cx, seed):
+    seq = special_lsop(cx, seed)
+    rows = coeff_rows(list(seq), cx.ground_set)
+    for i in range(cx.dim + 3):
+        space = stress_space(cx, seq, i)
+        assert space.dim == brute_stress_dim(cx.facets, rows, i), i
+        assert all(is_symmetric(w) for w in space.plus_basis)
+        assert all(involution_action(w) == -w for w in space.minus_basis)
+        for w in space.basis:
+            assert is_stress(cx, seq, w)
+            assert space.contains(w)
+        if i >= 1:
+            # an l.s.o.p. derivative of a lone monomial is never zero
+            lone = Polynomial([(space.columns[0], 1)])
+            assert not is_stress(cx, seq, lone)
+            assert not space.contains(lone)
+            for w in space.basis:
+                assert not space.contains(w + lone)
+
+
 # -- restriction ------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(cx=CS_COMPLEXES, seed=st.integers(0, 99), data=st.data())
+def test_restriction_matches_dense_oracle_on_subcomplexes(cx, seed, data):
+    keep = data.draw(st.lists(st.sampled_from(cx.facets), min_size=1,
+                              unique=True))
+    if data.draw(st.booleans()):
+        keep += [negate(f) for f in keep]
+    sub = SimplicialComplex(keep)
+    seq = special_lsop(cx, seed)
+    rows = coeff_rows(list(seq), cx.ground_set)
+    for i in range(cx.dim + 2):
+        restricted = restrict_stress_space(stress_space(cx, seq, i), sub)
+        assert restricted.dim == brute_stress_dim(sub.facets, rows, i), i
+        for w in restricted.basis:
+            assert is_stress(cx, seq, w)
 
 
 def test_restriction_to_self_is_identity(octahedron):
@@ -292,7 +342,9 @@ def test_restriction_to_equator_square(octahedron):
         [w.coefficient(m) for m in direct.columns]
         for w in restricted.basis
     ]
-    theirs = [list(v) for v in direct.vector_basis.vectors]
+    theirs = [
+        [w.coefficient(m) for m in direct.columns] for w in direct.basis
+    ]
     assert same_span(ours, theirs)
 
 

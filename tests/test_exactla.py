@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csstress import Basis, IndexMismatch, SparseMatrix, intersect, nullspace, rank, span_basis
+from csstress import Basis, IndexMismatch, SparseMatrix, nullspace, rank
 from oracles import dense_nullspace, dense_rank, same_span
 
 
@@ -113,7 +113,7 @@ def test_basis_membership_and_reduce():
         (Fraction(1), Fraction(0), Fraction(2)),
         (Fraction(0), Fraction(1), Fraction(-1)),
     ]
-    b = span_basis(vectors, columns=(0, 1, 2))
+    b = Basis((0, 1, 2), vectors, pivots=(0, 1))
     assert b.dim == 2
     assert b.contains((Fraction(3), Fraction(2), Fraction(4)))
     assert not b.contains((Fraction(0), Fraction(0), Fraction(1)))
@@ -121,70 +121,6 @@ def test_basis_membership_and_reduce():
     assert any(residue)
     with pytest.raises(IndexMismatch):
         b.reduce((Fraction(1),))
-
-
-def test_span_basis_canonicalizes():
-    v1 = (Fraction(2), Fraction(4))
-    v2 = (Fraction(1), Fraction(2))
-    a = span_basis([v1], columns=("x", "y"))
-    b = span_basis([v2, v1], columns=("x", "y"))
-    assert a.vectors == b.vectors
-    assert a.columns == ("x", "y")
-
-
-def test_span_basis_drops_dependent_vectors():
-    vs = [
-        (Fraction(1), Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(1), Fraction(1)),
-        (Fraction(1), Fraction(2), Fraction(1)),
-    ]
-    b = span_basis(vs, columns=(0, 1, 2))
-    assert b.dim == 2
-
-
-def test_intersect_planes():
-    cols = (0, 1, 2)
-    xy = span_basis(
-        [(Fraction(1), Fraction(0), Fraction(0)),
-         (Fraction(0), Fraction(1), Fraction(0))], cols)
-    yz = span_basis(
-        [(Fraction(0), Fraction(1), Fraction(0)),
-         (Fraction(0), Fraction(0), Fraction(1))], cols)
-    meet = intersect(xy, yz)
-    assert meet.dim == 1
-    assert meet.contains((Fraction(0), Fraction(5), Fraction(0)))
-
-
-def test_intersect_disjoint_lines_is_trivial():
-    cols = (0, 1)
-    a = span_basis([(Fraction(1), Fraction(0))], cols)
-    b = span_basis([(Fraction(0), Fraction(1))], cols)
-    assert intersect(a, b).dim == 0
-
-
-def test_intersect_requires_matching_columns():
-    a = span_basis([(Fraction(1),)], columns=(0,))
-    b = span_basis([(Fraction(1),)], columns=(1,))
-    with pytest.raises(IndexMismatch):
-        intersect(a, b)
-
-
-def test_intersect_randomized_against_containment():
-    rng = random.Random(99)
-    for _ in range(15):
-        ncols = rng.randint(2, 7)
-        cols = tuple(range(ncols))
-        va = [tuple(Fraction(rng.randint(-4, 4)) for _ in range(ncols))
-              for _ in range(rng.randint(1, 3))]
-        vb = [tuple(Fraction(rng.randint(-4, 4)) for _ in range(ncols))
-              for _ in range(rng.randint(1, 3))]
-        a, b = span_basis(va, cols), span_basis(vb, cols)
-        meet = intersect(a, b)
-        for v in meet.vectors:
-            assert a.contains(v) and b.contains(v)
-        # dim formula: dim(A) + dim(B) - dim(A+B)
-        joined = span_basis(list(a.vectors) + list(b.vectors), cols)
-        assert meet.dim == a.dim + b.dim - joined.dim
 
 
 def test_large_sparse_system_stays_fast():
