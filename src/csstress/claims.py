@@ -24,7 +24,6 @@ from .complexes import (
     load_json,
 )
 from .engine import (
-    StressSpace,
     canonical_forms,
     generic_lsop,
     is_stress,
@@ -32,7 +31,13 @@ from .engine import (
     special_lsop,
     stress_space,
 )
-from .errors import HypothesisUnmet, InputError, NotCs, PreconditionUnmet
+from .errors import (
+    HypothesisUnmet,
+    InputError,
+    NotCs,
+    NotPure,
+    PreconditionUnmet,
+)
 from .polynomials import (
     LinearForm,
     Monomial,
@@ -168,58 +173,49 @@ def instance_from_json(text: str, fallback_name="instance") -> CorpusInstance:
     return CorpusInstance(name, complex_from_json_obj(obj), None, expected)
 
 
-# -- shared stress tables -----------------------------------------------------
+# -- stress tables -------------------------------------------------------------
+#
+# A table is the pair (form sequence, stress spaces for degrees 0..top).
+# It is built once per instance and passed to every check that reads it.
 
-_LINEAR_TABLES: dict = {}
-_AFFINE_TABLES: dict = {}
+
+def stress_table(cx: SimplicialComplex, seq, top: int):
+    """(seq, stress spaces of cx for degrees 0..top)."""
+    return seq, tuple(stress_space(cx, seq, i) for i in range(top + 1))
 
 
 def linear_table(cx: SimplicialComplex, seed: int):
-    """(form sequence, stress spaces for degrees 0..d), cached per (cx, seed)."""
-    key = (cx, seed)
-    hit = _LINEAR_TABLES.get(key)
-    if hit is None:
-        seq = special_lsop(cx, seed) if cx.cs else generic_lsop(cx, seed)
-        d = cx.dim + 1
-        hit = (seq, tuple(stress_space(cx, seq, i) for i in range(d + 1)))
-        _LINEAR_TABLES[key] = hit
-    return hit
+    """Table of a sampled l.s.o.p., special when cx is cs, degrees 0..d."""
+    seq = special_lsop(cx, seed) if cx.cs else generic_lsop(cx, seed)
+    return stress_table(cx, seq, cx.dim + 1)
 
 
-def cm_certificate(cx: SimplicialComplex, seed: int) -> dict:
-    """CM certificate by graded dimension count over `linear_table`.
+def affine_table(p: Polytope):
+    """Table of the canonical forms, degrees 0..floor(d/2)+1."""
+    return stress_table(p.boundary, canonical_forms(p), p.d // 2 + 1)
+
+
+def cm_certificate(cx: SimplicialComplex, table) -> dict:
+    """CM certificate by graded dimension count over a `linear_table`.
 
     For a verified l.s.o.p., cx is Cohen-Macaulay exactly when dims == h
     (the property holds for some sequence exactly when it holds for every
     one), so any difference proves it is not.  A difference may go either
     way: two disjoint triangles have h_3 = 1 but no degree-3 stress.
     """
-    seq, table = linear_table(cx, seed)
-    dims = [s.dim for s in table]
+    seq, spaces = table
+    dims = [s.dim for s in spaces]
     h = list(cx.fhg_vectors().h)
+    witnessed = dims == h
     return {
         "dims": dims,
         "h": h,
-        "is_cm_witnessed": dims == h,
-        "definitive_non_cm": dims != h,
-        "seed": seed,
+        "is_cm_witnessed": witnessed,
+        "definitive_non_cm": not witnessed,
+        "seed": seq.seed,
         "kind": seq.kind,
         "attempts": seq.attempts,
     }
-
-
-def affine_table(p: Polytope):
-    """(canonical forms, stress spaces for degrees 0..floor(d/2)+1)."""
-    hit = _AFFINE_TABLES.get(p)
-    if hit is None:
-        seq = canonical_forms(p)
-        top = p.d // 2 + 1
-        hit = (
-            seq,
-            tuple(stress_space(p.boundary, seq, i) for i in range(top + 1)),
-        )
-        _AFFINE_TABLES[p] = hit
-    return hit
 
 
 def derived_seed(*parts) -> int:
@@ -229,35 +225,35 @@ def derived_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _sample_combination(rng, space: StressSpace) -> Polynomial:
-    poly = Polynomial.zero()
-    for b in space.basis:
-        poly = poly + b.scale(rng.randint(-9, 9))
-    return poly
+def _sample_combination(rng, basis) -> Polynomial:
+    """Random integer combination, one draw in [-9, 9] per basis element."""
+    coeffs = [rng.randint(-9, 9) for _ in basis]
+    return Polynomial(
+        (m, k * c) for b, k in zip(basis, coeffs) for m, c in b.terms.items()
+    )
 
 
 # -- theorem checks -----------------------------------------------------------
 
 
-def verify_lbt(cx: SimplicialComplex, seed: int, instance="") -> VerificationReport:
+def verify_lbt(cx: SimplicialComplex, table, instance="") -> VerificationReport:
     """Lower bound h_i >= C(d,i) plus the antisymmetric dimension formula."""
     if not cx.cs:
         raise NotCs("the lower bound check applies to cs complexes")
-    vec = cx.fhg_vectors()
-    d = vec.d
-    h = list(vec.h)
-    seq, table = linear_table(cx, seed)
-    dims = [s.dim for s in table]
-    if dims != h:
+    cert = cm_certificate(cx, table)
+    h = cert["h"]
+    if not cert["is_cm_witnessed"]:
         return VerificationReport(
             CLAIM_LBT,
             instance,
             UNMET,
-            computed={"dims": dims, "h": h},
+            computed={"dims": cert["dims"], "h": h},
             note="Cohen-Macaulayness not witnessed",
         )
+    seq, spaces = table
+    d = len(h) - 1
     failures = []
-    minus = [table[i].minus_dim for i in range(d + 1)]
+    minus = [s.minus_dim for s in spaces]
     expected_minus = [Fraction(h[i] - comb(d, i), 2) for i in range(d + 1)]
     for i in range(1, d + 1):
         if h[i] < comb(d, i):
@@ -277,23 +273,23 @@ def verify_lbt(cx: SimplicialComplex, seed: int, instance="") -> VerificationRep
         FAIL if failures else PASS,
         expected={"minus_dims": expected_minus[1:],
                   "lower_bounds": [comb(d, i) for i in range(1, d + 1)]},
-        computed={"h": h[1:], "minus_dims": minus[1:], "seed": seed},
+        computed={"h": h[1:], "minus_dims": minus[1:], "seed": seq.seed},
         witness=failures or None,
     )
 
 
-def verify_polytope_lbt(p: Polytope, instance="") -> VerificationReport:
+def verify_polytope_lbt(p: Polytope, table, instance="") -> VerificationReport:
     """Affine analogue: g_i bounds and minus dimensions for canonical forms."""
     vec = p.boundary.fhg_vectors()
     d = vec.d
     g = list(vec.g)
-    seq, table = affine_table(p)
+    _, spaces = table
     failures = []
     rows = []
     for i in range(1, d // 2 + 1):
         bound = comb(d, i) - comb(d, i - 1)
-        dim_i = table[i].dim
-        minus_i = table[i].minus_dim
+        dim_i = spaces[i].dim
+        minus_i = spaces[i].minus_dim
         rows.append(
             {"degree": i, "g": g[i], "dim": dim_i, "minus_dim": minus_i}
         )
@@ -329,7 +325,7 @@ def verify_polytope_lbt(p: Polytope, instance="") -> VerificationReport:
     )
 
 
-def verify_cor_equivalence(cx, i, seed, instance="") -> VerificationReport:
+def verify_cor_equivalence(cx, i, table, instance="") -> VerificationReport:
     """h_i = C(d,i) holds exactly when every degree-i stress is symmetric."""
     if not cx.cs:
         raise NotCs("the equivalence applies to cs complexes")
@@ -337,17 +333,18 @@ def verify_cor_equivalence(cx, i, seed, instance="") -> VerificationReport:
     d = vec.d
     if not 1 <= i <= d:
         raise ValueError(f"degree {i} outside 1..{d}")
-    seq, table = linear_table(cx, seed)
-    if [s.dim for s in table] != list(vec.h):
+    if not cm_certificate(cx, table)["is_cm_witnessed"]:
         return VerificationReport(
             CLAIM_EQUIVALENCE, instance, UNMET,
             note="Cohen-Macaulayness not witnessed",
         )
+    _, spaces = table
+    minus_dim = spaces[i].minus_dim
     equality = vec.h[i] == comb(d, i)
-    all_symmetric = table[i].minus_dim == 0
+    all_symmetric = minus_dim == 0
     computed = {
         "degree": i, "h": vec.h[i], "binomial": comb(d, i),
-        "minus_dim": table[i].minus_dim,
+        "minus_dim": minus_dim,
     }
     if equality == all_symmetric:
         return VerificationReport(
@@ -359,19 +356,22 @@ def verify_cor_equivalence(cx, i, seed, instance="") -> VerificationReport:
     )
 
 
-def verify_polytope_cor_equivalence(p, i, instance="") -> VerificationReport:
+def verify_polytope_cor_equivalence(
+    p, i, table, instance=""
+) -> VerificationReport:
     """Affine variant of the equivalence, in terms of g-numbers."""
     vec = p.boundary.fhg_vectors()
     d = vec.d
     if not 1 <= i <= d // 2:
         raise ValueError(f"degree {i} outside 1..{d // 2}")
-    seq, table = affine_table(p)
+    _, spaces = table
+    minus_dim = spaces[i].minus_dim
     equality = vec.g[i] == comb(d, i) - comb(d, i - 1)
-    all_symmetric = table[i].minus_dim == 0
+    all_symmetric = minus_dim == 0
     computed = {
         "degree": i, "g": vec.g[i],
         "bound": comb(d, i) - comb(d, i - 1),
-        "minus_dim": table[i].minus_dim,
+        "minus_dim": minus_dim,
     }
     if equality == all_symmetric:
         return VerificationReport(
@@ -418,7 +418,7 @@ def _y_rep_or_none(w: Polynomial):
     return y_representation(w)
 
 
-def verify_lemma32_34(cx, forms, i, seed=0, instance="", table=None) -> VerificationReport:
+def verify_lemma32_34(cx, table, i, seed=0, instance="") -> VerificationReport:
     """Squarefreeness, y-representation, and forced symmetry of stresses.
 
     For each basis stress (plus seeded random combinations) of degree i
@@ -428,11 +428,12 @@ def verify_lemma32_34(cx, forms, i, seed=0, instance="", table=None) -> Verifica
     derivative admits a y-representation the stress itself does and is
     symmetric.
     """
-    space = table[i] if table is not None else stress_space(cx, forms, i)
-    candidates = list(space.basis)
+    _, spaces = table
+    basis = spaces[i].basis
     rng = random.Random(derived_seed(seed, "lem32-34", instance, i))
-    for _ in range(LEMMA_SAMPLES):
-        candidates.append(_sample_combination(rng, space))
+    candidates = basis + [
+        _sample_combination(rng, basis) for _ in range(LEMMA_SAMPLES)
+    ]
     ground = sorted(cx.ground_set)
     checked = skipped = 0
     failures = []
@@ -516,7 +517,7 @@ def _check_parity_hypothesis(cx, forms) -> None:
     )
 
 
-def verify_thm35(cx, forms, i, seed=0, instance="", table=None) -> VerificationReport:
+def verify_thm35(cx, table, i, seed=0, instance="") -> VerificationReport:
     """Symmetry of stresses propagates upward and forces cross-polytopes.
 
     If every degree-i stress is symmetric then so is every stress of
@@ -527,36 +528,34 @@ def verify_thm35(cx, forms, i, seed=0, instance="", table=None) -> VerificationR
     """
     if i <= 1:
         raise ValueError("the propagation check applies to degrees above 1")
+    forms, spaces = table
     _check_parity_hypothesis(cx, forms)
-    if table is None:
-        d = cx.dim + 1
-        table = tuple(stress_space(cx, forms, j) for j in range(d + 1))
-    top = len(table) - 1
+    top = len(spaces) - 1
     if i > top:
         raise ValueError(f"degree {i} above computed range {top}")
-    if table[i].minus_dim != 0:
+    if spaces[i].minus_dim != 0:
         return VerificationReport(
             CLAIM_SYMMETRY_PROPAGATION, instance, UNMET,
-            computed={"degree": i, "minus_dim": table[i].minus_dim},
+            computed={"degree": i, "minus_dim": spaces[i].minus_dim},
             note="hypothesis not satisfied; nothing to check",
         )
     failures = []
     minus_dims = {}
     for j in range(i, top + 1):
-        minus_dims[j] = table[j].minus_dim
-        if table[j].minus_dim != 0:
+        minus_dims[j] = spaces[j].minus_dim
+        if spaces[j].minus_dim != 0:
             failures.append(
-                {"degree": j, "minus_dim": table[j].minus_dim,
+                {"degree": j, "minus_dim": spaces[j].minus_dim,
                  "reason": "antisymmetric stresses above a symmetric degree"}
             )
     detected = {}
     for j in range(i + 1, top + 1):
-        if table[j].dim > 0:
+        if spaces[j].dim > 0:
             hits = detect_cross_polytope_subcomplexes(cx, j)
             detected[j] = len(hits)
             if not hits:
                 failures.append(
-                    {"degree": j, "dim": table[j].dim,
+                    {"degree": j, "dim": spaces[j].dim,
                      "reason": "no cross-polytope subcomplex despite "
                                "nonzero stresses"}
                 )
@@ -565,10 +564,11 @@ def verify_thm35(cx, forms, i, seed=0, instance="", table=None) -> VerificationR
     # the degree-lowering construction applies one degree above the
     # all-symmetric degree, on an edge in the support of the stress
     for j in range(i + 1, top + 1):
-        if table[j].dim == 0:
+        basis = spaces[j].basis
+        if not basis:
             continue
         for _ in range(3):
-            w = _sample_combination(rng, table[j])
+            w = _sample_combination(rng, basis)
             if w.is_zero():
                 continue
             edges = sorted(
@@ -596,7 +596,7 @@ def verify_thm35(cx, forms, i, seed=0, instance="", table=None) -> VerificationR
     )
 
 
-def verify_thm36(cx, i, seed, instance="") -> VerificationReport:
+def verify_thm36(cx, i, table, instance="") -> VerificationReport:
     """Equality h_i = C(d,i) propagates to every higher degree."""
     vec = cx.fhg_vectors()
     d = vec.d
@@ -604,8 +604,7 @@ def verify_thm36(cx, i, seed, instance="") -> VerificationReport:
         raise ValueError(f"degree {i} outside 1..{d - 1}")
     if not cx.cs:
         raise NotCs("the propagation applies to cs complexes")
-    seq, table = linear_table(cx, seed)
-    if [s.dim for s in table] != list(vec.h):
+    if not cm_certificate(cx, table)["is_cm_witnessed"]:
         return VerificationReport(
             CLAIM_H_PROPAGATION, instance, UNMET,
             note="Cohen-Macaulayness not witnessed",
@@ -687,7 +686,7 @@ def verify_polytope_thm36(p: Polytope, i, instance="") -> VerificationReport:
     )
 
 
-def verify_cor37(cx, i, seed, instance="") -> VerificationReport:
+def verify_cor37(cx, i, table, instance="") -> VerificationReport:
     """At equality degrees, a cross-polytope subcomplex carries all stresses."""
     vec = cx.fhg_vectors()
     d = vec.d
@@ -695,8 +694,7 @@ def verify_cor37(cx, i, seed, instance="") -> VerificationReport:
         raise ValueError(f"degree {i} outside 1..{d - 1}")
     if not cx.cs:
         raise NotCs("the restriction claim applies to cs complexes")
-    seq, table = linear_table(cx, seed)
-    if [s.dim for s in table] != list(vec.h):
+    if not cm_certificate(cx, table)["is_cm_witnessed"]:
         return VerificationReport(
             CLAIM_RESTRICTION, instance, UNMET,
             note="Cohen-Macaulayness not witnessed",
@@ -724,12 +722,13 @@ def verify_cor37(cx, i, seed, instance="") -> VerificationReport:
     )
     failures = []
     dims = {}
+    _, spaces = table
     for j in range(i, d + 1):
-        restricted = restrict_stress_space(table[j], gamma).dim
-        dims[j] = {"full": table[j].dim, "restricted": restricted}
-        if restricted != table[j].dim:
+        restricted = restrict_stress_space(spaces[j], gamma).dim
+        dims[j] = {"full": spaces[j].dim, "restricted": restricted}
+        if restricted != spaces[j].dim:
             failures.append(
-                {"degree": j, "full": table[j].dim,
+                {"degree": j, "full": spaces[j].dim,
                  "restricted": restricted,
                  "reason": "restriction to the cross-polytope lost stresses"}
             )
@@ -772,7 +771,8 @@ def verify_polytope_cor37(p: Polytope, i, instance="") -> VerificationReport:
 # -- per-instance suites ------------------------------------------------------
 
 
-def _expect_report(inst: CorpusInstance, seed: int) -> VerificationReport:
+def _expect_report(inst: CorpusInstance, table) -> VerificationReport:
+    """`table` is the instance's linear table, None when cx is not pure."""
     cx = inst.complex
     exp = inst.expected
     computed = {}
@@ -787,7 +787,9 @@ def _expect_report(inst: CorpusInstance, seed: int) -> VerificationReport:
             {k: list(getattr(vec, k)) for k in ("f", "h", "g") if k in exp}
         )
     if "cm" in exp:
-        computed["cm"] = cm_certificate(cx, seed)["is_cm_witnessed"]
+        if table is None:
+            raise NotPure("a CM certificate needs a pure complex")
+        computed["cm"] = cm_certificate(cx, table)["is_cm_witnessed"]
     for key in sorted(exp):
         if key not in computed:
             mismatches.append({"key": key, "reason": "not computable"})
@@ -819,21 +821,24 @@ def _antipodal_link(cx: SimplicialComplex, k: int):
     return SimplicialComplex(facets)
 
 
-def _lemma31_suite(cx, seq, table, instance) -> VerificationReport:
+def _lemma31_suite(cx, table, instance) -> VerificationReport:
     # A symmetric stress supported on st(v) is also supported on st(-v),
     # hence on st(v) ∩ st(-v) = lk(v) ∩ lk(-v).  Stresses are local, so
     # those are the symmetric stresses of that complex: each of its plus
-    # basis vectors is checked against the lemma on cx.
+    # basis vectors is checked against the lemma on cx.  Every face of
+    # that complex has a facet-rank restriction of seq, so its stresses
+    # vanish above its dimension + 1 (Stanley, CCA III.2.4).
+    seq, spaces = table
     d = cx.dim + 1
     pairs = sorted({abs(v) for v in cx.vertices})
     links = {k: _antipodal_link(cx, k) for k in pairs}
     checked = 0
     failures = []
     for i in range(1, d + 1):
-        if table[i].dim == 0:
+        if spaces[i].dim == 0:
             continue
         for k in pairs:
-            if links[k] is None:
+            if links[k] is None or i > links[k].dim + 1:
                 continue
             plus = stress_space(links[k], seq, i).plus_basis
             for v in (k, -k):
@@ -863,12 +868,12 @@ def instance_reports(inst: CorpusInstance, seed: int) -> list[VerificationReport
     """All applicable claim records for one corpus instance."""
     cx = inst.complex
     name = inst.name
+    table = linear_table(cx, seed) if cx.is_pure() else None
     out = []
     if inst.expected:
-        out.append(_expect_report(inst, seed))
-    if cx.is_pure():
-        seq, table = linear_table(cx, seed)
-        summary = cm_certificate(cx, seed)
+        out.append(_expect_report(inst, table))
+    if table is not None:
+        summary = cm_certificate(cx, table)
         note = (
             "witnessed" if summary["is_cm_witnessed"]
             else "definitively not Cohen-Macaulay"
@@ -880,53 +885,53 @@ def instance_reports(inst: CorpusInstance, seed: int) -> list[VerificationReport
         )
         if cx.cs:
             d = cx.dim + 1
-            out.append(verify_lbt(cx, seed, instance=name))
+            out.append(verify_lbt(cx, table, instance=name))
             out.append(
                 merge_reports(
                     CLAIM_EQUIVALENCE, name,
-                    [verify_cor_equivalence(cx, i, seed, instance=name)
+                    [verify_cor_equivalence(cx, i, table, instance=name)
                      for i in range(1, d + 1)],
                 )
             )
-            out.append(_lemma31_suite(cx, seq, table, name))
+            out.append(_lemma31_suite(cx, table, name))
             out.append(
                 merge_reports(
                     CLAIM_SQUAREFREE, name,
-                    [verify_lemma32_34(cx, seq, i, seed=seed,
-                                       instance=name, table=table)
+                    [verify_lemma32_34(cx, table, i, seed=seed,
+                                       instance=name)
                      for i in range(1, d + 1)],
                 )
             )
             out.append(
                 merge_reports(
                     CLAIM_SYMMETRY_PROPAGATION, name,
-                    [verify_thm35(cx, seq, i, seed=seed,
-                                  instance=name, table=table)
+                    [verify_thm35(cx, table, i, seed=seed, instance=name)
                      for i in range(2, d + 1)],
                 )
             )
             out.append(
                 merge_reports(
                     CLAIM_H_PROPAGATION, name,
-                    [verify_thm36(cx, i, seed, instance=name)
+                    [verify_thm36(cx, i, table, instance=name)
                      for i in range(1, d)],
                 )
             )
             out.append(
                 merge_reports(
                     CLAIM_RESTRICTION, name,
-                    [verify_cor37(cx, i, seed, instance=name)
+                    [verify_cor37(cx, i, table, instance=name)
                      for i in range(1, d)],
                 )
             )
     if inst.polytope is not None:
         p = inst.polytope
         d = p.d
-        out.append(verify_polytope_lbt(p, instance=name))
+        affine = affine_table(p)
+        out.append(verify_polytope_lbt(p, affine, instance=name))
         out.append(
             merge_reports(
                 CLAIM_EQUIVALENCE_AFFINE, name,
-                [verify_polytope_cor_equivalence(p, i, instance=name)
+                [verify_polytope_cor_equivalence(p, i, affine, instance=name)
                  for i in range(1, d // 2 + 1)],
             )
         )

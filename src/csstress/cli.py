@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .claims import (
@@ -25,15 +24,6 @@ from .errors import CsStressError, InputError, LsopNotFound
 from .polytopes import bipyramid, cross_polytope, polygon, polytope_to_json_obj
 
 DEFAULT_SEED = 1
-
-
-@dataclass
-class RunConfig:
-    command: str
-    inputs: list[str] = field(default_factory=list)
-    seed: int = DEFAULT_SEED
-    max_degree: int | None = None
-    output_format: str = "table"
 
 
 def _read_text(path: str) -> str:
@@ -51,10 +41,10 @@ def _fmt_vector(vec) -> str:
     return "(" + ",".join(str(x) for x in vec) + ")"
 
 
-def cmd_info(cfg: RunConfig) -> int:
-    inst = _load_instance(cfg.inputs[0])
+def cmd_info(path: str, output_format: str) -> int:
+    inst = _load_instance(path)
     cx = inst.complex
-    if cfg.output_format == "json":
+    if output_format == "json":
         obj = {"cs": cx.cs, "dim": cx.dim, "polytope": inst.polytope is not None}
         if cx.is_pure():
             vec = cx.fhg_vectors()
@@ -82,8 +72,9 @@ def cmd_info(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_stress(cfg: RunConfig, affine: bool, degree, show_basis: bool) -> int:
-    inst = _load_instance(cfg.inputs[0])
+def cmd_stress(path: str, seed: int, affine: bool, degree, max_degree,
+               show_basis: bool, output_format: str) -> int:
+    inst = _load_instance(path)
     if affine:
         if inst.polytope is None:
             raise InputError(
@@ -94,9 +85,9 @@ def cmd_stress(cfg: RunConfig, affine: bool, degree, show_basis: bool) -> int:
         default_top = inst.polytope.d // 2 + 1
     else:
         cx = inst.complex
-        seq, table = linear_table(cx, cfg.seed)
+        seq, table = linear_table(cx, seed)
         default_top = cx.dim + 1
-    top = cfg.max_degree if cfg.max_degree is not None else default_top
+    top = max_degree if max_degree is not None else default_top
     degrees = [degree] if degree is not None else list(range(top + 1))
     if any(i < 0 for i in degrees):
         raise InputError("degrees are nonnegative")
@@ -114,9 +105,9 @@ def cmd_stress(cfg: RunConfig, affine: bool, degree, show_basis: bool) -> int:
             spaces[i] = vanishing_stress_space(cx, seq, i)
         else:
             spaces[i] = stress_space(cx, seq, i)
-    if cfg.output_format == "json":
+    if output_format == "json":
         obj = {
-            "seed": cfg.seed,
+            "seed": seed,
             "mode": "affine" if affine else "linear",
             "kind": seq.kind,
             "attempts": seq.attempts,
@@ -135,7 +126,7 @@ def cmd_stress(cfg: RunConfig, affine: bool, degree, show_basis: bool) -> int:
                 row["basis"] = [w.text() for w in spaces[row["degree"]].basis]
         print(json.dumps(obj, sort_keys=True))
         return 0
-    print(f"seed: {cfg.seed}")
+    print(f"seed: {seed}")
     attempts = "" if seq.attempts is None else f" (attempts: {seq.attempts})"
     print(f"forms: {seq.kind}{attempts}")
     print("degree  dim  plus  minus")
@@ -163,17 +154,17 @@ def _collect_paths(inputs) -> list[Path]:
     return paths
 
 
-def cmd_verify(cfg: RunConfig, claims_filter) -> int:
-    instances = [_load_instance(str(p)) for p in _collect_paths(cfg.inputs)]
-    reports = run_claims(instances, cfg.seed, claims=claims_filter)
+def cmd_verify(inputs, seed: int, claims_filter, output_format: str) -> int:
+    instances = [_load_instance(str(p)) for p in _collect_paths(inputs)]
+    reports = run_claims(instances, seed, claims=claims_filter)
     failed = sum(1 for r in reports if r.verdict == "fail")
-    if cfg.output_format == "json":
+    if output_format == "json":
         for r in reports:
             obj = r.to_json_obj()
-            obj["seed"] = cfg.seed
+            obj["seed"] = seed
             print(json.dumps(obj, sort_keys=True))
     else:
-        print(f"seed: {cfg.seed}")
+        print(f"seed: {seed}")
         width = max([len(r.instance) for r in reports] + [8])
         cwidth = max([len(r.claim_id) for r in reports] + [5])
         for r in reports:
@@ -268,18 +259,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "info":
-            cfg = RunConfig("info", [args.input],
-                            output_format=args.format)
-            return cmd_info(cfg)
+            return cmd_info(args.input, args.format)
         if args.command == "stress":
-            cfg = RunConfig("stress", [args.input], seed=args.seed,
-                            max_degree=args.max_degree,
-                            output_format=args.format)
-            return cmd_stress(cfg, args.affine, args.degree, args.basis)
+            return cmd_stress(args.input, args.seed, args.affine,
+                              args.degree, args.max_degree, args.basis,
+                              args.format)
         if args.command == "verify":
-            cfg = RunConfig("verify", list(args.inputs), seed=args.seed,
-                            output_format=args.format)
-            return cmd_verify(cfg, args.claims)
+            return cmd_verify(args.inputs, args.seed, args.claims,
+                              args.format)
         if args.command == "generate":
             return cmd_generate(args.family, args.d, args.m, args.out)
         raise InputError(f"unknown command {args.command!r}")

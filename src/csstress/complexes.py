@@ -27,6 +27,13 @@ from .errors import (
 
 Face = tuple[int, ...]
 
+# Upper bound on sum_F 2^|F| over the facets: the subsets the face set
+# enumerates.  2^20 admits the 10-cross-polytope boundary (1024 facets of
+# 10 vertices) and one 20-vertex facet, whose face set takes about 1 s of
+# CPU and 180 MiB to build; each further vertex doubles both, so larger
+# complexes are refused up front instead of never finishing.
+MAX_FACE_SUBSETS = 2**20
+
 
 def face(vertices) -> Face:
     """Canonical form of a face: ascending labels, no duplicates."""
@@ -59,6 +66,12 @@ class SimplicialComplex:
         fs = sorted({face(f) for f in facets})
         if not fs:
             raise InputError("at least one facet is required")
+        subsets = sum(1 << len(f) for f in fs)
+        if subsets > MAX_FACE_SUBSETS:
+            raise InputError(
+                f"facets span {subsets} vertex subsets, more than the "
+                f"limit of {MAX_FACE_SUBSETS}"
+            )
         self.facets = tuple(fs)
         self._faces = None
         if not self.is_pure():

@@ -50,13 +50,6 @@ class SparseMatrix:
                     entries[(r, c)] = Fraction(v)
         return cls(nrows, ncols, entries, col_labels=col_labels)
 
-    def dump(self) -> str:
-        """Coordinate-format text dump for debugging."""
-        lines = [f"{self.rows} {self.cols} {len(self.entries)}"]
-        for (r, c) in sorted(self.entries):
-            lines.append(f"{r} {c} {self.entries[(r, c)]}")
-        return "\n".join(lines)
-
 
 class Basis:
     """Reduced basis of a subspace of Q^columns.

@@ -35,10 +35,6 @@ class Monomial:
         self.exps = pairs
         self._hash = hash(pairs)
 
-    @classmethod
-    def from_support(cls, vertices) -> "Monomial":
-        return cls((v, 1) for v in vertices)
-
     @property
     def degree(self) -> int:
         return sum(e for _, e in self.exps)
@@ -240,11 +236,6 @@ class LinearForm:
 
     def coefficient(self, v: int) -> Fraction:
         return self.coeffs.get(v, Fraction(0))
-
-    def as_polynomial(self) -> Polynomial:
-        return Polynomial(
-            [(Monomial([(v, 1)]), c) for v, c in self.coeffs.items()]
-        )
 
     def items(self):
         return sorted(self.coeffs.items(), key=lambda t: _vkey(t[0]))

@@ -38,7 +38,12 @@ from csstress import (
     verify_thm35,
     verify_thm36,
 )
-from csstress.claims import instance_reports, linear_table
+from csstress.claims import (
+    affine_table,
+    instance_reports,
+    linear_table,
+    stress_table,
+)
 from oracles import brute_symmetric_star_dim
 
 
@@ -105,7 +110,7 @@ def test_derived_seed_is_deterministic():
 
 
 def test_lbt_on_octahedron(octahedron):
-    r = verify_lbt(octahedron, seed=1, instance="oct")
+    r = verify_lbt(octahedron, linear_table(octahedron, 1), instance="oct")
     assert r.verdict == "pass"
     assert r.expected["minus_dims"] == [0, 0, 0]
     assert r.computed["h"] == [3, 3, 1]
@@ -113,20 +118,21 @@ def test_lbt_on_octahedron(octahedron):
 
 def test_lbt_on_bipyramid():
     cx = bipyramid(3).boundary
-    r = verify_lbt(cx, seed=1)
+    r = verify_lbt(cx, linear_table(cx, 1))
     assert r.verdict == "pass"
     assert r.computed["minus_dims"] == [1, 1, 0]
 
 
 def test_lbt_skips_unwitnessed_instances(noncm):
-    r = verify_lbt(noncm, seed=1)
+    r = verify_lbt(noncm, linear_table(noncm, 1))
     assert r.verdict == "hypothesis_unmet"
     assert "not witnessed" in r.note
 
 
 def test_polytope_lbt_on_polygons():
     for m in (2, 3, 4):
-        r = verify_polytope_lbt(polygon(m), instance=f"m{m}")
+        p = polygon(m)
+        r = verify_polytope_lbt(p, affine_table(p), instance=f"m{m}")
         assert r.verdict == "pass"
         (row,) = r.computed
         assert row["g"] == 2 * m - 3
@@ -136,7 +142,8 @@ def test_polytope_lbt_on_polygons():
 
 def test_polytope_lbt_on_cross_polytopes():
     for d in (2, 3, 4):
-        r = verify_polytope_lbt(cross_polytope(d))
+        p = cross_polytope(d)
+        r = verify_polytope_lbt(p, affine_table(p))
         assert r.verdict == "pass"
         for row in r.computed:
             assert row["minus_dim"] == 0
@@ -147,30 +154,31 @@ def test_polytope_lbt_on_cross_polytopes():
 
 def test_equivalence_both_directions(octahedron):
     for i in (1, 2, 3):
-        r = verify_cor_equivalence(octahedron, i, seed=1)
+        r = verify_cor_equivalence(octahedron, i, linear_table(octahedron, 1))
         assert r.verdict == "pass"
         assert r.computed["h"] == r.computed["binomial"]
         assert r.computed["minus_dim"] == 0
     cx = bipyramid(3).boundary
-    r = verify_cor_equivalence(cx, 1, seed=1)
+    r = verify_cor_equivalence(cx, 1, linear_table(cx, 1))
     assert r.verdict == "pass"
     assert r.computed["h"] == 5 and r.computed["binomial"] == 3
     assert r.computed["minus_dim"] == 1
     with pytest.raises(ValueError):
-        verify_cor_equivalence(octahedron, 0, seed=1)
+        verify_cor_equivalence(octahedron, 0, linear_table(octahedron, 1))
 
 
 def test_polytope_equivalence(hexagon):
-    r = verify_polytope_cor_equivalence(hexagon, 1)
+    r = verify_polytope_cor_equivalence(hexagon, 1, affine_table(hexagon))
     assert r.verdict == "pass"
     assert r.computed["g"] == 3 and r.computed["bound"] == 1
     assert r.computed["minus_dim"] == 1
-    r = verify_polytope_cor_equivalence(cross_polytope(4), 2)
+    p = cross_polytope(4)
+    r = verify_polytope_cor_equivalence(p, 2, affine_table(p))
     assert r.verdict == "pass"
     assert r.computed["g"] == r.computed["bound"] == 2
     assert r.computed["minus_dim"] == 0
     with pytest.raises(ValueError):
-        verify_polytope_cor_equivalence(hexagon, 2)
+        verify_polytope_cor_equivalence(hexagon, 2, affine_table(hexagon))
 
 
 # -- star-supported symmetric stresses ----------------------------------------------
@@ -227,9 +235,9 @@ def test_lemma31_checks_every_symmetric_star_stress(corpus_by_name, name):
 
 
 def test_lemma32_34_on_octahedron(octahedron):
-    seq = special_lsop(octahedron, seed=1)
+    table = linear_table(octahedron, 1)
     for i in (1, 2, 3):
-        r = verify_lemma32_34(octahedron, seq, i, seed=1)
+        r = verify_lemma32_34(octahedron, table, i, seed=1)
         assert r.verdict == "pass"
         assert r.computed["checked"] > 0
         assert r.computed["skipped"] == 0
@@ -237,8 +245,7 @@ def test_lemma32_34_on_octahedron(octahedron):
 
 def test_lemma32_34_skips_when_derivatives_are_asymmetric():
     cx = bipyramid(3).boundary
-    seq = special_lsop(cx, seed=1)
-    r = verify_lemma32_34(cx, seq, 2, seed=1)
+    r = verify_lemma32_34(cx, linear_table(cx, 1), 2, seed=1)
     # bipyramid has antisymmetric 1-stresses, so degree-2 candidates with
     # asymmetric derivatives are skipped by the hypothesis filter
     assert r.verdict in ("pass", "hypothesis_unmet")
@@ -262,20 +269,19 @@ def test_derived_stress_stays_a_stress(octahedron):
 
 
 def test_thm35_on_octahedron(octahedron):
-    seq = special_lsop(octahedron, seed=1)
-    r = verify_thm35(octahedron, seq, 2, seed=1, instance="oct")
+    table = linear_table(octahedron, 1)
+    r = verify_thm35(octahedron, table, 2, seed=1, instance="oct")
     assert r.verdict == "pass"
     assert r.computed["minus_dims"] == {2: 0, 3: 0}
     assert r.computed["detected"] == {3: 1}
     assert r.computed["transported"] > 0
     with pytest.raises(ValueError):
-        verify_thm35(octahedron, seq, 1, seed=1)
+        verify_thm35(octahedron, table, 1, seed=1)
 
 
 def test_thm35_unmet_when_asymmetric_stresses_exist():
     cx = bipyramid(3).boundary
-    seq = special_lsop(cx, seed=1)
-    r = verify_thm35(cx, seq, 2, seed=1)
+    r = verify_thm35(cx, linear_table(cx, 1), 2, seed=1)
     assert r.verdict == "hypothesis_unmet"
 
 
@@ -284,17 +290,17 @@ def test_thm35_requires_parity_pattern(octahedron):
         [LinearForm({1: 1, -1: 1, 2: 1})] * 3, "custom"
     )
     with pytest.raises(HypothesisUnmet):
-        verify_thm35(octahedron, bad, 2, seed=1)
+        verify_thm35(octahedron, stress_table(octahedron, bad, 3), 2, seed=1)
 
 
 def test_thm35_accepts_minus_forms_with_all_ones_tail(octahedron):
     seq = canonical_forms(cross_polytope(3))
-    r = verify_thm35(octahedron, seq, 2, seed=1)
+    r = verify_thm35(octahedron, stress_table(octahedron, seq, 3), 2, seed=1)
     assert r.verdict == "pass"
 
 
 def test_thm36_isomorphism_detection(octahedron):
-    r = verify_thm36(octahedron, 1, seed=1)
+    r = verify_thm36(octahedron, 1, linear_table(octahedron, 1))
     assert r.verdict == "pass"
     assert r.computed["isomorphic_to_cross_polytope"] is True
     assert r.computed["equalities"] == [1, 2, 3]
@@ -302,12 +308,13 @@ def test_thm36_isomorphism_detection(octahedron):
 
 def test_thm36_contrapositive_on_bipyramid():
     cx = bipyramid(3).boundary
-    r = verify_thm36(cx, 1, seed=1)
+    table = linear_table(cx, 1)
+    r = verify_thm36(cx, 1, table)
     assert r.verdict == "pass"
     assert r.computed["equalities"] == [3]
     assert "contrapositive" in r.note
     with pytest.raises(ValueError):
-        verify_thm36(cx, 3, seed=1)
+        verify_thm36(cx, 3, table)
 
 
 def test_polytope_thm36_scan():
@@ -322,19 +329,20 @@ def test_polytope_thm36_scan():
 
 
 def test_cor37_restriction_on_octahedron(octahedron):
+    table = linear_table(octahedron, 1)
     for i in (1, 2):
-        r = verify_cor37(octahedron, i, seed=1)
+        r = verify_cor37(octahedron, i, table)
         assert r.verdict == "pass"
         assert r.computed["gamma_pairs"] == [1, 2, 3]
         dims = r.computed["dims"]
         assert all(v["full"] == v["restricted"] for v in dims.values())
     with pytest.raises(ValueError):
-        verify_cor37(octahedron, 3, seed=1)
+        verify_cor37(octahedron, 3, table)
 
 
 def test_cor37_unmet_without_equality():
     cx = bipyramid(3).boundary
-    r = verify_cor37(cx, 1, seed=1)
+    r = verify_cor37(cx, 1, linear_table(cx, 1))
     assert r.verdict == "hypothesis_unmet"
 
 

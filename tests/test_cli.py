@@ -117,6 +117,20 @@ def test_stress_degree_60_is_answered_without_enumeration(mode):
     assert proc.stdout.splitlines()[-1].split() == ["60", "0", "0", "0"]
 
 
+@pytest.mark.parametrize("command, facets", [
+    ("info", [list(range(1, 41))]),
+    ("verify", [list(range(1, 41)), [41, 42]]),  # not pure
+])
+def test_huge_facet_is_refused_quickly(tmp_path, command, facets):
+    # a 40-vertex facet has 2^40 faces; enumerating them never finishes
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"facets": facets}))
+    proc = run_subprocess(command, str(path), timeout=20)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("input error: ")
+    assert proc.stdout == ""
+
+
 def test_stress_above_d_without_parity_split(capsys):
     path = str(CORPUS_DIR / "simplex2.json")
     code, out, _ = run(capsys, "stress", path, "--degree", "9",
@@ -298,7 +312,6 @@ def test_verify_engine_error_exit_three(tmp_path, capsys, monkeypatch):
         raise LsopNotFound("rank check failed on every attempt", 8)
 
     monkeypatch.setattr(claims_module, "special_lsop", explode)
-    claims_module._LINEAR_TABLES.clear()
     target = tmp_path / "sq.json"
     target.write_text(
         '{"facets": [[1, 2], [-1, 2], [1, -2], [-1, -2]], "cs": true}'
@@ -306,7 +319,6 @@ def test_verify_engine_error_exit_three(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "verify", str(target))
     assert code == 3
     assert "attempts: 8" in err
-    claims_module._LINEAR_TABLES.clear()
 
 
 def test_generate_round_trip(tmp_path, capsys):

@@ -266,3 +266,13 @@ def test_ten_cross_polytope_loads_with_closed_form_f_vector():
     assert cx.fhg_vectors().f == tuple(
         2**k * comb(10, k) for k in range(11)
     )
+
+
+def test_face_subset_limit():
+    # 2^20 subsets: one 20-vertex facet, like the 10-cross-polytope above,
+    # is at the limit; the refusals come before any face is enumerated
+    SimplicialComplex([tuple(range(1, 21))])
+    with pytest.raises(InputError):
+        SimplicialComplex([tuple(range(1, 22))])
+    with pytest.raises(InputError):
+        SimplicialComplex([tuple(range(1, 21)), (21, 22)])

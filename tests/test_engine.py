@@ -360,7 +360,7 @@ def test_restriction_requires_subcomplex(octahedron):
 
 
 def test_certificate_on_octahedron(octahedron):
-    cert = cm_certificate(octahedron, seed=1)
+    cert = cm_certificate(octahedron, linear_table(octahedron, 1))
     assert cert["dims"] == [1, 3, 3, 1]
     assert cert["h"] == [1, 3, 3, 1]
     assert cert["is_cm_witnessed"] is True
@@ -370,7 +370,7 @@ def test_certificate_on_octahedron(octahedron):
 
 
 def test_certificate_on_disjoint_edges(noncm):
-    cert = cm_certificate(noncm, seed=1)
+    cert = cm_certificate(noncm, linear_table(noncm, 1))
     assert cert["dims"] == [1, 2, 0]
     assert cert["h"] == [1, 2, -1]
     assert cert["is_cm_witnessed"] is False
@@ -381,7 +381,7 @@ def test_certificate_on_disjoint_triangles_falls_below_h():
     # h_3 = 1 counts the two components; a non-CM complex may have fewer
     # top-degree stresses than h says
     cx = SimplicialComplex([(1, 2, 3), (-1, -2, -3)])
-    cert = cm_certificate(cx, seed=1)
+    cert = cm_certificate(cx, linear_table(cx, 1))
     assert cert["dims"] == [1, 3, 0, 0]
     assert cert["h"] == [1, 3, -3, 1]
     assert cert["is_cm_witnessed"] is False
@@ -390,7 +390,7 @@ def test_certificate_on_disjoint_triangles_falls_below_h():
 
 def test_certificate_on_simplex_uses_generic_forms():
     simplex = SimplicialComplex([(1, 2, 3)])
-    cert = cm_certificate(simplex, seed=1)
+    cert = cm_certificate(simplex, linear_table(simplex, 1))
     assert cert["dims"] == [1, 0, 0, 0]
     assert cert["is_cm_witnessed"] is True
     assert cert["kind"] == "custom"
