@@ -25,6 +25,7 @@ from .complexes import (
 )
 from .engine import (
     canonical_forms,
+    certify_dims,
     generic_lsop,
     is_stress,
     restrict_stress_space,
@@ -185,9 +186,23 @@ def stress_table(cx: SimplicialComplex, seq, top: int):
 
 
 def linear_table(cx: SimplicialComplex, seed: int):
-    """Table of a sampled l.s.o.p., special when cx is cs, degrees 0..d."""
+    """Table of a sampled l.s.o.p., special when cx is cs, degrees 0..d.
+
+    Its dimensions are certified mod a prime when cx is Cohen-Macaulay.
+    K[cx] is a finitely generated module of rank f_{d-1} over the
+    polynomial ring of an l.s.o.p. Theta, and dim Stress_i is the
+    dimension of degree i of K[cx]/(Theta), which vanishes above d.  By
+    graded Nakayama the sum of these dimensions is the least number of
+    module generators, so it is at least f_{d-1}, with equality exactly
+    when K[cx] is free, that is, when cx is CM (Stanley, Combinatorics and
+    Commutative Algebra, I.5 and III.2).  So f_{d-1} is a lower bound that
+    `certify_dims` may use, and on a non-CM complex it always falls back
+    to exact dimensions.
+    """
     seq = special_lsop(cx, seed) if cx.cs else generic_lsop(cx, seed)
-    return stress_table(cx, seq, cx.dim + 1)
+    table = stress_table(cx, seq, cx.dim + 1)
+    certify_dims(table[1], cx.fhg_vectors().f[-1])
+    return table
 
 
 def affine_table(p: Polytope):

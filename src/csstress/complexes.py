@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
@@ -60,7 +61,7 @@ class FHGVectors:
 class SimplicialComplex:
     """Immutable simplicial complex given by an inclusion-free facet list."""
 
-    __slots__ = ("facets", "ground_set", "cs", "_faces")
+    __slots__ = ("facets", "ground_set", "cs", "_faces", "_fhg")
 
     def __init__(self, facets, ground_set=None, _cs=None):
         fs = sorted({face(f) for f in facets})
@@ -74,6 +75,7 @@ class SimplicialComplex:
             )
         self.facets = tuple(fs)
         self._faces = None
+        self._fhg = None
         if not self.is_pure():
             self._check_redundancy()
         verts = self.vertices
@@ -214,13 +216,14 @@ class SimplicialComplex:
     # -- face counts -----------------------------------------------------
 
     def fhg_vectors(self) -> FHGVectors:
-        """f-, h- and g-vectors; requires a pure complex."""
+        """f-, h- and g-vectors; requires a pure complex.  Counted once
+        and kept: the result is frozen."""
+        if self._fhg is not None:
+            return self._fhg
         if not self.is_pure():
             raise NotPure("h-vector requires a pure complex")
         d = self.dim + 1
-        counts = {}
-        for t in self.all_faces():
-            counts[len(t)] = counts.get(len(t), 0) + 1
+        counts = self.face_counts()
         f = tuple(counts.get(s, 0) for s in range(d + 1))
         h = tuple(
             sum(
@@ -230,7 +233,13 @@ class SimplicialComplex:
             for i in range(d + 1)
         )
         g = (1,) + tuple(h[i] - h[i - 1] for i in range(1, d // 2 + 1))
-        return FHGVectors(d=d, f=f, h=h, g=g)
+        self._fhg = FHGVectors(d=d, f=f, h=h, g=g)
+        return self._fhg
+
+    def face_counts(self) -> dict[int, int]:
+        """{s: number of faces with s vertices}, the empty face included;
+        defined for non-pure complexes too."""
+        return dict(Counter(map(len, self.all_faces())))
 
 
 # -- constructions -------------------------------------------------------

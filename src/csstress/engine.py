@@ -2,18 +2,23 @@
 
 A degree-i stress is a homogeneous polynomial whose monomials are each
 supported on a face and which is annihilated by the derivative operator of
-every form in the chosen sequence.  Stress spaces are computed as exact
-nullspaces.  For a centrally symmetric complex and forms of definite
-parity, the involution x_v -> x_{-v} splits the constraint matrix into a
-symmetric (plus) and an antisymmetric (minus) block, solved separately;
-their dimensions carry the face-number content.  Stresses are local, so
-the stresses of a subcomplex are computed on the subcomplex itself.
+every form in the chosen sequence.  Stress spaces are kernels of an
+integer constraint matrix.  For a centrally symmetric complex and forms of
+definite parity, the involution x_v -> x_{-v} splits that matrix into a
+symmetric (plus) and an antisymmetric (minus) block; their dimensions
+carry the face-number content.  A block is solved as an exact nullspace
+only when its basis or dimension is read, and `certify_dims` fixes the
+dimensions of a whole table from ranks mod a prime when a lower bound
+proves them exact, so a caller that needs only dimensions may solve
+nothing.  Stresses are local, so the stresses of a subcomplex are
+computed on the subcomplex itself.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from .complexes import SimplicialComplex
 from .errors import (
@@ -24,7 +29,7 @@ from .errors import (
     NotSimplicial,
     NotSubcomplex,
 )
-from .exactla import Basis, SparseMatrix, nullspace, rank
+from .exactla import Basis, int_nullspace, int_rank, rank_mod
 from .polynomials import (
     LinearForm,
     Polynomial,
@@ -35,6 +40,10 @@ from .polynomials import (
 
 COEFF_BOUND = 10**6
 MAX_ATTEMPTS = 8
+# Modulus of the fast ranks.  Any prime keeps every answer exact, because
+# a rank mod p is only used where it certifies itself; a large one makes
+# an uncertified answer, and the exact work it costs, rare.
+PRIME = 2**31 - 1
 
 
 class FormSequence:
@@ -80,14 +89,69 @@ class FormSequence:
         return f"FormSequence(kind={self.kind}, len={len(self.forms)})"
 
 
+class _Block:
+    """One kernel block of the constraint matrix, solved on first read.
+
+    `rows` are integer rows over the block's own columns; block column b
+    stands for the full column reps[b] plus `sign` times its mirror (the
+    column itself when the space does not split).  `known` is the exact
+    kernel dimension once it is known, from the basis or certified by the
+    caller of `certify_dims`; the rows are dropped once the basis exists.
+    """
+
+    __slots__ = ("columns", "rows", "reps", "mirror", "sign", "known",
+                 "_basis")
+
+    def __init__(self, columns, rows, reps, mirror, sign):
+        self.columns = columns
+        self.rows = rows
+        self.reps = reps
+        self.mirror = mirror
+        self.sign = sign
+        self.known = None
+        self._basis = None
+
+    @property
+    def dim(self) -> int:
+        if self.known is None:
+            self.known = self.basis.dim
+        return self.known
+
+    def dim_mod(self, p: int) -> int:
+        """Kernel dimension mod p: at least `dim`, the rows being integer."""
+        if self.rows is None:
+            return self.dim
+        return len(self.reps) - rank_mod(self.rows, p)
+
+    @property
+    def basis(self) -> Basis:
+        """Reduced exact basis in full coordinates."""
+        if self._basis is None:
+            kernel = int_nullspace(self.rows, len(self.reps))
+            vectors = []
+            for u in kernel.vectors:
+                vec = [Fraction(0)] * len(self.columns)
+                for j, x in zip(self.reps, u):
+                    if x:
+                        vec[j] = x
+                        vec[self.mirror[j]] = self.sign * x
+                vectors.append(vec)
+            pivots = [self.reps[b] for b in kernel.pivots]
+            self._basis = Basis(self.columns, vectors, pivots)
+            self.rows = None
+        return self._basis
+
+
 class StressSpace:
-    """Reduced bases of the space of degree-i stresses.
+    """The space of degree-i stresses, solved block by block on demand.
 
     `columns` lists the candidate monomials (those supported on faces of the
     complex); basis vectors are coordinates over `columns`.  `blocks` holds
-    one reduced basis of the whole space, or, when the involution splits
-    it, the pair (symmetric, antisymmetric).  `plus_*`/`minus_*` read the
-    pair and are None without a split.
+    one block for the whole space, or, when the involution splits it, the
+    pair (symmetric, antisymmetric).  `plus_*`/`minus_*` read the pair and
+    are None without a split.  Reading a basis, or `contains`, solves the
+    blocks it needs exactly; a dimension is exact too, certified without
+    solving when `certify_dims` has accepted it.
     """
 
     __slots__ = ("complex", "forms", "degree", "columns", "blocks")
@@ -102,12 +166,12 @@ class StressSpace:
     def _part(self, k):
         return self.blocks[k] if len(self.blocks) == 2 else None
 
-    def _to_polynomials(self, basis) -> list[Polynomial]:
+    def _to_polynomials(self, block) -> list[Polynomial]:
         return [
             Polynomial(
                 [(m, c) for m, c in zip(self.columns, vec) if c]
             )
-            for vec in basis.vectors
+            for vec in block.basis.vectors
         ]
 
     @property
@@ -158,7 +222,7 @@ class StressSpace:
             if part.is_zero():
                 continue
             vec = self.vectorize(part)
-            if vec is None or not block.contains(vec):
+            if vec is None or not block.basis.contains(vec):
                 return False
         return True
 
@@ -250,7 +314,12 @@ def canonical_forms(p) -> FormSequence:
 
 
 def lsop_check(cx: SimplicialComplex, forms) -> bool:
-    """Facet-rank criterion: every facet restriction has full rank."""
+    """Facet-rank criterion: every facet restriction has full rank.
+
+    Each facet's rank is taken mod PRIME first, which can only be lower
+    than over Q, so full rank mod PRIME is full rank; otherwise the exact
+    rank decides.
+    """
     forms = list(forms)
     d = cx.dim + 1
     if len(forms) != d:
@@ -258,54 +327,77 @@ def lsop_check(cx: SimplicialComplex, forms) -> bool:
             f"expected {d} forms for a {d - 1}-dimensional complex, "
             f"got {len(forms)}"
         )
+    scaled = _integer_coefficients(forms)
     for facet in sorted(cx.facets):
         rows = [
-            [f.coefficient(v) for v in facet] for f in forms
+            {j: f[v] for j, v in enumerate(facet) if v in f} for f in scaled
         ]
-        if rank(SparseMatrix.from_dense(rows)) != len(facet):
+        if rank_mod(rows, PRIME) == len(facet):
+            continue
+        if int_rank(rows, len(facet)) != len(facet):
             return False
     return True
+
+
+def _integer_coefficients(forms) -> list[dict]:
+    """Each form's coefficients times the lcm of their denominators.
+
+    Scaling a form by a nonzero constant scales its rows of every matrix
+    built here, which changes neither a rank nor a kernel.
+    """
+    out = []
+    for f in forms:
+        mult = lcm(*(c.denominator for c in f.coeffs.values()))
+        out.append({v: int(c * mult) for v, c in f.coeffs.items()})
+    return out
 
 
 # -- stress spaces ----------------------------------------------------------
 
 
 def stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:
-    """Exact nullspace bases of the degree-i stress equations.
+    """The degree-i stress equations, assembled as integer blocks.
 
     The constraint matrix D has one column per face-supported degree-i
     monomial and one row per (form k, degree-(i-1) monomial) pair; its
     entry is the coefficient of that monomial in the k-th derivative of
-    the column monomial.  With a parity split the kernel is computed as
-    two blocks (see `_parity_blocks`), otherwise as one.
+    the column monomial, with the rows of form k scaled to integers.  With
+    a parity split its kernel is split into two blocks (see
+    `_parity_blocks`), otherwise it is one.  Nothing is solved here: each
+    block is solved exactly when its basis or dimension is first read.
     """
     if i < 0:
         raise ValueError("degree must be nonnegative")
-    columns = delta_monomials(cx, i)
+    columns = tuple(delta_monomials(cx, i))
     form_list = list(forms)
+    scaled = _integer_coefficients(form_list)
     row_index: dict = {}
-    entries: dict = {}
+    rows: list[dict] = []
     for j, m in enumerate(columns):
-        for k, form in enumerate(form_list):
-            for v, e in m.exps:
-                c = form.coefficient(v)
+        # distinct v give distinct rows (k, m / x_v), so each entry of D
+        # has one term
+        for v, e in m.exps:
+            lower = m.divide(v)
+            for k, coeffs in enumerate(scaled):
+                c = coeffs.get(v)
                 if not c:
                     continue
-                key = (k, m.divide(v))
-                r = row_index.setdefault(key, len(row_index))
-                entries[(r, j)] = entries.get((r, j), Fraction(0)) + e * c
+                key = (k, lower)
+                r = row_index.get(key)
+                if r is None:
+                    r = row_index[key] = len(rows)
+                    rows.append({})
+                rows[r][j] = e * c
     if _has_parity_split(cx, form_list):
-        blocks = _parity_blocks(columns, row_index, entries)
+        blocks = _parity_blocks(columns, row_index, rows)
     else:
-        matrix = SparseMatrix(
-            len(row_index), len(columns), entries, col_labels=columns
-        )
-        blocks = (nullspace(matrix),)
+        same = range(len(columns))
+        blocks = (_Block(columns, rows, same, same, 1),)
     return StressSpace(cx, forms, i, columns, blocks)
 
 
-def _parity_blocks(columns, row_index, entries) -> tuple[Basis, Basis]:
-    """Symmetric and antisymmetric kernels of D, in full coordinates.
+def _parity_blocks(columns, row_index, rows) -> tuple[_Block, _Block]:
+    """Symmetric and antisymmetric blocks of D.
 
     The involution sigma permutes the columns of a cs complex, freely
     except for the degree-0 monomial 1.  A form of parity e (+1 or -1)
@@ -318,39 +410,54 @@ def _parity_blocks(columns, row_index, entries) -> tuple[Basis, Basis]:
     """
     col_of = {m: j for j, m in enumerate(columns)}
     mirror = [col_of[m.negate()] for m in columns]
-    kept = {}
-    for (k, r), n in row_index.items():
-        if n <= row_index[(k, r.negate())]:
-            kept[n] = len(kept)
-    by_col = [{} for _ in columns]
-    for (n, j), x in entries.items():
-        if n in kept:
-            by_col[j][kept[n]] = x
+    kept = [
+        rows[n] for (k, r), n in row_index.items()
+        if n <= row_index[(k, r.negate())]
+    ]
     blocks = []
     for sign in (1, -1):
         reps = [
             j for j, p in enumerate(mirror)
             if j < p or (j == p and sign == 1)
         ]
-        block = {}
-        for b, j in enumerate(reps):
-            col = dict(by_col[j])
-            if mirror[j] != j:
-                for n, x in by_col[mirror[j]].items():
-                    col[n] = col.get(n, 0) + sign * x
-            block.update(((n, b), x) for n, x in col.items())
-        kernel = nullspace(SparseMatrix(len(kept), len(reps), block))
-        vectors = []
-        for u in kernel.vectors:
-            vec = [Fraction(0)] * len(columns)
-            for j, x in zip(reps, u):
-                if x:
-                    vec[j] = x
-                    vec[mirror[j]] = sign * x
-            vectors.append(vec)
-        pivots = [reps[b] for b in kernel.pivots]
-        blocks.append(Basis(columns, vectors, pivots))
+        at = {j: b for b, j in enumerate(reps)}
+        block_rows = []
+        for row in kept:
+            out = {}
+            for j, x in row.items():
+                b = at.get(j)
+                if b is None:
+                    # the mirror of a representative, or 1 in the minus block
+                    b = at.get(mirror[j])
+                    if b is None:
+                        continue
+                    x = sign * x
+                out[b] = out.get(b, 0) + x
+            out = {b: x for b, x in out.items() if x}
+            if out:
+                block_rows.append(out)
+        blocks.append(_Block(columns, block_rows, reps, mirror, sign))
     return tuple(blocks)
+
+
+def certify_dims(spaces, floor: int) -> bool:
+    """Fix every block dimension of `spaces` from its rank mod PRIME when
+    those dimensions sum to `floor`; return whether they did.
+
+    Each block is an integer matrix, so its kernel dimension mod PRIME is
+    at least the exact one.  The caller proves that `floor` is at most the
+    sum of the exact dimensions.  When the dimensions mod PRIME sum to
+    `floor`, every inequality is therefore an equality and each of them is
+    exact.  Otherwise nothing changes, and each dimension is solved
+    exactly when it is read.
+    """
+    blocks = [b for s in spaces for b in s.blocks]
+    dims = [b.dim_mod(PRIME) for b in blocks]
+    if sum(dims) != floor:
+        return False
+    for b, k in zip(blocks, dims):
+        b.known = k
+    return True
 
 
 def vanishing_stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:
@@ -363,8 +470,8 @@ def vanishing_stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:
     """
     if i <= cx.dim + 1:
         raise ValueError("stresses vanish by theorem only above degree d")
-    empty = Basis((), (), ())
-    blocks = (empty, empty) if _has_parity_split(cx, forms) else (empty,)
+    count = 2 if _has_parity_split(cx, forms) else 1
+    blocks = [_Block((), [], [], [], 1) for _ in range(count)]
     return StressSpace(cx, forms, i, (), blocks)
 
 

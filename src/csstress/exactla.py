@@ -1,10 +1,18 @@
-"""Exact sparse linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals, and rank mod a prime.
 
 Elimination is fraction-free: each row is scaled to integers and kept
 gcd-reduced, and updates use cross-multiplication with the common factor
 removed, so no rational division happens until basis extraction.  Pivoting
 is deterministic: columns are resolved in ascending order and the pivot row
 is the eligible row with the fewest nonzeros (ties by original row index).
+
+`int_rank` and `int_nullspace` take integer rows, dicts {column: value},
+directly; `rank` and `nullspace` scale a `SparseMatrix` to such rows.
+`rank_mod` eliminates integer rows over GF(p).  Its entries stay below p,
+so it costs a fraction of the exact path, and for an integer matrix
+rank mod p <= rank over Q: every minor that is nonzero mod p is a nonzero
+integer.  Callers use it where that inequality certifies the answer and
+fall back to the exact path where it does not.
 """
 
 from __future__ import annotations
@@ -177,24 +185,90 @@ def _back_substitute(pivots):
     return pivots
 
 
+def rank_mod(rows, p: int) -> int:
+    """Rank over GF(p) of integer rows, each a dict {column: value}.
+
+    A column -> rows index finds the rows holding each column, so the
+    pivot search does not scan every active row.  The pivot is the
+    sparsest such row (ties by row index).  `rows` is not modified.
+    """
+    active = []
+    for row in rows:
+        reduced = {c: v % p for c, v in row.items() if v % p}
+        if reduced:
+            active.append(reduced)
+    # fill-in only lands in columns the pivot row holds, never past the last
+    ncols = 1 + max((c for row in active for c in row), default=-1)
+    holding = [set() for _ in range(ncols)]
+    for r, row in enumerate(active):
+        for c in row:
+            holding[c].add(r)
+    found = 0
+    for c in range(ncols):
+        if not holding[c]:
+            continue
+        at = min(holding[c], key=lambda r: (len(active[r]), r))
+        pivot = active[at]
+        for col in pivot:
+            holding[col].discard(at)
+        inv = pow(pivot[c], -1, p)
+        for r in holding[c]:
+            row = active[r]
+            factor = row.pop(c) * inv % p
+            for col, val in pivot.items():
+                if col == c:
+                    continue
+                new = (row.get(col, 0) - factor * val) % p
+                if new:
+                    if col not in row:
+                        holding[col].add(r)
+                    row[col] = new
+                elif col in row:
+                    del row[col]
+                    holding[col].discard(r)
+        found += 1
+    return found
+
+
+def int_rank(rows, ncols: int) -> int:
+    """Exact rank of integer rows, each a dict {column: value}."""
+    return len(_forward_eliminate(_int_copies(rows), ncols))
+
+
+def int_nullspace(rows, ncols: int) -> Basis:
+    """Reduced kernel basis of integer rows, each a dict {column: value},
+    over the columns 0..ncols-1.  `rows` is not modified."""
+    return _kernel(_int_copies(rows), ncols, range(ncols))
+
+
 def rank(matrix: SparseMatrix) -> int:
     return len(_forward_eliminate(_to_int_rows(matrix), matrix.cols))
 
 
 def nullspace(matrix: SparseMatrix) -> Basis:
     """Reduced basis of the right kernel, one vector per free column."""
-    pivots = _back_substitute(
-        _forward_eliminate(_to_int_rows(matrix), matrix.cols)
-    )
-    pivot_cols = [c for c, _ in pivots]
-    taken = set(pivot_cols)
-    free_cols = [c for c in range(matrix.cols) if c not in taken]
+    return _kernel(_to_int_rows(matrix), matrix.cols, matrix.col_labels)
+
+
+def _int_copies(rows) -> list[dict[int, int]]:
+    out = []
+    for row in rows:
+        row = dict(row)
+        _gcd_normalize(row)
+        out.append(row)
+    return out
+
+
+def _kernel(rows, ncols, columns) -> Basis:
+    pivots = _back_substitute(_forward_eliminate(rows, ncols))
+    taken = {c for c, _ in pivots}
+    free_cols = [c for c in range(ncols) if c not in taken]
     vectors = []
     for f in free_cols:
-        vec = [Fraction(0)] * matrix.cols
+        vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
         for c, row in pivots:
             if f in row:
                 vec[c] = -Fraction(row[f], row[c])
         vectors.append(tuple(vec))
-    return Basis(matrix.col_labels, vectors, free_cols)
+    return Basis(columns, vectors, free_cols)

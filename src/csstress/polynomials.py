@@ -9,10 +9,11 @@ files are reproducible.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
-from .complexes import SimplicialComplex
-from .errors import NotSquarefree, ZeroPolynomial
+from .complexes import MAX_FACE_SUBSETS, SimplicialComplex
+from .errors import InputError, NotSquarefree, ZeroPolynomial
 
 
 def _vkey(v: int):
@@ -272,6 +273,15 @@ def delta_monomials(cx: SimplicialComplex, i: int) -> list[Monomial]:
         raise ValueError("degree must be >= 0")
     if i == 0:
         return [ONE]
+    # a face with s vertices carries C(i-1, s-1) of them
+    count = sum(
+        n * math.comb(i - 1, s - 1) for s, n in cx.face_counts().items() if s
+    )
+    if count > MAX_FACE_SUBSETS:
+        raise InputError(
+            f"degree {i} has {count} face-supported monomials, more than "
+            f"the limit of {MAX_FACE_SUBSETS}"
+        )
     out = []
     for tau in sorted(cx.all_faces()):
         s = len(tau)
@@ -288,12 +298,15 @@ def delta_monomials(cx: SimplicialComplex, i: int) -> list[Monomial]:
 
 def partial_derivative(w: Polynomial, v: int) -> Polynomial:
     """Partial derivative with respect to x_v."""
-    out = []
+    # dividing by x_v maps distinct monomials to distinct monomials of
+    # one degree, and e * c is a nonzero Fraction, so nothing needs the
+    # normalisation of Polynomial.__init__
+    out = Polynomial()
     for m, c in w.terms.items():
         e = m.exponent(v)
         if e:
-            out.append((m.divide(v), c * e))
-    return Polynomial(out)
+            out.terms[m.divide(v)] = c * e
+    return out
 
 
 def apply_derivative(c: LinearForm, w: Polynomial) -> Polynomial:

@@ -41,3 +41,14 @@ def near_cs_facets(draw):
     elif change == "add":
         facets.append(draw(st.lists(LABELS, max_size=4)))
     return facets
+
+
+@st.composite
+def pure_facets(draw, max_size=3):
+    """Facets of one size on the labels +-1..+-4: mostly not cs, and
+    free to hold an antipodal pair."""
+    size = draw(st.integers(1, max_size))
+    return draw(st.lists(
+        st.lists(LABELS, min_size=size, max_size=size, unique=True),
+        min_size=1, max_size=6,
+    ))

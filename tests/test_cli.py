@@ -10,6 +10,7 @@ import pytest
 
 import csstress.claims as claims_module
 import csstress.cli as cli_module
+import csstress.engine as engine_module
 from csstress import LsopNotFound
 from csstress.cli import main
 from conftest import CORPUS_DIR
@@ -162,6 +163,69 @@ def test_affine_shortcut_needs_certified_forms(tmp_path, capsys, monkeypatch):
         assert code == 0
         assert out.splitlines()[-1].split() == ["4", "0", "0", "0"]
         assert used == shortcut, path
+
+
+def test_affine_degree_with_too_many_monomials_is_refused_quickly(tmp_path):
+    # the coordinate forms of this non-convex hexagon fail lsop_check, so
+    # degree 200000 would be enumerated: 6 + 6 * 199999 monomials
+    path = tmp_path / "nonconvex.json"
+    path.write_text(json.dumps({
+        "coordinates": {"1": ["1", "1"], "-1": ["-1", "-1"],
+                        "2": ["2", "2"], "-2": ["-2", "-2"],
+                        "3": ["1", "0"], "-3": ["-1", "0"]},
+        "facets": [[1, 2], [2, 3], [3, -1], [-1, -2], [-2, -3], [-3, 1]],
+    }))
+    proc = run_subprocess("stress", str(path), "--affine", "--degree",
+                          "200000", timeout=20)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("input error: ")
+    assert "1200000" in proc.stderr
+    assert proc.stdout == ""
+
+
+def golden_stress_json(name):
+    """The exact `stress --format json` stdout of a corpus file."""
+    text = (Path(__file__).resolve().parent / "golden"
+            / "stress_linear_json.txt").read_text()
+    return text.split(f"## {name}\n")[1].split("## ")[0]
+
+
+def count_nullspace_calls(monkeypatch):
+    calls = []
+    real = engine_module.int_nullspace
+    monkeypatch.setattr(engine_module, "int_nullspace",
+                        lambda rows, ncols: calls.append(rows)
+                        or real(rows, ncols))
+    return calls
+
+
+def test_stress_dims_of_a_cm_complex_solve_no_block(capsys, monkeypatch):
+    calls = count_nullspace_calls(monkeypatch)
+    code, out, _ = run(capsys, "stress", str(CORPUS_DIR / "crosspoly_d4.json"),
+                       "--format", "json")
+    assert code == 0
+    assert out == golden_stress_json("crosspoly_d4")
+    assert calls == []
+
+
+@pytest.mark.parametrize("name, exact_path", [("noncm_edges", True),
+                                              ("crosspoly_d3", False)])
+def test_stress_falls_back_to_exact_dims(capsys, monkeypatch, name,
+                                         exact_path):
+    calls = count_nullspace_calls(monkeypatch)
+    path = str(CORPUS_DIR / f"{name}.json")
+    code, out, _ = run(capsys, "stress", path, "--format", "json")
+    assert code == 0
+    assert out == golden_stress_json(name)
+    # noncm_edges is not CM, so its dims are never certified
+    assert bool(calls) == exact_path
+    # mod 3 the ranks drop, the certificate fails, and the dims are solved
+    calls.clear()
+    monkeypatch.setattr(engine_module, "PRIME", 3)
+    code, out, _ = run(capsys, "stress", path, "--format", "json")
+    assert code == 0
+    assert out == golden_stress_json(name)
+    assert calls
 
 
 @pytest.mark.parametrize("text", [

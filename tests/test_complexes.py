@@ -121,6 +121,12 @@ def test_relabel_roundtrip(octahedron):
     assert octahedron.relabel(fwd).relabel(back) == octahedron
 
 
+def test_fhg_vectors_are_counted_once(octahedron):
+    vec = octahedron.fhg_vectors()
+    assert octahedron.fhg_vectors() is vec
+    assert vec.f == (1, 6, 12, 8)
+
+
 def test_fhg_requires_pure():
     mixed = SimplicialComplex([(1, 2, 3), (4, 5)])
     assert not mixed.is_pure()

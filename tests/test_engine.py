@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -36,15 +37,22 @@ from csstress import (
     stress_space,
     vanishing_stress_space,
 )
-from csstress.claims import linear_table
-from oracles import brute_stress_dim, same_span
-from strategies import cs_facet_halves
+from csstress.claims import linear_table, stress_table
+from csstress.engine import certify_dims
+from oracles import brute_stress_dim, dense_rank, same_span
+from strategies import cs_facet_halves, pure_facets
 
 CS_COMPLEXES = cs_facet_halves().map(
     lambda half: SimplicialComplex.from_facets(
         half + [[-v for v in f] for f in half], expect_cs=True
     )
 )
+
+PURE_COMPLEXES = pure_facets().map(SimplicialComplex)
+
+
+def sampled_lsop(cx, seed):
+    return special_lsop(cx, seed) if cx.cs else generic_lsop(cx, seed)
 
 
 def coeff_rows(forms, labels):
@@ -120,6 +128,26 @@ def test_lsop_check_rejects_repeats(octahedron):
     assert not lsop_check(octahedron, degenerate)
     with pytest.raises(LengthMismatch):
         lsop_check(octahedron, [seq[0]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(cx=st.one_of(CS_COMPLEXES, PURE_COMPLEXES), data=st.data(),
+       prime=st.sampled_from([engine_module.PRIME, 3]))
+def test_lsop_check_matches_exact_facet_ranks(cx, data, prime):
+    # small rational coefficients make rank-deficient facets common; the
+    # prime 3 makes the exact fallback common too
+    coeff = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+    forms = [
+        LinearForm({v: data.draw(coeff) for v in cx.ground_set})
+        for _ in range(cx.dim + 1)
+    ]
+    want = all(
+        dense_rank([[f.coefficient(v) for v in facet] for f in forms])
+        == len(facet)
+        for facet in cx.facets
+    )
+    with mock.patch.object(engine_module, "PRIME", prime):
+        assert lsop_check(cx, forms) == want
 
 
 def test_generic_lsop_on_simplex():
@@ -301,6 +329,29 @@ def test_parity_blocks_match_dense_oracle(cx, seed):
             assert not space.contains(lone)
             for w in space.basis:
                 assert not space.contains(w + lone)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cx=st.one_of(CS_COMPLEXES, PURE_COMPLEXES), seed=st.integers(0, 99))
+def test_certified_dims_are_exact(cx, seed):
+    seq = sampled_lsop(cx, seed)
+    d = cx.dim + 1
+    facets = cx.fhg_vectors().f[-1]
+    _, spaces = stress_table(cx, seq, d)
+    certified = certify_dims(spaces, facets)
+    with mock.patch.object(engine_module, "int_nullspace",
+                           wraps=engine_module.int_nullspace) as solve:
+        fast = [(s.dim, s.plus_dim, s.minus_dim) for s in spaces]
+    exact = [stress_space(cx, seq, i) for i in range(d + 1)]
+    # the sum of the exact dims is f_{d-1} exactly when cx is CM
+    assert certified == (sum(s.dim for s in exact) == facets)
+    if not certified:
+        return
+    assert solve.call_count == 0
+    rows = coeff_rows(list(seq), cx.ground_set)
+    for i, s in enumerate(exact):
+        assert fast[i] == (s.dim, s.plus_dim, s.minus_dim), i
+        assert s.dim == brute_stress_dim(cx.facets, rows, i), i
 
 
 # -- restriction ------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csstress import Basis, IndexMismatch, SparseMatrix, nullspace, rank
+from csstress.exactla import int_nullspace, int_rank, rank_mod
 from oracles import dense_nullspace, dense_rank, same_span
 
 
@@ -97,6 +98,29 @@ def test_rank_nullity_theorem(nrows, ncols, seed):
     dense = random_dense(random.Random(seed), nrows, ncols)
     m = to_sparse(dense, ncols)
     assert rank(m) + nullspace(m).dim == ncols
+
+
+@given(st.integers(0, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_integer_row_entry_points_match_the_matrix_path(nrows, ncols, seed):
+    rng = random.Random(seed)
+    # a shared factor per row, so the rows are not gcd-reduced
+    rows = [
+        {c: 6 * rng.randint(-2, 2) for c in range(ncols)}
+        for _ in range(nrows)
+    ]
+    rows = [{c: v for c, v in row.items() if v} for row in rows]
+    before = [dict(row) for row in rows]
+    dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+    m = to_sparse(dense, ncols)
+    assert int_rank(rows, ncols) == rank(m) == dense_rank(dense)
+    ours, theirs = int_nullspace(rows, ncols), nullspace(m)
+    assert ours.vectors == theirs.vectors
+    assert ours.pivots == theirs.pivots
+    assert ours.columns == tuple(range(ncols))
+    # a rank mod p never exceeds the rank over Q
+    assert rank_mod(rows, 5) <= rank(m)
+    assert rows == before
 
 
 def test_results_are_deterministic():
