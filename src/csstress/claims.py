@@ -9,9 +9,7 @@ failed; a failed verdict always carries a concrete witness.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -39,13 +37,16 @@ from .errors import (
     NotPure,
     PreconditionUnmet,
 )
+from .exactla import SparseMatrix, nullspace
 from .polynomials import (
     LinearForm,
     Monomial,
     Polynomial,
     expand_y_representation,
+    involution_action,
     is_squarefree,
     is_symmetric,
+    pair_sum,
     partial_derivative,
     y_representation,
 )
@@ -70,8 +71,6 @@ CLAIM_H_PROPAGATION = "Thm3.6.1"
 CLAIM_G_PROPAGATION = "Thm3.6.2"
 CLAIM_RESTRICTION = "Cor3.7.1"
 CLAIM_HALF_CROSSPOLY = "Cor3.7.2"
-
-LEMMA_SAMPLES = 5
 
 
 @dataclass(frozen=True)
@@ -231,21 +230,6 @@ def cm_certificate(cx: SimplicialComplex, table) -> dict:
         "kind": seq.kind,
         "attempts": seq.attempts,
     }
-
-
-def derived_seed(*parts) -> int:
-    """Deterministic sub-seed from string parts (hash-salt independent)."""
-    text = "|".join(str(p) for p in parts)
-    digest = hashlib.sha256(text.encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
-def _sample_combination(rng, basis) -> Polynomial:
-    """Random integer combination, one draw in [-9, 9] per basis element."""
-    coeffs = [rng.randint(-9, 9) for _ in basis]
-    return Polynomial(
-        (m, k * c) for b, k in zip(basis, coeffs) for m, c in b.terms.items()
-    )
 
 
 # -- theorem checks -----------------------------------------------------------
@@ -427,92 +411,90 @@ def verify_lemma31(cx, forms, w: Polynomial, v: int, instance="") -> Verificatio
     )
 
 
-def _y_rep_or_none(w: Polynomial):
-    if not is_squarefree(w):
-        return None
-    return y_representation(w)
+def _subspace(basis, conditions) -> list[Polynomial]:
+    """Basis of the w in the span of `basis` on which every polynomial of
+    conditions(w), a linear map, vanishes: one exact system in the
+    coefficients of w over `basis`, one row per (condition, monomial)."""
+    rows: dict = {}
+    entries = {}
+    for col, b in enumerate(basis):
+        for k, p in enumerate(conditions(b)):
+            for m, x in p.terms.items():
+                entries[rows.setdefault((k, m), len(rows)), col] = x
+    kernel = nullspace(SparseMatrix(len(rows), len(basis), entries))
+    return [
+        Polynomial((m, x * c) for b, x in zip(basis, vec) if x
+                   for m, c in b.terms.items())
+        for vec in kernel.vectors
+    ]
 
 
-def verify_lemma32_34(cx, table, i, seed=0, instance="") -> VerificationReport:
+def verify_lemma32_34(cx, table, i, instance="") -> VerificationReport:
     """Squarefreeness, y-representation, and forced symmetry of stresses.
 
-    For each basis stress (plus seeded random combinations) of degree i
-    whose vertex derivatives are all symmetric: the stress is squarefree;
-    if it is symmetric it is a polynomial in the pair sums y_k with an
-    exact round trip; and, in degrees two and up, if every vertex
-    derivative admits a y-representation the stress itself does and is
-    symmetric.
+    The lemmas range over W_i, the degree-i stresses whose vertex
+    derivatives are all symmetric, and their conclusions are linear, so a
+    basis of W_i decides them for every stress: each stress of W_i is
+    squarefree; each symmetric one is a polynomial in the pair sums y_k
+    with an exact round trip; and, in degrees two and up, the stresses of
+    W_i whose vertex derivatives all admit y-representations are
+    symmetric.  The forms have definite parity, so W_i and that subspace
+    are stable under the involution and split into their symmetric and
+    antisymmetric parts, each computed inside the matching part of
+    Stress_i.  `checked` is dim W_i.
     """
-    _, spaces = table
-    basis = spaces[i].basis
-    rng = random.Random(derived_seed(seed, "lem32-34", instance, i))
-    candidates = basis + [
-        _sample_combination(rng, basis) for _ in range(LEMMA_SAMPLES)
-    ]
-    ground = sorted(cx.ground_set)
-    checked = skipped = 0
-    failures = []
-    for w in candidates:
-        if w.is_zero():
-            continue
-        derivatives = [partial_derivative(w, v) for v in ground]
-        if not all(is_symmetric(dw) for dw in derivatives):
-            skipped += 1
-            continue
-        checked += 1
-        if not is_squarefree(w):
-            failures.append(
-                {"stress": w.text(), "reason": "stress is not squarefree"}
-            )
-            continue
-        if is_symmetric(w):
-            rep = y_representation(w)
-            if rep is None:
-                failures.append(
-                    {"stress": w.text(),
-                     "reason": "symmetric stress has no y-representation"}
-                )
-            elif expand_y_representation(rep) != w:
-                failures.append(
-                    {"stress": w.text(),
-                     "reason": "y-representation round trip failed"}
-                )
-        # forced symmetry needs degree >= 2: a linear polynomial has
-        # constant derivatives, which say nothing about its symmetry
-        if w.degree >= 2 and all(
-            _y_rep_or_none(dw) is not None for dw in derivatives
-        ):
-            if _y_rep_or_none(w) is None or not is_symmetric(w):
-                failures.append(
-                    {"stress": w.text(),
-                     "reason": "derivative y-representations did not force "
-                               "a symmetric y-polynomial"}
-                )
-    if checked == 0:
-        return VerificationReport(
-            CLAIM_SQUAREFREE, instance, UNMET,
-            computed={"degree": i, "checked": 0, "skipped": skipped},
-            note="no stresses with all-symmetric derivatives",
+    space = table[1][i]
+    if space.plus_basis is None:
+        raise HypothesisUnmet(
+            "the lemmas need a cs complex and forms of definite parity"
         )
+    ground = cx.ground_set
+
+    def asymmetry(w):
+        return [dw - involution_action(dw)
+                for dw in (partial_derivative(w, v) for v in ground)]
+
+    def y_obstruction(w):
+        # zero exactly when each vertex derivative is squarefree and has
+        # equal derivatives at k and -k, the criterion of y_representation
+        for dw in (partial_derivative(w, v) for v in ground):
+            yield Polynomial((m, c) for m, c in dw.terms.items()
+                             if not m.is_squarefree())
+            yield from (partial_derivative(dw, k) - partial_derivative(dw, -k)
+                        for k in ground if k > 0)
+
+    plus = _subspace(space.plus_basis, asymmetry)
+    minus = _subspace(space.minus_basis, asymmetry)
+    failures = [(w, "stress is not squarefree")
+                for w in plus + minus if not is_squarefree(w)]
+    for w in filter(is_squarefree, plus):
+        rep = y_representation(w)
+        if rep is None:
+            failures.append((w, "symmetric stress has no y-representation"))
+        elif expand_y_representation(rep) != w:
+            failures.append((w, "y-representation round trip failed"))
+    # forced symmetry needs degree >= 2: a linear polynomial has
+    # constant derivatives, which say nothing about its symmetry
+    if i >= 2:
+        failures += [(w, "derivative y-representations did not force a "
+                         "symmetric y-polynomial")
+                     for w in _subspace(minus, y_obstruction)]
+    checked = len(plus) + len(minus)
     return VerificationReport(
         CLAIM_SQUAREFREE,
         instance,
-        FAIL if failures else PASS,
-        computed={"degree": i, "checked": checked, "skipped": skipped},
-        witness=failures or None,
+        FAIL if failures else PASS if checked else UNMET,
+        computed={"degree": i, "checked": checked,
+                  "skipped": space.dim - checked},
+        witness=[{"stress": w.text(), "reason": r} for w, r in failures]
+        or None,
+        note="" if checked else "no stresses with all-symmetric derivatives",
     )
 
 
 def derived_stress(w: Polynomial, u1: int, u2: int) -> Polynomial:
     """(x_{u1} + x_{-u1} - x_{u2} - x_{-u2}) * d/dx_{u2} d/dx_{u1} w."""
-    factor = Polynomial(
-        [
-            (Monomial([(u1, 1)]), 1),
-            (Monomial([(-u1, 1)]), 1),
-            (Monomial([(u2, 1)]), -1),
-            (Monomial([(-u2, 1)]), -1),
-        ]
-    )
+    factor = pair_sum(abs(u1)) - pair_sum(abs(u2))
     return factor * partial_derivative(partial_derivative(w, u1), u2)
 
 
@@ -532,14 +514,17 @@ def _check_parity_hypothesis(cx, forms) -> None:
     )
 
 
-def verify_thm35(cx, table, i, seed=0, instance="") -> VerificationReport:
+def verify_thm35(cx, table, i, instance="") -> VerificationReport:
     """Symmetry of stresses propagates upward and forces cross-polytopes.
 
     If every degree-i stress is symmetric then so is every stress of
     degree j >= i; whenever such a degree j > i carries nonzero stresses
     the complex contains the boundary of the j-cross-polytope.  The
-    degree-lowering construction `derived_stress` is re-derived on sampled
-    stresses and must itself produce stresses.
+    degree-lowering construction `derived_stress` must map every stress of
+    degree j to a stress of degree j - 1.  It is linear in the stress and
+    vanishes on an edge outside the stress's support, so it is checked on
+    each basis stress and each edge of that stress's support, and
+    `transported` counts those pairs.
     """
     if i <= 1:
         raise ValueError("the propagation check applies to degrees above 1")
@@ -564,6 +549,7 @@ def verify_thm35(cx, table, i, seed=0, instance="") -> VerificationReport:
                  "reason": "antisymmetric stresses above a symmetric degree"}
             )
     detected = {}
+    transported = 0
     for j in range(i + 1, top + 1):
         if spaces[j].dim > 0:
             hits = detect_cross_polytope_subcomplexes(cx, j)
@@ -574,33 +560,22 @@ def verify_thm35(cx, table, i, seed=0, instance="") -> VerificationReport:
                      "reason": "no cross-polytope subcomplex despite "
                                "nonzero stresses"}
                 )
-    rng = random.Random(derived_seed(seed, "thm35", instance, i))
-    transported = 0
-    # the degree-lowering construction applies one degree above the
-    # all-symmetric degree, on an edge in the support of the stress
-    for j in range(i + 1, top + 1):
-        basis = spaces[j].basis
-        if not basis:
-            continue
-        for _ in range(3):
-            w = _sample_combination(rng, basis)
-            if w.is_zero():
-                continue
+        # the degree-lowering construction applies one degree above the
+        # all-symmetric degree
+        for w in spaces[j].basis:
             edges = sorted(
                 {e for m in w.terms
                  for e in itertools.combinations(m.support, 2)}
             )
-            if not edges:
-                continue
-            u1, u2 = rng.choice(edges)
-            w_prime = derived_stress(w, u1, u2)
-            transported += 1
-            if not is_stress(cx, forms, w_prime):
-                failures.append(
-                    {"degree": j, "edge": [u1, u2],
-                     "witness": w_prime.text(),
-                     "reason": "derived polynomial is not a stress"}
-                )
+            for u1, u2 in edges:
+                w_prime = derived_stress(w, u1, u2)
+                transported += 1
+                if not spaces[j - 1].contains(w_prime):
+                    failures.append(
+                        {"degree": j, "edge": [u1, u2],
+                         "witness": w_prime.text(),
+                         "reason": "derived polynomial is not a stress"}
+                    )
     return VerificationReport(
         CLAIM_SYMMETRY_PROPAGATION,
         instance,
@@ -912,15 +887,14 @@ def instance_reports(inst: CorpusInstance, seed: int) -> list[VerificationReport
             out.append(
                 merge_reports(
                     CLAIM_SQUAREFREE, name,
-                    [verify_lemma32_34(cx, table, i, seed=seed,
-                                       instance=name)
+                    [verify_lemma32_34(cx, table, i, instance=name)
                      for i in range(1, d + 1)],
                 )
             )
             out.append(
                 merge_reports(
                     CLAIM_SYMMETRY_PROPAGATION, name,
-                    [verify_thm35(cx, table, i, seed=seed, instance=name)
+                    [verify_thm35(cx, table, i, instance=name)
                      for i in range(2, d + 1)],
                 )
             )

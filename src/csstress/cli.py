@@ -19,8 +19,10 @@ from .claims import (
     linear_table,
     run_claims,
 )
+from .complexes import MAX_REQUEST_MONOMIALS
 from .engine import lsop_check, stress_space, vanishing_stress_space
 from .errors import CsStressError, InputError, LsopNotFound
+from .polynomials import monomial_count
 from .polytopes import bipyramid, cross_polytope, polygon, polytope_to_json_obj
 
 DEFAULT_SEED = 1
@@ -97,14 +99,25 @@ def cmd_stress(path: str, seed: int, affine: bool, degree, max_degree,
     vanish_above_d = any(i > d for i in degrees) and (
         not affine or lsop_check(cx, seq.forms[:d])
     )
+    built = [
+        i for i in degrees
+        if i >= len(table) and not (i > d and vanish_above_d)
+    ]
+    count = sum(monomial_count(cx, i) for i in built)
+    if count > MAX_REQUEST_MONOMIALS:
+        raise InputError(
+            f"the requested degrees beyond the table have {count} "
+            f"face-supported monomials, more than the limit of "
+            f"{MAX_REQUEST_MONOMIALS}"
+        )
     spaces = {}
     for i in degrees:
         if i < len(table):
             spaces[i] = table[i]
-        elif i > d and vanish_above_d:
-            spaces[i] = vanishing_stress_space(cx, seq, i)
-        else:
+        elif i in built:
             spaces[i] = stress_space(cx, seq, i)
+        else:
+            spaces[i] = vanishing_stress_space(cx, seq, i)
     if output_format == "json":
         obj = {
             "seed": seed,

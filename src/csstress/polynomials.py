@@ -267,16 +267,23 @@ def _compositions(total: int, parts: int):
         yield tuple(out)
 
 
+def monomial_count(cx: SimplicialComplex, i: int) -> int:
+    """Number of degree-i monomials on faces of cx, from its face counts."""
+    if i == 0:
+        return 1
+    # a face with s vertices carries C(i-1, s-1) of them
+    return sum(
+        n * math.comb(i - 1, s - 1) for s, n in cx.face_counts().items() if s
+    )
+
+
 def delta_monomials(cx: SimplicialComplex, i: int) -> list[Monomial]:
     """Degree-i monomials supported on a face of cx, in canonical order."""
     if i < 0:
         raise ValueError("degree must be >= 0")
     if i == 0:
         return [ONE]
-    # a face with s vertices carries C(i-1, s-1) of them
-    count = sum(
-        n * math.comb(i - 1, s - 1) for s, n in cx.face_counts().items() if s
-    )
+    count = monomial_count(cx, i)
     if count > MAX_FACE_SUBSETS:
         raise InputError(
             f"degree {i} has {count} face-supported monomials, more than "

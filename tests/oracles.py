@@ -129,12 +129,15 @@ def _face_monomials(faces, i):
     return sorted(out)
 
 
-def _stress_system(facets, coeff_rows, i):
+def _stress_system(facets, coeff_rows, i, symmetric_derivatives=False):
     """(degree-i monomials on the complex, dense derivative rows).
 
     One column per degree-i monomial on the complex, one row per (form,
     degree-(i-1) monomial) pair; coeff_rows maps each form to
-    {vertex: coeff}.
+    {vertex: coeff}.  With symmetric_derivatives, also one row per
+    (vertex v, degree-(i-1) monomial n): the coefficient of n in
+    d/dx_v w minus that of the mirror of n, so the kernel is the stresses
+    whose vertex derivatives are all symmetric.
     """
     faces = brute_faces(facets)
     cols = _face_monomials(faces, i)
@@ -145,6 +148,7 @@ def _stress_system(facets, coeff_rows, i):
         [Fraction(0)] * len(cols)
         for _ in range(len(coeff_rows) * len(lower))
     ]
+    asymmetry: dict = {}
     for cidx, exps in enumerate(cols):
         for v, e in exps:
             reduced = tuple(
@@ -156,12 +160,27 @@ def _stress_system(facets, coeff_rows, i):
                 if c and reduced in lower:
                     r = fidx * len(lower) + lower[reduced]
                     rows[r][cidx] += e * c
-    return cols, rows
+            if not symmetric_derivatives:
+                continue
+            mirror = tuple(sorted(((-u, k) for u, k in reduced),
+                                  key=lambda t: (abs(t[0]), t[0] < 0)))
+            for key, x in (((v, reduced), e), ((v, mirror), -e)):
+                row = asymmetry.setdefault(key, [Fraction(0)] * len(cols))
+                row[cidx] += x
+    return cols, rows + list(asymmetry.values())
 
 
 def brute_stress_dim(facets, coeff_rows, i) -> int:
     """dim of degree-i stresses; coeff_rows maps each form to {vertex: coeff}."""
     cols, rows = _stress_system(facets, coeff_rows, i)
+    return len(cols) - dense_rank(rows)
+
+
+def brute_symmetric_derivative_dim(facets, coeff_rows, i) -> int:
+    """dim of the degree-i stresses whose vertex derivatives are all
+    symmetric (W_i of Lemmas 3.2-3.4)."""
+    cols, rows = _stress_system(facets, coeff_rows, i,
+                                symmetric_derivatives=True)
     return len(cols) - dense_rank(rows)
 
 

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csstress import (
     CorpusInstance,
@@ -17,7 +20,6 @@ from csstress import (
     bipyramid,
     canonical_forms,
     cross_polytope,
-    derived_seed,
     derived_stress,
     instance_from_json,
     is_stress,
@@ -44,7 +46,8 @@ from csstress.claims import (
     linear_table,
     stress_table,
 )
-from oracles import brute_symmetric_star_dim
+from oracles import brute_symmetric_derivative_dim, brute_symmetric_star_dim
+from strategies import cs_facet_halves
 
 
 # -- report plumbing -------------------------------------------------------------
@@ -98,12 +101,6 @@ def test_merge_reports_priorities():
     merged = merge_reports("X", "i", [ok, bad])
     assert merged.verdict == "fail"
     assert merged.witness == {"reason": "boom"}
-
-
-def test_derived_seed_is_deterministic():
-    assert derived_seed(1, "a", 2) == derived_seed(1, "a", 2)
-    assert derived_seed(1, "a", 2) != derived_seed(1, "a", 3)
-    assert 0 <= derived_seed("x") < 2**64
 
 
 # -- the lower bound claims --------------------------------------------------------
@@ -237,19 +234,68 @@ def test_lemma31_checks_every_symmetric_star_stress(corpus_by_name, name):
 def test_lemma32_34_on_octahedron(octahedron):
     table = linear_table(octahedron, 1)
     for i in (1, 2, 3):
-        r = verify_lemma32_34(octahedron, table, i, seed=1)
+        r = verify_lemma32_34(octahedron, table, i)
         assert r.verdict == "pass"
-        assert r.computed["checked"] > 0
+        assert r.computed["checked"] == table[1][i].dim
         assert r.computed["skipped"] == 0
 
 
 def test_lemma32_34_skips_when_derivatives_are_asymmetric():
     cx = bipyramid(3).boundary
-    r = verify_lemma32_34(cx, linear_table(cx, 1), 2, seed=1)
-    # bipyramid has antisymmetric 1-stresses, so degree-2 candidates with
-    # asymmetric derivatives are skipped by the hypothesis filter
-    assert r.verdict in ("pass", "hypothesis_unmet")
-    assert r.computed["skipped"] > 0
+    table = linear_table(cx, 1)
+    # dim Stress = (5, 5, 1); bipyramid has antisymmetric 1-stresses, so
+    # some degree-2 and degree-3 stresses have asymmetric derivatives
+    reports = [verify_lemma32_34(cx, table, i) for i in (1, 2, 3)]
+    assert [r.verdict for r in reports] == ["pass", "pass",
+                                            "hypothesis_unmet"]
+    assert [r.computed["checked"] for r in reports] == [5, 3, 0]
+    assert [r.computed["skipped"] for r in reports] == [0, 2, 1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(half=cs_facet_halves(), seed=st.integers(0, 99))
+def test_lemma32_34_checks_all_of_w_i(half, seed):
+    # `checked` is dim W_i, the stresses with all-symmetric derivatives
+    cx = SimplicialComplex.from_facets(
+        half + [[-v for v in f] for f in half], expect_cs=True
+    )
+    table = linear_table(cx, seed)
+    rows = [{v: f.coefficient(v) for v in cx.ground_set} for f in table[0]]
+    for i in range(1, cx.dim + 2):
+        r = verify_lemma32_34(cx, table, i)
+        dense = brute_symmetric_derivative_dim(cx.facets, rows, i)
+        assert r.computed["checked"] == dense, i
+        assert r.computed["skipped"] == table[1][i].dim - dense, i
+        assert r.verdict == ("pass" if dense else "hypothesis_unmet"), i
+
+
+NOT_SQUAREFREE = "stress is not squarefree"
+NOT_FORCED = ("derivative y-representations did not force a symmetric "
+              "y-polynomial")
+
+
+@pytest.mark.parametrize("part, w, reasons", [
+    # (x_1 + x_-1)^2 has symmetric derivatives 2 y_1 but is not squarefree
+    ("plus_basis", pair_sum(1) * pair_sum(1), [NOT_SQUAREFREE]),
+    # the same posing as an antisymmetric stress: its derivatives are
+    # y-polynomials too, so it also lies in Y_2, which must hold no
+    # antisymmetric stress
+    ("minus_basis", pair_sum(1) * pair_sum(1), [NOT_SQUAREFREE, NOT_FORCED]),
+    ("minus_basis", pair_sum(1) * pair_sum(2), [NOT_FORCED]),
+    # the derivatives 3 y_1^2 of y_1^3 have no y-representation, because
+    # they are not squarefree, so y_1^3 lies outside Y_3
+    ("minus_basis", pair_sum(1) * pair_sum(1) * pair_sum(1),
+     [NOT_SQUAREFREE]),
+])
+def test_lemma32_34_fails_with_a_witness(octahedron, part, w, reasons):
+    space = SimpleNamespace(plus_basis=[], minus_basis=[], dim=1)
+    setattr(space, part, [w])
+    table = (None, [None] * w.degree + [space])
+    r = verify_lemma32_34(octahedron, table, w.degree)
+    assert r.verdict == "fail"
+    assert r.computed == {"degree": w.degree, "checked": 1, "skipped": 0}
+    assert r.witness == [{"stress": w.text(), "reason": reason}
+                         for reason in reasons]
 
 
 # -- upward propagation ---------------------------------------------------------------
@@ -270,18 +316,31 @@ def test_derived_stress_stays_a_stress(octahedron):
 
 def test_thm35_on_octahedron(octahedron):
     table = linear_table(octahedron, 1)
-    r = verify_thm35(octahedron, table, 2, seed=1, instance="oct")
+    r = verify_thm35(octahedron, table, 2, instance="oct")
     assert r.verdict == "pass"
     assert r.computed["minus_dims"] == {2: 0, 3: 0}
     assert r.computed["detected"] == {3: 1}
-    assert r.computed["transported"] > 0
+    # one degree-3 basis stress, carried along each of the 12 edges
+    assert r.computed["transported"] == 12
     with pytest.raises(ValueError):
-        verify_thm35(octahedron, table, 1, seed=1)
+        verify_thm35(octahedron, table, 1)
+
+
+def test_thm35_fails_when_a_derived_polynomial_is_no_stress(octahedron):
+    seq, spaces = linear_table(octahedron, 1)
+    # a degree-2 space that holds none of the derived polynomials
+    empty = SimpleNamespace(minus_dim=0, dim=0, contains=lambda w: False)
+    r = verify_thm35(octahedron, (seq, (*spaces[:2], empty, spaces[3])), 2)
+    assert r.verdict == "fail"
+    assert r.computed["transported"] == 12
+    assert len(r.witness) == 12
+    assert {f["reason"] for f in r.witness} == {
+        "derived polynomial is not a stress"}
 
 
 def test_thm35_unmet_when_asymmetric_stresses_exist():
     cx = bipyramid(3).boundary
-    r = verify_thm35(cx, linear_table(cx, 1), 2, seed=1)
+    r = verify_thm35(cx, linear_table(cx, 1), 2)
     assert r.verdict == "hypothesis_unmet"
 
 
@@ -290,12 +349,20 @@ def test_thm35_requires_parity_pattern(octahedron):
         [LinearForm({1: 1, -1: 1, 2: 1})] * 3, "custom"
     )
     with pytest.raises(HypothesisUnmet):
-        verify_thm35(octahedron, stress_table(octahedron, bad, 3), 2, seed=1)
+        verify_thm35(octahedron, stress_table(octahedron, bad, 3), 2)
+
+
+def test_lemma32_34_requires_a_parity_split(octahedron):
+    bad = FormSequence(
+        [LinearForm({1: 1, -1: 1, 2: 1})] * 3, "custom"
+    )
+    with pytest.raises(HypothesisUnmet):
+        verify_lemma32_34(octahedron, stress_table(octahedron, bad, 3), 2)
 
 
 def test_thm35_accepts_minus_forms_with_all_ones_tail(octahedron):
     seq = canonical_forms(cross_polytope(3))
-    r = verify_thm35(octahedron, stress_table(octahedron, seq, 3), 2, seed=1)
+    r = verify_thm35(octahedron, stress_table(octahedron, seq, 3), 2)
     assert r.verdict == "pass"
 
 

@@ -165,9 +165,9 @@ def test_affine_shortcut_needs_certified_forms(tmp_path, capsys, monkeypatch):
         assert used == shortcut, path
 
 
-def test_affine_degree_with_too_many_monomials_is_refused_quickly(tmp_path):
-    # the coordinate forms of this non-convex hexagon fail lsop_check, so
-    # degree 200000 would be enumerated: 6 + 6 * 199999 monomials
+def nonconvex_hexagon(tmp_path):
+    """A cs hexagon whose coordinate forms fail lsop_check, so `stress
+    --affine` assembles every degree it is asked for."""
     path = tmp_path / "nonconvex.json"
     path.write_text(json.dumps({
         "coordinates": {"1": ["1", "1"], "-1": ["-1", "-1"],
@@ -175,12 +175,54 @@ def test_affine_degree_with_too_many_monomials_is_refused_quickly(tmp_path):
                         "3": ["1", "0"], "-3": ["-1", "0"]},
         "facets": [[1, 2], [2, 3], [3, -1], [-1, -2], [-2, -3], [-3, 1]],
     }))
+    return path
+
+
+def test_affine_degree_with_too_many_monomials_is_refused_quickly(tmp_path):
+    # the coordinate forms of this non-convex hexagon fail lsop_check, so
+    # degree 200000 would be enumerated: 6 + 6 * 199999 monomials
+    path = nonconvex_hexagon(tmp_path)
     proc = run_subprocess("stress", str(path), "--affine", "--degree",
                           "200000", timeout=20)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("input error: ")
     assert "1200000" in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("request_args, count", [
+    (["--degree", "100000"], 600000),
+    # degrees 3..400 lie beyond the affine table, 6 * i monomials each
+    (["--max-degree", "400"], 481182),
+])
+def test_affine_request_past_the_monomial_budget_is_refused_quickly(
+        tmp_path, request_args, count):
+    # each degree is under the per-degree limit, but together they are
+    # far past what exact elimination finishes in seconds
+    path = nonconvex_hexagon(tmp_path)
+    proc = run_subprocess("stress", str(path), "--affine", *request_args,
+                          timeout=20)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("input error: ")
+    assert str(count) in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_monomial_budget_counts_only_degrees_beyond_the_table(
+        tmp_path, capsys, monkeypatch):
+    # degrees 3..44 of the hexagon have 6 * (3 + ... + 44) = 5922
+    # monomials; the table's degrees 0..2 are not counted
+    path = str(nonconvex_hexagon(tmp_path))
+    monkeypatch.setattr(cli_module, "MAX_REQUEST_MONOMIALS", 5922)
+    code, out, _ = run(capsys, "stress", path, "--affine",
+                       "--max-degree", "44")
+    assert code == 0
+    assert out.splitlines()[-1].split() == ["44", "0", "0", "0"]
+    monkeypatch.setattr(cli_module, "MAX_REQUEST_MONOMIALS", 5921)
+    code, out, err = run(capsys, "stress", path, "--affine",
+                         "--max-degree", "44")
+    assert code == 2
+    assert "5922" in err and out == ""
 
 
 def golden_stress_json(name):
