@@ -514,7 +514,7 @@ def _check_parity_hypothesis(cx, forms) -> None:
     )
 
 
-def verify_thm35(cx, table, i, instance="") -> VerificationReport:
+def verify_thm35(cx, table, i, instance="", steps=None) -> VerificationReport:
     """Symmetry of stresses propagates upward and forces cross-polytopes.
 
     If every degree-i stress is symmetric then so is every stress of
@@ -524,7 +524,9 @@ def verify_thm35(cx, table, i, instance="") -> VerificationReport:
     degree j to a stress of degree j - 1.  It is linear in the stress and
     vanishes on an edge outside the stress's support, so it is checked on
     each basis stress and each edge of that stress's support, and
-    `transported` counts those pairs.
+    `transported` counts those pairs.  What degree j shows does not depend
+    on i, so calls on one table may share a dict `steps`, from j to
+    `_thm35_step`, and each degree is then checked once.
     """
     if i <= 1:
         raise ValueError("the propagation check applies to degrees above 1")
@@ -548,34 +550,18 @@ def verify_thm35(cx, table, i, instance="") -> VerificationReport:
                 {"degree": j, "minus_dim": spaces[j].minus_dim,
                  "reason": "antisymmetric stresses above a symmetric degree"}
             )
+    if steps is None:
+        steps = {}
     detected = {}
     transported = 0
     for j in range(i + 1, top + 1):
-        if spaces[j].dim > 0:
-            hits = detect_cross_polytope_subcomplexes(cx, j)
-            detected[j] = len(hits)
-            if not hits:
-                failures.append(
-                    {"degree": j, "dim": spaces[j].dim,
-                     "reason": "no cross-polytope subcomplex despite "
-                               "nonzero stresses"}
-                )
-        # the degree-lowering construction applies one degree above the
-        # all-symmetric degree
-        for w in spaces[j].basis:
-            edges = sorted(
-                {e for m in w.terms
-                 for e in itertools.combinations(m.support, 2)}
-            )
-            for u1, u2 in edges:
-                w_prime = derived_stress(w, u1, u2)
-                transported += 1
-                if not spaces[j - 1].contains(w_prime):
-                    failures.append(
-                        {"degree": j, "edge": [u1, u2],
-                         "witness": w_prime.text(),
-                         "reason": "derived polynomial is not a stress"}
-                    )
+        if j not in steps:
+            steps[j] = _thm35_step(cx, spaces, j)
+        hits, count, found = steps[j]
+        if hits is not None:
+            detected[j] = hits
+        transported += count
+        failures += found
     return VerificationReport(
         CLAIM_SYMMETRY_PROPAGATION,
         instance,
@@ -584,6 +570,38 @@ def verify_thm35(cx, table, i, instance="") -> VerificationReport:
                   "detected": detected, "transported": transported},
         witness=failures or None,
     )
+
+
+def _thm35_step(cx, spaces, j):
+    """(cross-polytope subcomplexes found, or None when Stress_j = 0;
+    transported pairs; failures) of degree j, one above an all-symmetric
+    degree."""
+    failures = []
+    hits = None
+    if spaces[j].dim > 0:
+        hits = len(detect_cross_polytope_subcomplexes(cx, j))
+        if not hits:
+            failures.append(
+                {"degree": j, "dim": spaces[j].dim,
+                 "reason": "no cross-polytope subcomplex despite "
+                           "nonzero stresses"}
+            )
+    transported = 0
+    for w in spaces[j].basis:
+        edges = sorted(
+            {e for m in w.terms
+             for e in itertools.combinations(m.support, 2)}
+        )
+        for u1, u2 in edges:
+            w_prime = derived_stress(w, u1, u2)
+            transported += 1
+            if not spaces[j - 1].contains(w_prime):
+                failures.append(
+                    {"degree": j, "edge": [u1, u2],
+                     "witness": w_prime.text(),
+                     "reason": "derived polynomial is not a stress"}
+                )
+    return hits, transported, failures
 
 
 def verify_thm36(cx, i, table, instance="") -> VerificationReport:
@@ -891,10 +909,11 @@ def instance_reports(inst: CorpusInstance, seed: int) -> list[VerificationReport
                      for i in range(1, d + 1)],
                 )
             )
+            steps = {}
             out.append(
                 merge_reports(
                     CLAIM_SYMMETRY_PROPAGATION, name,
-                    [verify_thm35(cx, table, i, instance=name)
+                    [verify_thm35(cx, table, i, instance=name, steps=steps)
                      for i in range(2, d + 1)],
                 )
             )

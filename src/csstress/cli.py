@@ -90,7 +90,7 @@ def cmd_stress(path: str, seed: int, affine: bool, degree, max_degree,
         seq, table = linear_table(cx, seed)
         default_top = cx.dim + 1
     top = max_degree if max_degree is not None else default_top
-    degrees = [degree] if degree is not None else list(range(top + 1))
+    degrees = [degree] if degree is not None else range(top + 1)
     if any(i < 0 for i in degrees):
         raise InputError("degrees are nonnegative")
     d = cx.dim + 1
@@ -99,10 +99,10 @@ def cmd_stress(path: str, seed: int, affine: bool, degree, max_degree,
     vanish_above_d = any(i > d for i in degrees) and (
         not affine or lsop_check(cx, seq.forms[:d])
     )
-    built = [
+    built = {
         i for i in degrees
         if i >= len(table) and not (i > d and vanish_above_d)
-    ]
+    }
     count = sum(monomial_count(cx, i) for i in built)
     if count > MAX_REQUEST_MONOMIALS:
         raise InputError(
@@ -110,41 +110,41 @@ def cmd_stress(path: str, seed: int, affine: bool, degree, max_degree,
             f"face-supported monomials, more than the limit of "
             f"{MAX_REQUEST_MONOMIALS}"
         )
-    spaces = {}
-    for i in degrees:
+
+    def space(i):
+        # each degree is built as it is printed and dropped after, so a
+        # long run of degrees answered by theorem holds no memory
         if i < len(table):
-            spaces[i] = table[i]
-        elif i in built:
-            spaces[i] = stress_space(cx, seq, i)
-        else:
-            spaces[i] = vanishing_stress_space(cx, seq, i)
+            return table[i]
+        if i in built:
+            return stress_space(cx, seq, i)
+        return vanishing_stress_space(cx, seq, i)
+
     if output_format == "json":
-        obj = {
-            "seed": seed,
-            "mode": "affine" if affine else "linear",
-            "kind": seq.kind,
-            "attempts": seq.attempts,
-            "degrees": [
-                {
-                    "degree": i,
-                    "dim": spaces[i].dim,
-                    "plus": spaces[i].plus_dim,
-                    "minus": spaces[i].minus_dim,
-                }
-                for i in degrees
-            ],
-        }
-        if show_basis:
-            for row in obj["degrees"]:
-                row["basis"] = [w.text() for w in spaces[row["degree"]].basis]
-        print(json.dumps(obj, sort_keys=True))
+        # json.dumps of the whole object with sorted keys, written one
+        # degree at a time: "attempts" < "degrees" < "kind" < ...
+        head = json.dumps({"attempts": seq.attempts})[:-1]
+        tail = json.dumps({"kind": seq.kind,
+                           "mode": "affine" if affine else "linear",
+                           "seed": seed}, sort_keys=True)[1:]
+        print(f'{head}, "degrees": [', end="")
+        sep = ""
+        for i in degrees:
+            s = space(i)
+            row = {"degree": i, "dim": s.dim, "plus": s.plus_dim,
+                   "minus": s.minus_dim}
+            if show_basis:
+                row["basis"] = [w.text() for w in s.basis]
+            print(sep + json.dumps(row, sort_keys=True), end="")
+            sep = ", "
+        print(f"], {tail}")
         return 0
     print(f"seed: {seed}")
     attempts = "" if seq.attempts is None else f" (attempts: {seq.attempts})"
     print(f"forms: {seq.kind}{attempts}")
     print("degree  dim  plus  minus")
     for i in degrees:
-        s = spaces[i]
+        s = space(i)
         plus = "-" if s.plus_dim is None else s.plus_dim
         minus = "-" if s.minus_dim is None else s.minus_dim
         print(f"{i:>6}  {s.dim:>3}  {plus:>4}  {minus:>5}")

@@ -95,21 +95,24 @@ class _Block:
     `rows` are integer rows over the block's own columns; block column b
     stands for the full column reps[b] plus `sign` times its mirror (the
     column itself when the space does not split).  `known` is the exact
-    kernel dimension once it is known, from the basis or certified by the
-    caller of `certify_dims`; the rows are dropped once the basis exists.
+    kernel dimension once it is known, from the basis, certified by the
+    caller of `certify_dims` or by theorem; the rows are dropped once the
+    basis exists.  A block known to be 0 has the empty basis, so it is
+    never solved.
     """
 
     __slots__ = ("columns", "rows", "reps", "mirror", "sign", "known",
-                 "_basis")
+                 "_basis", "_polynomials")
 
-    def __init__(self, columns, rows, reps, mirror, sign):
+    def __init__(self, columns, rows, reps, mirror, sign, known=None):
         self.columns = columns
         self.rows = rows
         self.reps = reps
         self.mirror = mirror
         self.sign = sign
-        self.known = None
+        self.known = known
         self._basis = None
+        self._polynomials = None
 
     @property
     def dim(self) -> int:
@@ -127,19 +130,37 @@ class _Block:
     def basis(self) -> Basis:
         """Reduced exact basis in full coordinates."""
         if self._basis is None:
-            kernel = int_nullspace(self.rows, len(self.reps))
-            vectors = []
-            for u in kernel.vectors:
-                vec = [Fraction(0)] * len(self.columns)
-                for j, x in zip(self.reps, u):
-                    if x:
-                        vec[j] = x
-                        vec[self.mirror[j]] = self.sign * x
-                vectors.append(vec)
-            pivots = [self.reps[b] for b in kernel.pivots]
-            self._basis = Basis(self.columns, vectors, pivots)
+            self._basis = self._solve()
             self.rows = None
         return self._basis
+
+    def _solve(self) -> Basis:
+        if self.known == 0:
+            return Basis(self.columns, [], [])
+        kernel = int_nullspace(self.rows, len(self.reps))
+        vectors = []
+        for u in kernel.vectors:
+            vec = [Fraction(0)] * len(self.columns)
+            for j, x in zip(self.reps, u):
+                if x:
+                    vec[j] = x
+                    vec[self.mirror[j]] = self.sign * x
+            vectors.append(vec)
+        pivots = [self.reps[b] for b in kernel.pivots]
+        return Basis(self.columns, vectors, pivots)
+
+    def polynomials(self) -> list[Polynomial]:
+        """The basis as polynomials, in a new list on every call."""
+        if self._polynomials is None:
+            # each vector holds nonzero Fractions on distinct columns of
+            # one degree
+            self._polynomials = tuple(
+                Polynomial._of(
+                    {m: c for m, c in zip(self.columns, vec) if c}
+                )
+                for vec in self.basis.vectors
+            )
+        return list(self._polynomials)
 
 
 class StressSpace:
@@ -166,14 +187,6 @@ class StressSpace:
     def _part(self, k):
         return self.blocks[k] if len(self.blocks) == 2 else None
 
-    def _to_polynomials(self, block) -> list[Polynomial]:
-        return [
-            Polynomial(
-                [(m, c) for m, c in zip(self.columns, vec) if c]
-            )
-            for vec in block.basis.vectors
-        ]
-
     @property
     def dim(self) -> int:
         return sum(b.dim for b in self.blocks)
@@ -181,7 +194,7 @@ class StressSpace:
     @property
     def basis(self) -> list[Polynomial]:
         """Symmetric vectors first when the space is split."""
-        return [w for b in self.blocks for w in self._to_polynomials(b)]
+        return [w for b in self.blocks for w in b.polynomials()]
 
     @property
     def plus_dim(self):
@@ -196,12 +209,12 @@ class StressSpace:
     @property
     def plus_basis(self):
         part = self._part(0)
-        return None if part is None else self._to_polynomials(part)
+        return None if part is None else part.polynomials()
 
     @property
     def minus_basis(self):
         part = self._part(1)
-        return None if part is None else self._to_polynomials(part)
+        return None if part is None else part.polynomials()
 
     def vectorize(self, w: Polynomial):
         """Coordinates of w over `columns`; None if w leaves the space."""
@@ -471,7 +484,7 @@ def vanishing_stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:
     if i <= cx.dim + 1:
         raise ValueError("stresses vanish by theorem only above degree d")
     count = 2 if _has_parity_split(cx, forms) else 1
-    blocks = [_Block((), [], [], [], 1) for _ in range(count)]
+    blocks = [_Block((), [], [], [], 1, known=0) for _ in range(count)]
     return StressSpace(cx, forms, i, (), blocks)
 
 

@@ -71,7 +71,10 @@ class Basis:
 
     def __init__(self, columns, vectors, pivots):
         self.columns = tuple(columns)
-        self.vectors = tuple(tuple(Fraction(x) for x in v) for v in vectors)
+        self.vectors = tuple(
+            tuple(x if isinstance(x, Fraction) else Fraction(x) for x in v)
+            for v in vectors
+        )
         self.pivots = tuple(pivots)
         for v in self.vectors:
             if len(v) != len(self.columns):

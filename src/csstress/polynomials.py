@@ -23,7 +23,7 @@ def _vkey(v: int):
 class Monomial:
     """Product of vertex variables with positive integer exponents."""
 
-    __slots__ = ("exps", "_hash")
+    __slots__ = ("exps", "degree", "_hash")
 
     def __init__(self, exps=()):
         acc = {}
@@ -34,11 +34,18 @@ class Monomial:
                 acc[v] = acc.get(v, 0) + e
         pairs = tuple(sorted(acc.items(), key=lambda p: _vkey(p[0])))
         self.exps = pairs
+        self.degree = sum(acc.values())
         self._hash = hash(pairs)
 
-    @property
-    def degree(self) -> int:
-        return sum(e for _, e in self.exps)
+    @classmethod
+    def _canonical(cls, pairs, degree) -> "Monomial":
+        """Monomial of `pairs`, already in canonical order with positive
+        exponents summing to `degree`."""
+        m = object.__new__(cls)
+        m.exps = pairs
+        m.degree = degree
+        m._hash = hash(pairs)
+        return m
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -49,22 +56,24 @@ class Monomial:
 
     def divide(self, v: int) -> "Monomial":
         """Divide by x_v; requires x_v | self."""
-        out = []
-        seen = False
-        for u, e in self.exps:
+        exps = self.exps
+        for n, (u, e) in enumerate(exps):
             if u == v:
-                seen = True
+                # lowering or dropping one exponent keeps the order
+                rest = exps[n + 1:]
                 if e > 1:
-                    out.append((u, e - 1))
-            else:
-                out.append((u, e))
-        if not seen:
-            raise ValueError(f"x_{v} does not divide {self}")
-        return Monomial(out)
+                    rest = ((u, e - 1),) + rest
+                return Monomial._canonical(exps[:n] + rest, self.degree - 1)
+        raise ValueError(f"x_{v} does not divide {self}")
 
     def negate(self) -> "Monomial":
         """Image under the involution x_v -> x_{-v}."""
-        return Monomial((-v, e) for v, e in self.exps)
+        pairs = tuple((-v, e) for v, e in self.exps)
+        # the order compares |v| first, so only x_k and x_{-k} held
+        # together, which sit next to each other, trade places
+        if any(u == -v for (u, _), (v, _) in zip(pairs, pairs[1:])):
+            pairs = tuple(sorted(pairs, key=lambda p: _vkey(p[0])))
+        return Monomial._canonical(pairs, self.degree)
 
     def exponent(self, v: int) -> int:
         for u, e in self.exps:
@@ -109,15 +118,30 @@ class Polynomial:
         acc = {}
         if isinstance(terms, dict):
             terms = terms.items()
+        repeated = False
         for m, c in terms:
-            c = Fraction(c)
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
             if c:
-                acc[m] = acc.get(m, Fraction(0)) + c
-        acc = {m: c for m, c in acc.items() if c}
+                if m in acc:
+                    acc[m] += c
+                    repeated = True
+                else:
+                    acc[m] = c
+        if repeated:
+            acc = {m: c for m, c in acc.items() if c}
         degrees = {m.degree for m in acc}
         if len(degrees) > 1:
             raise ValueError(f"not homogeneous: degrees {sorted(degrees)}")
         self.terms = acc
+
+    @classmethod
+    def _of(cls, terms: dict) -> "Polynomial":
+        """Polynomial of `terms`, already nonzero Fractions on distinct
+        monomials of one degree."""
+        p = object.__new__(cls)
+        p.terms = terms
+        return p
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -148,24 +172,44 @@ class Polynomial:
         """Terms in canonical (descending graded-lex) order."""
         return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero():
-            return other
+    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other, for sign +1 or -1."""
         if other.is_zero():
             return self
-        return Polynomial(
-            list(self.terms.items()) + list(other.terms.items())
-        )
+        if self.is_zero():
+            return other if sign == 1 else -other
+        if self.degree != other.degree:
+            raise ValueError(
+                f"not homogeneous: degrees "
+                f"{sorted((self.degree, other.degree))}"
+            )
+        acc = dict(self.terms)
+        for m, c in other.terms.items():
+            if sign != 1:
+                c = -c
+            if m in acc:
+                c += acc[m]
+                if not c:
+                    del acc[m]
+                    continue
+            acc[m] = c
+        return Polynomial._of(acc)
+
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return self._combine(other, 1)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial([(m, -c) for m, c in self.terms.items()])
+        return Polynomial._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
-        return Polynomial([(m, c * v) for m, v in self.terms.items()])
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
+        if not c:
+            return Polynomial()
+        return Polynomial._of({m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         out = []
@@ -308,12 +352,12 @@ def partial_derivative(w: Polynomial, v: int) -> Polynomial:
     # dividing by x_v maps distinct monomials to distinct monomials of
     # one degree, and e * c is a nonzero Fraction, so nothing needs the
     # normalisation of Polynomial.__init__
-    out = Polynomial()
+    out = {}
     for m, c in w.terms.items():
         e = m.exponent(v)
         if e:
-            out.terms[m.divide(v)] = c * e
-    return out
+            out[m.divide(v)] = c * e
+    return Polynomial._of(out)
 
 
 def apply_derivative(c: LinearForm, w: Polynomial) -> Polynomial:
@@ -329,7 +373,8 @@ def apply_derivative(c: LinearForm, w: Polynomial) -> Polynomial:
 
 def involution_action(w: Polynomial) -> Polynomial:
     """Substitute x_{-v} for x_v throughout."""
-    return Polynomial([(m.negate(), c) for m, c in w.terms.items()])
+    # negation permutes the monomials of each degree
+    return Polynomial._of({m.negate(): c for m, c in w.terms.items()})
 
 
 def is_symmetric(w: Polynomial) -> bool:
@@ -338,9 +383,24 @@ def is_symmetric(w: Polynomial) -> bool:
 
 def pm_split(w: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Decompose w into symmetric and antisymmetric parts."""
-    aw = involution_action(w)
     half = Fraction(1, 2)
-    return (w + aw).scale(half), (w - aw).scale(half)
+    terms = w.terms
+    plus = {}
+    minus = {}
+    for m, c in terms.items():
+        if m in plus or m in minus:
+            continue  # set with its mirror
+        n = m.negate()
+        # the parts hold (c_m +- c_n) / 2 at m and +-(c_m +- c_n) / 2 at n
+        cn = terms.get(n, 0)
+        p = (c + cn) * half
+        q = (c - cn) * half
+        if p:
+            plus[m] = plus[n] = p
+        if q:
+            minus[m] = q
+            minus[n] = -q
+    return Polynomial._of(plus), Polynomial._of(minus)
 
 
 # -- Support, squarefreeness, pair-sum structure ---------------------------

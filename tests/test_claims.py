@@ -40,6 +40,7 @@ from csstress import (
     verify_thm35,
     verify_thm36,
 )
+import csstress.claims as claims_module
 from csstress.claims import (
     affine_table,
     instance_reports,
@@ -336,6 +337,18 @@ def test_thm35_fails_when_a_derived_polynomial_is_no_stress(octahedron):
     assert len(r.witness) == 12
     assert {f["reason"] for f in r.witness} == {
         "derived polynomial is not a stress"}
+
+
+def test_thm35_transports_each_degree_once(corpus_by_name, monkeypatch):
+    calls = []
+    real = claims_module.derived_stress
+    monkeypatch.setattr(claims_module, "derived_stress",
+                        lambda *a: calls.append(a) or real(*a))
+    reports = instance_reports(corpus_by_name["crosspoly_d4"], 1)
+    (thm35,) = [r for r in reports if r.claim_id == "Thm3.5"]
+    # degree 2 reports the pairs of degrees 3 and 4, degree 3 those of 4
+    assert [c["transported"] for c in thm35.computed] == [72, 24, 0]
+    assert len(calls) == 72
 
 
 def test_thm35_unmet_when_asymmetric_stresses_exist():

@@ -118,6 +118,37 @@ def test_stress_degree_60_is_answered_without_enumeration(mode):
     assert proc.stdout.splitlines()[-1].split() == ["60", "0", "0", "0"]
 
 
+def peak_rss_kib(*argv) -> int:
+    """ru_maxrss of a child process that runs the CLI, stdout discarded."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import resource, sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from csstress.cli import main\n"
+        f"code = main({list(argv)!r})\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,"
+        " file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stderr.split()[-1])
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_stress_memory_does_not_grow_with_max_degree(fmt):
+    # degrees above d are answered by theorem as they are printed, so
+    # 40 000 of them cost no more memory than the table alone
+    path = str(CORPUS_DIR / "crosspoly_d3.json")
+    small, large = (peak_rss_kib("stress", path, "--max-degree", top,
+                                 "--format", fmt) for top in ("3", "40000"))
+    assert large - small < 5 * 1024, (small, large)
+
+
 @pytest.mark.parametrize("command, facets", [
     ("info", [list(range(1, 41))]),
     ("verify", [list(range(1, 41)), [41, 42]]),  # not pure

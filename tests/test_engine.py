@@ -354,6 +354,24 @@ def test_certified_dims_are_exact(cx, seed):
         assert s.dim == brute_stress_dim(cx.facets, rows, i), i
 
 
+def test_certified_zero_blocks_are_never_solved(corpus_by_name, monkeypatch):
+    cx = corpus_by_name["crosspoly_d4"].complex
+    seq, spaces = linear_table(cx, 1)
+    solved = []
+    real = engine_module.int_nullspace
+    monkeypatch.setattr(engine_module, "int_nullspace",
+                        lambda *a: solved.append(a) or real(*a))
+    # minus_i = (h_i - C(d, i)) / 2 vanishes on a cross-polytope
+    for s in (*spaces, vanishing_stress_space(cx, seq, 5)):
+        assert s.minus_basis == [] and s.minus_dim == 0
+    assert solved == []
+    first = spaces[2].plus_basis
+    assert len(first) == 6 and len(solved) == 1
+    # each call hands out a new list of the same stresses
+    again = spaces[2].plus_basis
+    assert again == first and again is not first and len(solved) == 1
+
+
 # -- restriction ------------------------------------------------------------------
 
 

@@ -52,6 +52,8 @@ RENDERS = {
     "stress_affine_table.txt": lambda: _per_file(
         ["stress", "--affine"], only=_is_polytope),
     "verify_table.txt": lambda: _stdout(["verify", str(CORPUS_DIR)]),
+    "verify_json.txt": lambda: _stdout(
+        ["verify", str(CORPUS_DIR), "--format", "json", "--seed", "1"]),
 }
 
 

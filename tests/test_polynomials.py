@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csstress import (
@@ -85,6 +85,9 @@ def test_monomial_product_merges_exponents():
 def test_polynomial_rejects_mixed_degrees():
     with pytest.raises(ValueError):
         Polynomial([(mono(1), 1), (mono(1, 2), 1)])
+    for op in (Polynomial.__add__, Polynomial.__sub__):
+        with pytest.raises(ValueError):
+            op(Polynomial.variable(1), Polynomial([(mono(1, 2), 1)]))
 
 
 def test_polynomial_accumulates_and_drops_zeros():
@@ -104,6 +107,93 @@ def test_arithmetic_basics():
     assert (x1 + x2) - x1 == x2
     assert (x1 * x2).coefficient(mono(1, 2)) == 1
     assert x1.scale(Fraction(3, 4)).coefficient(mono(1)) == Fraction(3, 4)
+
+
+# -- fast paths against the normalising constructor -----------------------------
+
+
+def rebuilt(terms) -> Polynomial:
+    """The polynomial of a raw term list, through the normalising path."""
+    return Polynomial(list(terms))
+
+
+def slow_negate(m: Monomial) -> Monomial:
+    return Monomial((-v, e) for v, e in m.exps)
+
+
+def slow_divide(m: Monomial, v: int) -> Monomial:
+    return Monomial((u, e - 1 if u == v else e) for u, e in m.exps)
+
+
+def assert_normal(got: Polynomial, want: Polynomial):
+    assert got.terms == want.terms
+    for c in got.terms.values():
+        assert type(c) is Fraction and c != 0
+    for m in got.terms:
+        assert m.degree == sum(e for _, e in m.exps) == want.degree
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """(w, v) of one degree, v often cancelling some of the terms of w."""
+    w = draw(polynomials())
+    deg = w.degree or draw(st.integers(1, 3))
+    terms = []
+    for m, c in w.terms.items():
+        pick = draw(st.sampled_from(["drop", "same", "opposite", "other"]))
+        if pick == "same":
+            terms.append((m, c))
+        elif pick == "opposite":
+            terms.append((m, -c))
+        elif pick == "other":
+            terms.append((m, draw(st.integers(-5, 5))))
+    terms += draw(polynomials(degree=deg)).terms.items()
+    return w, Polynomial(terms)
+
+
+MIXED = Polynomial([(mono(1, -1, -1), 2), (mono(-1, 1, 1), -2),
+                    (mono(2, -2, 3), 1), (mono(-2, 2, -3), 1)])
+
+
+@given(polynomial_pairs(), st.integers(-3, 3), st.sampled_from(LABELS))
+@example((MIXED, MIXED), 0, -1)
+@example((MIXED, -MIXED), 2, 1)
+@settings(max_examples=150, deadline=None)
+def test_fast_paths_match_the_normalising_constructor(pair, k, v):
+    w, u = pair
+    items, others = list(w.terms.items()), list(u.terms.items())
+    assert_normal(w + u, rebuilt(items + others))
+    assert_normal(w - u, rebuilt(items + [(m, -c) for m, c in others]))
+    assert_normal(-w, rebuilt((m, -c) for m, c in items))
+    assert_normal(w.scale(k), rebuilt((m, k * c) for m, c in items))
+    assert_normal(w * u, rebuilt((m1 * m2, c1 * c2) for m1, c1 in items
+                                 for m2, c2 in others))
+    assert_normal(involution_action(w),
+                  rebuilt((slow_negate(m), c) for m, c in items))
+    half = Fraction(1, 2)
+    mirrored = [(slow_negate(m), c * half) for m, c in items]
+    plus, minus = pm_split(w)
+    assert_normal(plus, rebuilt([(m, c * half) for m, c in items]
+                                + mirrored))
+    assert_normal(minus, rebuilt([(m, c * half) for m, c in items]
+                                 + [(m, -c) for m, c in mirrored]))
+    assert_normal(partial_derivative(w, v), rebuilt(
+        (slow_divide(m, v), c * m.exponent(v))
+        for m, c in items if m.exponent(v)
+    ))
+    form = LinearForm({x: k + x for x in LABELS})
+    assert_normal(apply_derivative(form, w), rebuilt(
+        (slow_divide(m, x), c * m.exponent(x) * form.coefficient(x))
+        for m, c in items for x in m.support
+    ))
+    for m, _ in items:
+        assert m.negate() == slow_negate(m)
+        assert hash(m.negate()) == hash(slow_negate(m))
+        assert m.negate().degree == m.degree
+        for x in m.support:
+            slow = slow_divide(m, x)
+            assert m.divide(x) == slow and hash(m.divide(x)) == hash(slow)
+            assert m.divide(x).degree == m.degree - 1
 
 
 # -- linear forms ---------------------------------------------------------------
