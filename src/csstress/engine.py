@@ -35,15 +35,19 @@ from .polynomials import (
     Polynomial,
     apply_derivative,
     delta_monomials,
+    negated_exps,
     pm_split,
 )
 
 COEFF_BOUND = 10**6
 MAX_ATTEMPTS = 8
-# Modulus of the fast ranks.  Any prime keeps every answer exact, because
-# a rank mod p is only used where it certifies itself; a large one makes
-# an uncertified answer, and the exact work it costs, rare.
-PRIME = 2**31 - 1
+# Moduli of the fast ranks, tried in order: the two largest primes below
+# 2^15.  Any prime keeps every answer exact, because a rank mod p is only
+# used where it certifies itself.  Below 2^15 a product of two residues
+# stays below 2^30, a one-digit CPython int, so `*` and `%` take the
+# interpreter's fast paths; the second prime makes an uncertified answer,
+# and the exact work it costs, rarer.
+PRIMES = (32749, 32719)
 
 
 class FormSequence:
@@ -92,21 +96,22 @@ class FormSequence:
 class _Block:
     """One kernel block of the constraint matrix, solved on first read.
 
-    `rows` are integer rows over the block's own columns; block column b
-    stands for the full column reps[b] plus `sign` times its mirror (the
-    column itself when the space does not split).  `known` is the exact
-    kernel dimension once it is known, from the basis, certified by the
-    caller of `certify_dims` or by theorem; the rows are dropped once the
-    basis exists.  A block known to be 0 has the empty basis, so it is
-    never solved.
+    `matrix` holds the block's columns, one integer vector {row: value}
+    per representative; block column b stands for the full column
+    reps[b] plus `sign` times its mirror (the column itself when the
+    space does not split).  `known` is the exact kernel dimension once
+    it is known, from the basis, certified by the caller of
+    `certify_dims` or by theorem; the matrix is dropped once the basis
+    exists.  A block known to be 0 has the empty basis, so it is never
+    solved.
     """
 
-    __slots__ = ("columns", "rows", "reps", "mirror", "sign", "known",
+    __slots__ = ("columns", "matrix", "reps", "mirror", "sign", "known",
                  "_basis", "_polynomials")
 
-    def __init__(self, columns, rows, reps, mirror, sign, known=None):
+    def __init__(self, columns, matrix, reps, mirror, sign, known=None):
         self.columns = columns
-        self.rows = rows
+        self.matrix = matrix
         self.reps = reps
         self.mirror = mirror
         self.sign = sign
@@ -121,23 +126,33 @@ class _Block:
         return self.known
 
     def dim_mod(self, p: int) -> int:
-        """Kernel dimension mod p: at least `dim`, the rows being integer."""
-        if self.rows is None:
+        """Kernel dimension mod p: at least `dim`, the matrix being integer.
+
+        The rank is taken over the columns, since rank A = rank A^T: the
+        blocks are taller than wide, and eliminating columns wastes work
+        only on the `dim` of them that reduce to zero.
+        """
+        if self.matrix is None:
             return self.dim
-        return len(self.reps) - rank_mod(self.rows, p)
+        return len(self.reps) - rank_mod(self.matrix, p)
 
     @property
     def basis(self) -> Basis:
         """Reduced exact basis in full coordinates."""
         if self._basis is None:
             self._basis = self._solve()
-            self.rows = None
+            self.matrix = None
         return self._basis
 
     def _solve(self) -> Basis:
         if self.known == 0:
             return Basis(self.columns, [], [])
-        kernel = int_nullspace(self.rows, len(self.reps))
+        # the reduced kernel basis does not depend on the row order
+        rows: dict = {}
+        for b, column in enumerate(self.matrix):
+            for r, x in column.items():
+                rows.setdefault(r, {})[b] = x
+        kernel = int_nullspace(list(rows.values()), len(self.reps))
         vectors = []
         for u in kernel.vectors:
             vec = [Fraction(0)] * len(self.columns)
@@ -329,9 +344,9 @@ def canonical_forms(p) -> FormSequence:
 def lsop_check(cx: SimplicialComplex, forms) -> bool:
     """Facet-rank criterion: every facet restriction has full rank.
 
-    Each facet's rank is taken mod PRIME first, which can only be lower
-    than over Q, so full rank mod PRIME is full rank; otherwise the exact
-    rank decides.
+    Each facet's rank is taken mod PRIMES[0] first, which can only be
+    lower than over Q, so full rank mod that prime is full rank;
+    otherwise the exact rank decides.
     """
     forms = list(forms)
     d = cx.dim + 1
@@ -345,7 +360,7 @@ def lsop_check(cx: SimplicialComplex, forms) -> bool:
         rows = [
             {j: f[v] for j, v in enumerate(facet) if v in f} for f in scaled
         ]
-        if rank_mod(rows, PRIME) == len(facet):
+        if rank_mod(rows, PRIMES[0]) == len(facet):
             continue
         if int_rank(rows, len(facet)) != len(facet):
             return False
@@ -369,108 +384,131 @@ def _integer_coefficients(forms) -> list[dict]:
 
 
 def stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:
-    """The degree-i stress equations, assembled as integer blocks.
+    """The degree-i stress equations, assembled as integer column blocks.
 
     The constraint matrix D has one column per face-supported degree-i
-    monomial and one row per (form k, degree-(i-1) monomial) pair; its
-    entry is the coefficient of that monomial in the k-th derivative of
-    the column monomial, with the rows of form k scaled to integers.  With
-    a parity split its kernel is split into two blocks (see
-    `_parity_blocks`), otherwise it is one.  Nothing is solved here: each
-    block is solved exactly when its basis or dimension is first read.
+    monomial and one row per (form k, degree-(i-1) monomial mu) pair; its
+    entry is the coefficient of mu in the k-th derivative of the column
+    monomial, with the rows of form k scaled to integers.  Without a
+    parity split the kernel is one block, D itself.  With one, it splits
+    into a symmetric and an antisymmetric block, built in the same pass.
+
+    The involution sigma permutes the columns of a cs complex, freely
+    except for the degree-0 monomial 1, and the rows likewise.  A form
+    of parity e_k (+1 or -1) has D[(k, sigma mu), sigma m] =
+    e_k D[(k, mu), m].  So on a vector of parity s, row (k, sigma mu) is
+    s e_k times row (k, mu), and the block of parity s has one column
+    m + s sigma m per orbit representative m and one row per orbit of
+    rows.  An entry D[(k, mu), m] of a representative column therefore
+    lands on the representative row of its orbit with the factor 1 when
+    mu is that representative, s e_k when sigma mu is, and 1 + s e_k
+    when mu = sigma mu.  The fixed monomial 1 is a symmetric column only,
+    and it has no entries.  Nothing is solved here: each block is solved
+    exactly when its basis or dimension is first read.
     """
     if i < 0:
         raise ValueError("degree must be nonnegative")
     columns = tuple(delta_monomials(cx, i))
     form_list = list(forms)
-    scaled = _integer_coefficients(form_list)
-    row_index: dict = {}
-    rows: list[dict] = []
-    for j, m in enumerate(columns):
-        # distinct v give distinct rows (k, m / x_v), so each entry of D
-        # has one term
-        for v, e in m.exps:
-            lower = m.divide(v)
-            for k, coeffs in enumerate(scaled):
-                c = coeffs.get(v)
-                if not c:
-                    continue
-                key = (k, lower)
-                r = row_index.get(key)
-                if r is None:
-                    r = row_index[key] = len(rows)
-                    rows.append({})
-                rows[r][j] = e * c
-    if _has_parity_split(cx, form_list):
-        blocks = _parity_blocks(columns, row_index, rows)
+    split = _has_parity_split(cx, form_list)
+    if split:
+        col_of = {m.exps: j for j, m in enumerate(columns)}
+        mirror = [col_of[negated_exps(m.exps)] for m in columns]
     else:
-        same = range(len(columns))
-        blocks = (_Block(columns, rows, same, same, 1),)
+        mirror = range(len(columns))
+    nforms = len(form_list)
+    scaled = _integer_coefficients(form_list)
+    if split:
+        parity = [1 if f.parity == "plus" else -1 for f in form_list]
+        rep_weights = _entry_weights(cx, scaled, [(1, 1)] * nforms)
+        mirror_weights = _entry_weights(cx, scaled,
+                                        [(e, -e) for e in parity])
+        fixed_weights = _entry_weights(cx, scaled,
+                                       [(1 + e, 1 - e) for e in parity])
+    else:
+        # every row is its own orbit, a fixed one, and no entry reaches
+        # a second block
+        rep_weights = mirror_weights = None
+        fixed_weights = _entry_weights(cx, scaled, [(1, 0)] * nforms)
+    # lower monomial exps -> (first of its orbit's nforms rows, weights)
+    orbits: dict = {}
+    row_count = 0
+    plus_reps, plus_matrix, minus_reps, minus_matrix = [], [], [], []
+    for j, m in enumerate(columns):
+        if mirror[j] < j:
+            continue
+        exps = m.exps
+        plus, minus = {}, {}
+        # the m / x_v for distinct v lie in distinct row orbits, their
+        # supports being faces of supp m, which meets its mirror in no
+        # vertex; so each entry of a block has one term
+        for n, (v, e) in enumerate(exps):
+            if e > 1:
+                lower = exps[:n] + ((v, e - 1),) + exps[n + 1:]
+            else:
+                lower = exps[:n] + exps[n + 1:]
+            orbit = orbits.get(lower)
+            if orbit is None:
+                negated = negated_exps(lower) if split else lower
+                if negated == lower:
+                    orbit = orbits[lower] = (row_count, fixed_weights)
+                else:
+                    orbit = orbits[lower] = (row_count, rep_weights)
+                    orbits[negated] = (row_count, mirror_weights)
+                row_count += nforms
+            first, weights = orbit
+            to_plus, to_minus = weights[v]
+            for k, w in to_plus:
+                plus[first + k] = e * w
+            for k, w in to_minus:
+                minus[first + k] = e * w
+        plus_reps.append(j)
+        plus_matrix.append(plus)
+        if mirror[j] != j:
+            minus_reps.append(j)
+            minus_matrix.append(minus)
+    blocks = [_Block(columns, plus_matrix, plus_reps, mirror, 1)]
+    if split:
+        blocks.append(_Block(columns, minus_matrix, minus_reps, mirror, -1))
     return StressSpace(cx, forms, i, columns, blocks)
 
 
-def _parity_blocks(columns, row_index, rows) -> tuple[_Block, _Block]:
-    """Symmetric and antisymmetric blocks of D.
-
-    The involution sigma permutes the columns of a cs complex, freely
-    except for the degree-0 monomial 1.  A form of parity e (+1 or -1)
-    has sigma D_k sigma = e D_k, so on a vector of definite parity row
-    (k, sigma r) of D is +-e times row (k, r).  Hence the kernel splits
-    into a symmetric part, solved over the columns m + sigma m, and an
-    antisymmetric part, over the columns m - sigma m, one column per
-    orbit representative m and one row per mirror pair of rows.  The
-    fixed monomial 1 is a symmetric column only.
-    """
-    col_of = {m: j for j, m in enumerate(columns)}
-    mirror = [col_of[m.negate()] for m in columns]
-    kept = [
-        rows[n] for (k, r), n in row_index.items()
-        if n <= row_index[(k, r.negate())]
-    ]
-    blocks = []
-    for sign in (1, -1):
-        reps = [
-            j for j, p in enumerate(mirror)
-            if j < p or (j == p and sign == 1)
-        ]
-        at = {j: b for b, j in enumerate(reps)}
-        block_rows = []
-        for row in kept:
-            out = {}
-            for j, x in row.items():
-                b = at.get(j)
-                if b is None:
-                    # the mirror of a representative, or 1 in the minus block
-                    b = at.get(mirror[j])
-                    if b is None:
-                        continue
-                    x = sign * x
-                out[b] = out.get(b, 0) + x
-            out = {b: x for b, x in out.items() if x}
-            if out:
-                block_rows.append(out)
-        blocks.append(_Block(columns, block_rows, reps, mirror, sign))
-    return tuple(blocks)
+def _entry_weights(cx, scaled, factors) -> dict:
+    """Per vertex v, the nonzero (k, weight) pairs, for the symmetric and
+    for the antisymmetric block, that an entry from x_v^e sends there:
+    the scaled coefficient of x_v in form k times factors[k], the factor
+    pair of `stress_space` for one kind of row."""
+    table = {}
+    for v in cx.ground_set:
+        terms = [(k, coeffs.get(v, 0), f)
+                 for k, (coeffs, f) in enumerate(zip(scaled, factors))]
+        table[v] = (
+            [(k, c * fp) for k, c, (fp, _) in terms if c * fp],
+            [(k, c * fm) for k, c, (_, fm) in terms if c * fm],
+        )
+    return table
 
 
 def certify_dims(spaces, floor: int) -> bool:
-    """Fix every block dimension of `spaces` from its rank mod PRIME when
-    those dimensions sum to `floor`; return whether they did.
+    """Fix every block dimension of `spaces` from its rank mod a prime of
+    PRIMES when those dimensions sum to `floor`; return whether they did.
 
-    Each block is an integer matrix, so its kernel dimension mod PRIME is
-    at least the exact one.  The caller proves that `floor` is at most the
-    sum of the exact dimensions.  When the dimensions mod PRIME sum to
-    `floor`, every inequality is therefore an equality and each of them is
-    exact.  Otherwise nothing changes, and each dimension is solved
-    exactly when it is read.
+    Each block is an integer matrix, so its kernel dimension mod any
+    prime is at least the exact one.  The caller proves that `floor` is
+    at most the sum of the exact dimensions.  When the dimensions mod p
+    sum to `floor`, every inequality is therefore an equality and each
+    of them is exact.  A prime that lowers some rank is tried no
+    further, and the next one is; when every prime fails nothing
+    changes, and each dimension is solved exactly when it is read.
     """
     blocks = [b for s in spaces for b in s.blocks]
-    dims = [b.dim_mod(PRIME) for b in blocks]
-    if sum(dims) != floor:
-        return False
-    for b, k in zip(blocks, dims):
-        b.known = k
-    return True
+    for p in PRIMES:
+        dims = [b.dim_mod(p) for b in blocks]
+        if sum(dims) == floor:
+            for b, k in zip(blocks, dims):
+                b.known = k
+            return True
+    return False
 
 
 def vanishing_stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:

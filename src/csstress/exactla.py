@@ -88,7 +88,7 @@ class Basis:
 
     def reduce(self, vector) -> tuple:
         """Remainder of vector after subtracting its span components."""
-        r = [Fraction(x) for x in vector]
+        r = [x if isinstance(x, Fraction) else Fraction(x) for x in vector]
         if len(r) != len(self.columns):
             raise IndexMismatch("vector length differs from column count")
         for vec, p in zip(self.vectors, self.pivots):

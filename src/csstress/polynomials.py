@@ -68,12 +68,7 @@ class Monomial:
 
     def negate(self) -> "Monomial":
         """Image under the involution x_v -> x_{-v}."""
-        pairs = tuple((-v, e) for v, e in self.exps)
-        # the order compares |v| first, so only x_k and x_{-k} held
-        # together, which sit next to each other, trade places
-        if any(u == -v for (u, _), (v, _) in zip(pairs, pairs[1:])):
-            pairs = tuple(sorted(pairs, key=lambda p: _vkey(p[0])))
-        return Monomial._canonical(pairs, self.degree)
+        return Monomial._canonical(negated_exps(self.exps), self.degree)
 
     def exponent(self, v: int) -> int:
         for u, e in self.exps:
@@ -104,6 +99,17 @@ class Monomial:
 
     def __repr__(self):
         return f"Monomial({self.text()})"
+
+
+def negated_exps(pairs: tuple) -> tuple:
+    """`exps` of the image under x_v -> x_{-v} of the monomial whose
+    `exps` are `pairs`."""
+    negated = tuple((-v, e) for v, e in pairs)
+    # the order compares |v| first, so only x_k and x_{-k} held
+    # together, which sit next to each other, trade places
+    if any(u == -v for (u, _), (v, _) in zip(negated, negated[1:])):
+        negated = tuple(sorted(negated, key=lambda p: _vkey(p[0])))
+    return negated
 
 
 ONE = Monomial()

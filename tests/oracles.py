@@ -38,6 +38,29 @@ def dense_rank(rows) -> int:
     return rank
 
 
+def dense_rank_mod(rows, p) -> int:
+    """Rank over GF(p), p prime, by textbook Gauss-Jordan on dense rows."""
+    m = [[x % p for x in row] for row in rows]
+    if not m:
+        return 0
+    rank = 0
+    for c in range(len(m[0])):
+        pivot = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][c], p - 2, p)  # Fermat inverse
+        m[rank] = [x * inv % p for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][c]:
+                factor = m[r][c]
+                m[r] = [(a - factor * b) % p for a, b in zip(m[r], m[rank])]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
 def dense_nullspace(rows, ncols) -> list[list[Fraction]]:
     """Nullspace basis from the reduced row echelon form."""
     m = [[Fraction(x) for x in row] for row in rows]

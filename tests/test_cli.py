@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -294,11 +295,40 @@ def test_stress_falls_back_to_exact_dims(capsys, monkeypatch, name,
     assert bool(calls) == exact_path
     # mod 3 the ranks drop, the certificate fails, and the dims are solved
     calls.clear()
-    monkeypatch.setattr(engine_module, "PRIME", 3)
+    monkeypatch.setattr(engine_module, "PRIMES", (3,))
     code, out, _ = run(capsys, "stress", path, "--format", "json")
     assert code == 0
     assert out == golden_stress_json(name)
     assert calls
+
+
+@pytest.mark.parametrize("primes, solved", [((3, 32749), False),
+                                             ((3,), True)])
+def test_second_prime_certifies_when_the_first_fails(capsys, monkeypatch,
+                                                     primes, solved):
+    # mod 3 a rank of crosspoly_d4 drops, so 3 alone falls back to exact
+    # solves, and 3 then 32749 certifies through the second prime
+    monkeypatch.setattr(engine_module, "PRIMES", primes)
+    calls = count_nullspace_calls(monkeypatch)
+    path = str(CORPUS_DIR / "crosspoly_d4.json")
+    code, out, _ = run(capsys, "stress", path, "--format", "json")
+    assert code == 0
+    assert out == golden_stress_json("crosspoly_d4")
+    assert bool(calls) == solved
+
+
+def test_stress_dims_of_the_6_cross_polytope(tmp_path, capsys, monkeypatch):
+    calls = count_nullspace_calls(monkeypatch)
+    path = str(tmp_path / "cp6.json")
+    assert run(capsys, "generate", "crosspoly", "--d", "6", "--out",
+               path)[0] == 0
+    code, out, _ = run(capsys, "stress", path, "--format", "json")
+    assert code == 0
+    # the boundary has h_i = C(6, i), and minus_i = (h_i - C(d, i)) / 2
+    assert [(r["degree"], r["dim"], r["plus"], r["minus"])
+            for r in json.loads(out)["degrees"]] == [
+        (i, comb(6, i), comb(6, i), 0) for i in range(7)]
+    assert calls == []
 
 
 @pytest.mark.parametrize("text", [

@@ -132,7 +132,7 @@ def test_lsop_check_rejects_repeats(octahedron):
 
 @settings(max_examples=60, deadline=None)
 @given(cx=st.one_of(CS_COMPLEXES, PURE_COMPLEXES), data=st.data(),
-       prime=st.sampled_from([engine_module.PRIME, 3]))
+       prime=st.sampled_from([engine_module.PRIMES[0], 3]))
 def test_lsop_check_matches_exact_facet_ranks(cx, data, prime):
     # small rational coefficients make rank-deficient facets common; the
     # prime 3 makes the exact fallback common too
@@ -146,7 +146,7 @@ def test_lsop_check_matches_exact_facet_ranks(cx, data, prime):
         == len(facet)
         for facet in cx.facets
     )
-    with mock.patch.object(engine_module, "PRIME", prime):
+    with mock.patch.object(engine_module, "PRIMES", (prime,)):
         assert lsop_check(cx, forms) == want
 
 

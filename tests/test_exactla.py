@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from csstress import Basis, IndexMismatch, SparseMatrix, nullspace, rank
 from csstress.exactla import int_nullspace, int_rank, rank_mod
-from oracles import dense_nullspace, dense_rank, same_span
+from oracles import dense_nullspace, dense_rank, dense_rank_mod, same_span
 
 
 def random_dense(rng, nrows, ncols, density=0.5):
@@ -121,6 +121,31 @@ def test_integer_row_entry_points_match_the_matrix_path(nrows, ncols, seed):
     # a rank mod p never exceeds the rank over Q
     assert rank_mod(rows, 5) <= rank(m)
     assert rows == before
+
+
+@st.composite
+def integer_matrices(draw):
+    """Tall, wide or square integer matrices, some rows zero or repeated."""
+    nrows, ncols = draw(st.integers(0, 9)), draw(st.integers(1, 9))
+    entries = st.integers(-40, 40) | st.sampled_from([0, 3, 32749, 32749 * 7])
+    rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols))
+            for _ in range(nrows)]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(rows)))
+        rows.insert(at, draw(st.sampled_from(rows + [[0] * ncols])))
+    return rows, ncols
+
+
+@given(integer_matrices(), st.sampled_from([3, 32749]))
+@settings(max_examples=150, deadline=None)
+def test_rank_mod_is_the_same_on_rows_and_columns(matrix, p):
+    dense, ncols = matrix
+    rows = [{c: x for c, x in enumerate(row) if x} for row in dense]
+    columns = [{r: row[c] for r, row in enumerate(dense) if row[c]}
+               for c in range(ncols)]
+    want = dense_rank_mod(dense, p)
+    assert rank_mod(rows, p) == rank_mod(columns, p) == want
+    assert want <= int_rank(rows, ncols)
 
 
 def test_results_are_deterministic():
