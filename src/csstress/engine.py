@@ -3,15 +3,17 @@
 A degree-i stress is a homogeneous polynomial whose monomials are each
 supported on a face and which is annihilated by the derivative operator of
 every form in the chosen sequence.  Stress spaces are kernels of an
-integer constraint matrix.  For a centrally symmetric complex and forms of
-definite parity, the involution x_v -> x_{-v} splits that matrix into a
-symmetric (plus) and an antisymmetric (minus) block; their dimensions
-carry the face-number content.  A block is solved as an exact nullspace
-only when its basis or dimension is read, and `certify_dims` fixes the
-dimensions of a whole table from ranks mod a prime when a lower bound
-proves them exact, so a caller that needs only dimensions may solve
-nothing.  Stresses are local, so the stresses of a subcomplex are
-computed on the subcomplex itself.
+integer constraint matrix, built from the reduced row echelon basis of the
+span of the forms, on which alone the stresses depend; it is much sparser
+than the matrix of the forms as drawn.  For a centrally symmetric complex
+and forms of definite parity, the involution x_v -> x_{-v} splits that
+matrix into a symmetric (plus) and an antisymmetric (minus) block; their
+dimensions carry the face-number content.  A block is solved as an exact
+nullspace only when its basis or dimension is read, and `certify_dims`
+fixes the dimensions of a whole table from ranks mod a prime when a lower
+bound proves them exact, so a caller that needs only dimensions may solve
+nothing.  Stresses are local, so the stresses of a subcomplex are computed
+on the subcomplex itself.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import (
     NotSimplicial,
     NotSubcomplex,
 )
-from .exactla import Basis, int_nullspace, int_rank, rank_mod
+from .exactla import Basis, int_nullspace, int_rank, int_rref, rank_mod
 from .polynomials import (
     LinearForm,
     Polynomial,
@@ -51,11 +53,12 @@ PRIMES = (32749, 32719)
 
 
 class FormSequence:
-    """Ordered linear forms with a kind tag and sampling provenance."""
+    """Ordered linear forms with a kind tag and sampling provenance, and
+    their echelon rows once `echelon_rows` has read them."""
 
     KINDS = ("special_lsop", "canonical_polytope", "custom")
 
-    __slots__ = ("forms", "kind", "seed", "attempts")
+    __slots__ = ("forms", "kind", "seed", "attempts", "_echelon")
 
     def __init__(self, forms, kind, seed=None, attempts=None):
         forms = tuple(forms)
@@ -79,6 +82,7 @@ class FormSequence:
         self.kind = kind
         self.seed = seed
         self.attempts = attempts
+        self._echelon = None  # filled by `echelon_rows`
 
     def __len__(self):
         return len(self.forms)
@@ -344,21 +348,23 @@ def canonical_forms(p) -> FormSequence:
 def lsop_check(cx: SimplicialComplex, forms) -> bool:
     """Facet-rank criterion: every facet restriction has full rank.
 
-    Each facet's rank is taken mod PRIMES[0] first, which can only be
-    lower than over Q, so full rank mod that prime is full rank;
+    A facet's rank depends only on the span of the forms, so it is read
+    from their echelon rows.  It is taken mod PRIMES[0] first, which can
+    only be lower than over Q, so full rank mod that prime is full rank;
     otherwise the exact rank decides.
     """
-    forms = list(forms)
+    if not isinstance(forms, FormSequence):
+        forms = list(forms)
     d = cx.dim + 1
     if len(forms) != d:
         raise LengthMismatch(
             f"expected {d} forms for a {d - 1}-dimensional complex, "
             f"got {len(forms)}"
         )
-    scaled = _integer_coefficients(forms)
+    echelon = [coeffs for _, coeffs in echelon_rows(forms)]
     for facet in sorted(cx.facets):
         rows = [
-            {j: f[v] for j, v in enumerate(facet) if v in f} for f in scaled
+            {j: c[v] for j, v in enumerate(facet) if v in c} for c in echelon
         ]
         if rank_mod(rows, PRIMES[0]) == len(facet):
             continue
@@ -367,17 +373,40 @@ def lsop_check(cx: SimplicialComplex, forms) -> bool:
     return True
 
 
-def _integer_coefficients(forms) -> list[dict]:
-    """Each form's coefficients times the lcm of their denominators.
+def echelon_rows(forms) -> tuple:
+    """The reduced row echelon basis of span(forms), one parity class at
+    a time, as pairs (parity, {vertex: integer coefficient}).
 
-    Scaling a form by a nonzero constant scales its rows of every matrix
-    built here, which changes neither a rank nor a kernel.
+    Every matrix built here has one row per form and vertex data, and
+    its ranks and kernels depend only on the span of the forms.  A
+    combination of forms of one parity keeps that parity, so the rows
+    are reduced within each class and the parity split survives.  Each
+    row is scaled to coprime integers.  A FormSequence reduces its forms
+    on first use and keeps the rows; any other sequence is reduced on
+    every call.
     """
+    if not isinstance(forms, FormSequence):
+        return _reduce_forms(forms)
+    if forms._echelon is None:
+        forms._echelon = _reduce_forms(forms.forms)
+    return forms._echelon
+
+
+def _reduce_forms(forms) -> tuple:
     out = []
-    for f in forms:
-        mult = lcm(*(c.denominator for c in f.coeffs.values()))
-        out.append({v: int(c * mult) for v, c in f.coeffs.items()})
-    return out
+    for parity in ("minus", "plus", "none"):
+        group = [f.coeffs for f in forms if f.parity == parity]
+        labels = sorted({v for coeffs in group for v in coeffs})
+        index = {v: j for j, v in enumerate(labels)}
+        rows = []
+        for coeffs in group:
+            mult = lcm(*(c.denominator for c in coeffs.values()))
+            rows.append({index[v]: int(c * mult) for v, c in coeffs.items()})
+        out.extend(
+            (parity, {labels[j]: x for j, x in row.items()})
+            for row in int_rref(rows, len(labels))
+        )
+    return tuple(out)
 
 
 # -- stress spaces ----------------------------------------------------------
@@ -389,9 +418,17 @@ def stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:
     The constraint matrix D has one column per face-supported degree-i
     monomial and one row per (form k, degree-(i-1) monomial mu) pair; its
     entry is the coefficient of mu in the k-th derivative of the column
-    monomial, with the rows of form k scaled to integers.  Without a
-    parity split the kernel is one block, D itself.  With one, it splits
-    into a symmetric and an antisymmetric block, built in the same pass.
+    monomial.  The forms k are the integer echelon rows of `echelon_rows`,
+    not the given forms: both span one space, so the rows of D for one
+    span the row space of D for the other, and the kernel, its reduced
+    basis and every dimension are the same.  Within a parity class an
+    echelon row vanishes on the pivot vertices of the others, so a pivot
+    vertex v of supp m, or its mirror, puts one entry per class into the
+    column of m, where dense forms put d.  With an antisymmetric
+    l.s.o.p. of a cross-polytope every vertex is one of the two, so each
+    column has |supp m| entries.  Without a parity split the kernel is
+    one block, D itself.  With one, it splits into a symmetric and an
+    antisymmetric block, built in the same pass.
 
     The involution sigma permutes the columns of a cs complex, freely
     except for the degree-0 monomial 1, and the rows likewise.  A form
@@ -409,17 +446,19 @@ def stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:
     if i < 0:
         raise ValueError("degree must be nonnegative")
     columns = tuple(delta_monomials(cx, i))
-    form_list = list(forms)
+    # a FormSequence keeps its echelon rows
+    form_list = forms if isinstance(forms, FormSequence) else list(forms)
     split = _has_parity_split(cx, form_list)
     if split:
         col_of = {m.exps: j for j, m in enumerate(columns)}
         mirror = [col_of[negated_exps(m.exps)] for m in columns]
     else:
         mirror = range(len(columns))
-    nforms = len(form_list)
-    scaled = _integer_coefficients(form_list)
+    echelon = echelon_rows(form_list)
+    nforms = len(echelon)
+    scaled = [coeffs for _, coeffs in echelon]
     if split:
-        parity = [1 if f.parity == "plus" else -1 for f in form_list]
+        parity = [1 if e == "plus" else -1 for e, _ in echelon]
         rep_weights = _entry_weights(cx, scaled, [(1, 1)] * nforms)
         mirror_weights = _entry_weights(cx, scaled,
                                         [(e, -e) for e in parity])

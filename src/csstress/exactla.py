@@ -6,8 +6,9 @@ removed, so no rational division happens until basis extraction.  Pivoting
 is deterministic: columns are resolved in ascending order and the pivot row
 is the eligible row with the fewest nonzeros (ties by original row index).
 
-`int_rank` and `int_nullspace` take integer rows, dicts {column: value},
-directly; `rank` and `nullspace` scale a `SparseMatrix` to such rows.
+`int_rank`, `int_rref` and `int_nullspace` take integer rows, dicts
+{column: value}, directly; `rank` and `nullspace` scale a `SparseMatrix`
+to such rows.
 `rank_mod` eliminates integer rows over GF(p).  Its entries stay below p,
 so it costs a fraction of the exact path, and for an integer matrix
 rank mod p <= rank over Q: every minor that is nonzero mod p is a nonzero
@@ -236,6 +237,17 @@ def rank_mod(rows, p: int) -> int:
 def int_rank(rows, ncols: int) -> int:
     """Exact rank of integer rows, each a dict {column: value}."""
     return len(_forward_eliminate(_int_copies(rows), ncols))
+
+
+def int_rref(rows, ncols: int) -> list[dict[int, int]]:
+    """Reduced row echelon basis of the row space of integer rows, each
+    a dict {column: value}, in pivot order.  Each row is scaled to
+    coprime integers with a positive pivot.  `rows` is not modified."""
+    out = []
+    for c, row in _back_substitute(_forward_eliminate(_int_copies(rows),
+                                                      ncols)):
+        out.append(row if row[c] > 0 else {j: -x for j, x in row.items()})
+    return out
 
 
 def int_nullspace(rows, ncols: int) -> Basis:

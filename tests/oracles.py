@@ -227,6 +227,48 @@ def brute_symmetric_star_dim(facets, coeff_rows, i, v) -> int:
     return len(cols) - dense_rank(rows)
 
 
+
+def brute_stress_bases(facets, coeff_rows, i, order, split):
+    """Reduced kernel bases of the degree-i stress system, with the
+    monomials (exponent tuples) in the given `order`.
+
+    Without split, one basis of the whole kernel.  With split, the
+    symmetric and the antisymmetric kernel: each solved over the first
+    monomial m of every mirror pair {m, -m} in `order`, for the vector
+    m + s(-m) (m alone when m = -m, which is symmetric only), and given
+    in full coordinates.
+    """
+    cols, rows = _stress_system(facets, coeff_rows, i)
+    assert sorted(order) == cols
+    at = {m: j for j, m in enumerate(order)}
+    where = [cols.index(m) for m in order]
+    permuted = [[row[k] for k in where] for row in rows]
+    if not split:
+        return [dense_nullspace(permuted, len(order))]
+    mirror = [
+        at[tuple(sorted(((-u, k) for u, k in m),
+                        key=lambda t: (abs(t[0]), t[0] < 0)))]
+        for m in order
+    ]
+    bases = []
+    for s in (1, -1):
+        reps = [j for j in range(len(order))
+                if mirror[j] > j or (s == 1 and mirror[j] == j)]
+        block = [
+            [row[j] + (s * row[mirror[j]] if mirror[j] != j else 0)
+             for j in reps]
+            for row in permuted
+        ]
+        basis = []
+        for u in dense_nullspace(block, len(reps)):
+            vec = [Fraction(0)] * len(order)
+            for j, x in zip(reps, u):
+                vec[j] = x
+                vec[mirror[j]] = s * x
+            basis.append(vec)
+        bases.append(basis)
+    return bases
+
 # -- cross-polytope subcomplex search ------------------------------------------
 
 

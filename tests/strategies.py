@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from hypothesis import strategies as st
 
 LABELS = st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4])
@@ -52,3 +54,34 @@ def pure_facets(draw, max_size=3):
         st.lists(LABELS, min_size=size, max_size=size, unique=True),
         min_size=1, max_size=6,
     ))
+
+
+@st.composite
+def form_coefficient_lists(draw, labels, max_forms):
+    """1..max_forms coefficient maps {vertex: Fraction} on `labels`, each
+    antisymmetric, symmetric, of no parity or a combination of earlier
+    ones (so often linearly dependent, and sometimes zero)."""
+    coeff = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    pairs = sorted({abs(v) for v in labels})
+    forms = []
+    for _ in range(draw(st.integers(1, max_forms))):
+        kind = draw(st.sampled_from(
+            ["minus", "plus", "none"] + ["combination"] * bool(forms)))
+        if kind == "combination":
+            parts = draw(st.lists(st.sampled_from(forms), min_size=1,
+                                  max_size=2))
+            weights = [draw(coeff) for _ in parts]
+            form = {}
+            for w, part in zip(weights, parts):
+                for v, c in part.items():
+                    form[v] = form.get(v, 0) + w * c
+        elif kind == "none":
+            form = {v: draw(coeff) for v in labels}
+        else:
+            sign = -1 if kind == "minus" else 1
+            form = {}
+            for k in pairs:
+                c = draw(coeff)
+                form[k], form[-k] = c, sign * c
+        forms.append(form)
+    return forms

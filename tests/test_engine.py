@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+import random
 from fractions import Fraction
 from math import comb
 from unittest import mock
@@ -38,9 +40,9 @@ from csstress import (
     vanishing_stress_space,
 )
 from csstress.claims import linear_table, stress_table
-from csstress.engine import certify_dims
-from oracles import brute_stress_dim, dense_rank, same_span
-from strategies import cs_facet_halves, pure_facets
+from csstress.engine import certify_dims, echelon_rows
+from oracles import brute_stress_bases, brute_stress_dim, dense_rank, same_span
+from strategies import cs_facet_halves, form_coefficient_lists, pure_facets
 
 CS_COMPLEXES = cs_facet_halves().map(
     lambda half: SimplicialComplex.from_facets(
@@ -370,6 +372,91 @@ def test_certified_zero_blocks_are_never_solved(corpus_by_name, monkeypatch):
     # each call hands out a new list of the same stresses
     again = spaces[2].plus_basis
     assert again == first and again is not first and len(solved) == 1
+
+
+# -- echelon rows ----------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(cx=st.one_of(CS_COMPLEXES, PURE_COMPLEXES), data=st.data())
+def test_echelon_assembly_matches_dense_oracle_on_original_forms(cx, data):
+    d = cx.dim + 1
+    coeffs = data.draw(form_coefficient_lists(sorted(cx.ground_set), d + 1))
+    forms = [LinearForm(c) for c in coeffs]
+    rows = coeff_rows(forms, cx.ground_set)
+    if len(forms) == d:
+        want = all(
+            dense_rank([[f.coefficient(v) for v in facet] for f in forms])
+            == d
+            for facet in cx.facets
+        )
+        assert lsop_check(cx, forms) == want
+    for i in range(d + 2):
+        space = stress_space(cx, forms, i)
+        split = len(space.blocks) == 2
+        assert split == (cx.cs and all(f.parity != "none" for f in forms))
+        assert space.dim == brute_stress_dim(cx.facets, rows, i), i
+        bases = brute_stress_bases(cx.facets, rows, i,
+                                   [m.exps for m in space.columns], split)
+        assert [[list(v) for v in b.basis.vectors] for b in space.blocks] \
+            == bases, i
+        if split:
+            assert (space.plus_dim, space.minus_dim) == tuple(
+                len(b) for b in bases), i
+
+    # each parity class is replaced by an integer basis of its own span
+    echelon = echelon_rows(forms)
+    labels = sorted({v for f in forms for v in f.coeffs})
+
+    def dense(maps):
+        return [[Fraction(m.get(v, 0)) for v in labels] for m in maps]
+
+    for parity in ("minus", "plus", "none"):
+        ours = [c for e, c in echelon if e == parity]
+        theirs = [f.coeffs for f in forms if f.parity == parity]
+        assert len(ours) == dense_rank(dense(theirs))
+        assert same_span(dense(ours), dense(theirs))
+        assert all(type(x) is int for c in ours for x in c.values())
+        if parity != "none":
+            assert all(LinearForm(c).parity == parity for c in ours)
+    seq = FormSequence(forms, "custom")
+    assert echelon_rows(seq) == echelon
+    assert echelon_rows(seq) is echelon_rows(seq)
+
+
+def relabelled_cross_polytope(d, seed):
+    """The d-cross-polytope boundary on seed-chosen pair labels, with the
+    facets and their vertices in seed-chosen order, as the benchmark's
+    `stress_crosspoly` input."""
+    rng = random.Random(f"crosspoly:{seed}")
+    labels = rng.sample(range(1, 3 * d + 1), d)
+    facets = [
+        [s * k for k, s in zip(labels, signs)]
+        for signs in itertools.product((1, -1), repeat=d)
+    ]
+    for f in facets:
+        rng.shuffle(f)
+    rng.shuffle(facets)
+    return SimplicialComplex.from_facets(facets, expect_cs=True)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_cross_polytope_block_columns_have_one_entry_per_vertex(d):
+    cx = relabelled_cross_polytope(d, seed=d)
+    seq = special_lsop(cx, seed=1)
+    # each vertex's echelon coefficients form a +-unit vector
+    for v in cx.ground_set:
+        assert [abs(c[v]) for _, c in echelon_rows(seq) if v in c] == [1]
+    for i in range(d + 1):
+        space = stress_space(cx, seq, i)
+        for block in space.blocks:
+            for rep, column in zip(block.reps, block.matrix):
+                # a degree-1 monomial reaches only the fixed row orbit of
+                # 1, where antisymmetric forms have no symmetric part;
+                # forms as drawn would put d entries per vertex
+                vanish = i == 1 and block.sign == 1
+                want = 0 if vanish else len(space.columns[rep].exps)
+                assert len(column) == want, (i, block.sign, rep)
 
 
 # -- restriction ------------------------------------------------------------------

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csstress import Basis, IndexMismatch, SparseMatrix, nullspace, rank
-from csstress.exactla import int_nullspace, int_rank, rank_mod
+from csstress.exactla import int_nullspace, int_rank, int_rref, rank_mod
 from oracles import dense_nullspace, dense_rank, dense_rank_mod, same_span
 
 
@@ -185,3 +186,22 @@ def test_large_sparse_system_stays_fast():
     r1 = rank(m)
     ns = nullspace(m)
     assert r1 + ns.dim == 150
+
+
+@given(integer_matrices())
+@settings(max_examples=100, deadline=None)
+def test_int_rref_is_the_reduced_echelon_form_in_coprime_integers(matrix):
+    dense, ncols = matrix
+    rows = [{c: x for c, x in enumerate(row) if x} for row in dense]
+    before = [dict(row) for row in rows]
+    reduced = int_rref(rows, ncols)
+    pivots = [min(row) for row in reduced]
+    assert len(reduced) == dense_rank(dense)
+    assert pivots == sorted(set(pivots))
+    for row, c in zip(reduced, pivots):
+        assert row[c] > 0 and gcd(*row.values()) == 1
+        # zero on every other pivot column: the unique reduced form
+        assert not set(row) & (set(pivots) - {c})
+    as_dense = [[row.get(c, 0) for c in range(ncols)] for row in reduced]
+    assert same_span(as_dense, dense)
+    assert rows == before
