@@ -42,6 +42,24 @@ MAX_FACE_SUBSETS = 2**20
 MAX_REQUEST_MONOMIALS = 6000
 
 
+def check_face_subsets(subsets, shown=None) -> None:
+    """Refuse facets spanning more than MAX_FACE_SUBSETS vertex subsets,
+    the sum of 2^|F|; `shown` prints a count too large to write out.  The
+    built-in families call this before building any facet."""
+    if subsets > MAX_FACE_SUBSETS:
+        raise InputError(
+            f"facets span {shown or subsets} vertex subsets, more than the "
+            f"limit of {MAX_FACE_SUBSETS}"
+        )
+
+
+def check_cross_polytope_size(d) -> None:
+    """The 2^d facets of the d-cross-polytope boundary span 4^d subsets.
+    The exponent is capped where 4^d already exceeds the limit, so a huge
+    d is refused without raising 4 to it."""
+    check_face_subsets(4 ** min(d, MAX_FACE_SUBSETS.bit_length()), f"4^{d}")
+
+
 def face(vertices) -> Face:
     """Canonical form of a face: ascending labels, no duplicates."""
     vs = sorted(set(vertices))
@@ -73,12 +91,7 @@ class SimplicialComplex:
         fs = sorted({face(f) for f in facets})
         if not fs:
             raise InputError("at least one facet is required")
-        subsets = sum(1 << len(f) for f in fs)
-        if subsets > MAX_FACE_SUBSETS:
-            raise InputError(
-                f"facets span {subsets} vertex subsets, more than the "
-                f"limit of {MAX_FACE_SUBSETS}"
-            )
+        check_face_subsets(sum(1 << len(f) for f in fs))
         self.facets = tuple(fs)
         self._faces = None
         self._fhg = None
@@ -255,6 +268,7 @@ def cross_polytope_boundary(d) -> SimplicialComplex:
     """Boundary complex on pairs +-1..+-d: all antipodal-pair-free sets."""
     if d < 1:
         raise InputError("cross-polytope dimension must be >= 1")
+    check_cross_polytope_size(d)
     facets = [
         tuple(sorted(i * e for i, e in zip(range(1, d + 1), signs)))
         for signs in itertools.product((1, -1), repeat=d)

@@ -1,15 +1,16 @@
 """Exact sparse linear algebra over the rationals, and rank mod a prime.
 
-Elimination is fraction-free: each row is scaled to integers and kept
-gcd-reduced, and updates use cross-multiplication with the common factor
-removed, so no rational division happens until basis extraction.  Pivoting
-is deterministic: columns are resolved in ascending order and the pivot row
-is the eligible row with the fewest nonzeros (ties by original row index).
+Every rank and kernel goes through one forward elimination with one pivot
+rule: columns are resolved in ascending order, a column -> rows index
+finds the rows holding each column, and the pivot is the sparsest of them
+(ties by row index).  Only the row update differs between the two fields.
 
-`int_rank`, `int_rref` and `int_nullspace` take integer rows, dicts
-{column: value}, directly; `rank` and `nullspace` scale a `SparseMatrix`
-to such rows.
-`rank_mod` eliminates integer rows over GF(p).  Its entries stay below p,
+Over Q the update is fraction-free: each row is scaled to coprime
+integers, and updates cross-multiply and remove the common factor, so no
+rational division happens until basis extraction.  `int_rank`, `int_rref`
+and `int_nullspace` take integer rows, dicts {column: value}, directly;
+`rank` and `nullspace` split a `SparseMatrix` into such rows.
+`rank_mod` updates rows in place over GF(p).  Its entries stay below p,
 so it costs a fraction of the exact path, and for an integer matrix
 rank mod p <= rank over Q: every minor that is nonzero mod p is a nonzero
 integer.  Callers use it where that inequality certifies the answer and
@@ -25,11 +26,11 @@ from .errors import IndexMismatch
 
 
 class SparseMatrix:
-    """Immutable sparse rational matrix with optional column labels."""
+    """Immutable sparse rational matrix."""
 
-    __slots__ = ("rows", "cols", "entries", "col_labels")
+    __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, rows, cols, entries, col_labels=None):
+    def __init__(self, rows, cols, entries):
         self.rows = rows
         self.cols = cols
         clean = {}
@@ -40,14 +41,9 @@ class SparseMatrix:
             if v:
                 clean[(r, c)] = v
         self.entries = clean
-        if col_labels is None:
-            col_labels = tuple(range(cols))
-        elif len(col_labels) != cols:
-            raise ValueError("one label per column required")
-        self.col_labels = tuple(col_labels)
 
     @classmethod
-    def from_dense(cls, rows, col_labels=None) -> "SparseMatrix":
+    def from_dense(cls, rows) -> "SparseMatrix":
         nrows = len(rows)
         ncols = len(rows[0]) if rows else 0
         entries = {}
@@ -57,7 +53,7 @@ class SparseMatrix:
             for c, v in enumerate(row):
                 if v:
                     entries[(r, c)] = Fraction(v)
-        return cls(nrows, ncols, entries, col_labels=col_labels)
+        return cls(nrows, ncols, entries)
 
 
 class Basis:
@@ -107,31 +103,23 @@ class Basis:
 # -- integer row helpers ---------------------------------------------------
 
 
-def _to_int_rows(matrix: SparseMatrix) -> list[dict[int, int]]:
-    rows = [dict() for _ in range(matrix.rows)]
-    for (r, c), v in matrix.entries.items():
-        rows[r][c] = v
+def _integer_rows(rows) -> list[dict[int, int]]:
+    """Copies of rows, dicts {column: rational}, scaled to coprime
+    integers.  Clearing denominators is a no-op on `int` entries."""
     out = []
     for row in rows:
-        if not row:
-            out.append({})
-            continue
         mult = lcm(*(v.denominator for v in row.values()))
-        ints = {c: int(v * mult) for c, v in row.items()}
-        _gcd_normalize(ints)
-        out.append(ints)
+        out.append(_gcd_normalize({c: int(v * mult) for c, v in row.items()}))
     return out
 
 
-def _gcd_normalize(row: dict[int, int]) -> None:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return
+def _gcd_normalize(row: dict[int, int]) -> dict[int, int]:
+    """Divide row in place by the gcd of its entries; returns row."""
+    g = gcd(*row.values())
     if g > 1:
         for c in row:
             row[c] //= g
+    return row
 
 
 def _eliminate(row, pivot, c):
@@ -146,34 +134,35 @@ def _eliminate(row, pivot, c):
             new[col] = nv
         elif col in new:
             del new[col]
-    _gcd_normalize(new)
-    return new
+    return _gcd_normalize(new)
 
 
-def _forward_eliminate(rows, ncols):
-    """Echelonize; returns [(pivot col, integer row)] in column order."""
-    active = [(i, row) for i, row in enumerate(rows) if row]
+def _forward_eliminate(rows, update):
+    """Echelonize `rows` in place; returns [(pivot col, row)] in column
+    order.  `update(row, pivot, c)` returns row with column c cleared
+    against pivot.  It changes the row's support only on the pivot's
+    columns, so the column -> rows index is repaired over those alone."""
+    ncols = 1 + max((c for row in rows for c in row), default=-1)
+    holding = [set() for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for c in row:
+            holding[c].add(r)
     pivots = []
     for c in range(ncols):
-        best = None
-        for i, (idx, row) in enumerate(active):
-            if c in row:
-                key = (len(row), idx)
-                if best is None or key < best[0]:
-                    best = (key, i)
-        if best is None:
+        if not holding[c]:
             continue
-        _, at = best
-        _, pivot = active.pop(at)
-        nxt = []
-        for idx, row in active:
-            if c in row:
-                row = _eliminate(row, pivot, c)
-                if row:
-                    nxt.append((idx, row))
-            else:
-                nxt.append((idx, row))
-        active = nxt
+        at = min(holding[c], key=lambda r: (len(rows[r]), r))
+        pivot = rows[at]
+        for col in pivot:
+            holding[col].discard(at)
+        targets, holding[c] = holding[c], set()
+        for r in targets:
+            rows[r] = row = update(rows[r], pivot, c)
+            for col in pivot:
+                if col in row:
+                    holding[col].add(r)
+                else:
+                    holding[col].discard(r)
         pivots.append((c, pivot))
     return pivots
 
@@ -191,91 +180,46 @@ def _back_substitute(pivots):
 
 def rank_mod(rows, p: int) -> int:
     """Rank over GF(p) of integer rows, each a dict {column: value}.
+    `rows` is not modified."""
 
-    A column -> rows index finds the rows holding each column, so the
-    pivot search does not scan every active row.  The pivot is the
-    sparsest such row (ties by row index).  `rows` is not modified.
-    """
-    active = []
-    for row in rows:
-        reduced = {c: v % p for c, v in row.items() if v % p}
-        if reduced:
-            active.append(reduced)
-    # fill-in only lands in columns the pivot row holds, never past the last
-    ncols = 1 + max((c for row in active for c in row), default=-1)
-    holding = [set() for _ in range(ncols)]
-    for r, row in enumerate(active):
-        for c in row:
-            holding[c].add(r)
-    found = 0
-    for c in range(ncols):
-        if not holding[c]:
-            continue
-        at = min(holding[c], key=lambda r: (len(active[r]), r))
-        pivot = active[at]
-        for col in pivot:
-            holding[col].discard(at)
-        inv = pow(pivot[c], -1, p)
-        for r in holding[c]:
-            row = active[r]
-            factor = row.pop(c) * inv % p
-            for col, val in pivot.items():
-                if col == c:
-                    continue
-                new = (row.get(col, 0) - factor * val) % p
-                if new:
-                    if col not in row:
-                        holding[col].add(r)
-                    row[col] = new
-                elif col in row:
-                    del row[col]
-                    holding[col].discard(r)
-        found += 1
-    return found
+    def update(row, pivot, c):
+        if pivot[c] != 1:  # scale this copy of the pivot once, in place
+            inv = pow(pivot[c], -1, p)
+            for col in pivot:
+                pivot[col] = pivot[col] * inv % p
+        factor = row[c]
+        for col, val in pivot.items():
+            new = (row.get(col, 0) - factor * val) % p
+            if new:
+                row[col] = new
+            elif col in row:
+                del row[col]
+        return row
+
+    reduced = [{c: v % p for c, v in row.items() if v % p} for row in rows]
+    return len(_forward_eliminate(reduced, update))
 
 
 def int_rank(rows, ncols: int) -> int:
     """Exact rank of integer rows, each a dict {column: value}."""
-    return len(_forward_eliminate(_int_copies(rows), ncols))
+    return len(_forward_eliminate(_integer_rows(rows), _eliminate))
 
 
 def int_rref(rows, ncols: int) -> list[dict[int, int]]:
     """Reduced row echelon basis of the row space of integer rows, each
     a dict {column: value}, in pivot order.  Each row is scaled to
     coprime integers with a positive pivot.  `rows` is not modified."""
-    out = []
-    for c, row in _back_substitute(_forward_eliminate(_int_copies(rows),
-                                                      ncols)):
-        out.append(row if row[c] > 0 else {j: -x for j, x in row.items()})
-    return out
+    pivots = _forward_eliminate(_integer_rows(rows), _eliminate)
+    return [row if row[c] > 0 else {j: -x for j, x in row.items()}
+            for c, row in _back_substitute(pivots)]
 
 
 def int_nullspace(rows, ncols: int) -> Basis:
     """Reduced kernel basis of integer rows, each a dict {column: value},
-    over the columns 0..ncols-1.  `rows` is not modified."""
-    return _kernel(_int_copies(rows), ncols, range(ncols))
-
-
-def rank(matrix: SparseMatrix) -> int:
-    return len(_forward_eliminate(_to_int_rows(matrix), matrix.cols))
-
-
-def nullspace(matrix: SparseMatrix) -> Basis:
-    """Reduced basis of the right kernel, one vector per free column."""
-    return _kernel(_to_int_rows(matrix), matrix.cols, matrix.col_labels)
-
-
-def _int_copies(rows) -> list[dict[int, int]]:
-    out = []
-    for row in rows:
-        row = dict(row)
-        _gcd_normalize(row)
-        out.append(row)
-    return out
-
-
-def _kernel(rows, ncols, columns) -> Basis:
-    pivots = _back_substitute(_forward_eliminate(rows, ncols))
+    over the columns 0..ncols-1, one vector per free column.  `rows` is
+    not modified."""
+    pivots = _back_substitute(
+        _forward_eliminate(_integer_rows(rows), _eliminate))
     taken = {c for c, _ in pivots}
     free_cols = [c for c in range(ncols) if c not in taken]
     vectors = []
@@ -286,4 +230,20 @@ def _kernel(rows, ncols, columns) -> Basis:
             if f in row:
                 vec[c] = -Fraction(row[f], row[c])
         vectors.append(tuple(vec))
-    return Basis(columns, vectors, free_cols)
+    return Basis(range(ncols), vectors, free_cols)
+
+
+def _matrix_rows(matrix: SparseMatrix) -> list[dict[int, Fraction]]:
+    rows = [{} for _ in range(matrix.rows)]
+    for (r, c), v in matrix.entries.items():
+        rows[r][c] = v
+    return rows
+
+
+def rank(matrix: SparseMatrix) -> int:
+    return int_rank(_matrix_rows(matrix), matrix.cols)
+
+
+def nullspace(matrix: SparseMatrix) -> Basis:
+    """Reduced basis of the right kernel, one vector per free column."""
+    return int_nullspace(_matrix_rows(matrix), matrix.cols)

@@ -13,7 +13,14 @@ import itertools
 import sys
 from fractions import Fraction
 
-from .complexes import SimplicialComplex, face, facets_from_json, load_json
+from .complexes import (
+    SimplicialComplex,
+    check_cross_polytope_size,
+    check_face_subsets,
+    face,
+    facets_from_json,
+    load_json,
+)
 from .errors import InputError, NotCs, NotSimplicial
 from .exactla import SparseMatrix, rank
 
@@ -109,6 +116,7 @@ def cross_polytope(d) -> Polytope:
     """C*_d with vertices at ±e_k; boundary is ∂C*_d."""
     if d < 1:
         raise ValueError("d must be at least 1")
+    check_cross_polytope_size(d)
     coords = {}
     for k in range(1, d + 1):
         unit = tuple(
@@ -138,6 +146,7 @@ def polygon(m) -> Polytope:
     """
     if m < 2:
         raise ValueError("m must be at least 2")
+    check_face_subsets(8 * m)  # 2m edges
     coords = {}
     for j in range(1, m + 1):
         t = Fraction(j - 1, m - j + 1)
@@ -154,6 +163,7 @@ def _cycle_facets(m) -> list:
 
 def bipyramid(m) -> Polytope:
     """Bipyramid over the cs 2m-gon, apexes ±(m+1) at ±e_3."""
+    check_face_subsets(32 * m)  # 4m triangles
     base = polygon(m)
     apex = m + 1
     coords = {

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from math import comb
 from pathlib import Path
 
@@ -525,3 +526,30 @@ def test_generate_validates_parameters(capsys):
     assert "at least 2" in err
     code, _, err = run(capsys, "generate", "crosspoly")
     assert code == 2
+
+
+@pytest.mark.parametrize("family, flag, value", [
+    ("crosspoly", "--d", "64"),
+    ("polygon", "--m", str(10**12)),
+    ("bipyramid", "--m", str(10**12)),
+])
+def test_generate_refuses_oversized_families_before_building(
+        tmp_path, capsys, family, flag, value):
+    out_path = tmp_path / "big.json"
+    start = time.process_time()
+    code, _, err = run(capsys, "generate", family, flag, value,
+                       "--out", str(out_path))
+    assert time.process_time() - start < 0.5
+    assert code == 2
+    assert "vertex subsets, more than the limit" in err
+    assert not out_path.exists()
+
+
+def test_generate_writes_the_cross_polytope_at_the_subset_limit(
+        tmp_path, capsys):
+    # 2^10 facets of 10 vertices: 4^10 = MAX_FACE_SUBSETS subsets
+    out_path = tmp_path / "cp10.json"
+    code, _, _ = run(capsys, "generate", "crosspoly", "--d", "10",
+                     "--out", str(out_path))
+    assert code == 0
+    assert len(json.loads(out_path.read_text())["facets"]) == 2**10
