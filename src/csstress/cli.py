@@ -29,10 +29,14 @@ DEFAULT_SEED = 1
 
 
 def _read_text(path: str) -> str:
+    # JSON is UTF-8, whatever the locale says
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise InputError(f"cannot read {path}: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise InputError(f"cannot read {path}: not UTF-8: {e.reason} "
+                         f"at byte {e.start}") from e
 
 
 def _load_instance(path: str) -> CorpusInstance:
@@ -217,7 +221,10 @@ def cmd_generate(family: str, d, m, out) -> int:
     obj.update(polytope_to_json_obj(p))
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     target = Path(out) if out else Path(f"{name}.json")
-    target.write_text(text)
+    try:
+        target.write_text(text)
+    except OSError as e:
+        raise InputError(f"cannot write {target}: {e.strerror}") from e
     print(f"wrote {target}")
     return 0
 

@@ -2,18 +2,20 @@
 
 A degree-i stress is a homogeneous polynomial whose monomials are each
 supported on a face and which is annihilated by the derivative operator of
-every form in the chosen sequence.  Stress spaces are kernels of an
-integer constraint matrix, built from the reduced row echelon basis of the
-span of the forms, on which alone the stresses depend; it is much sparser
-than the matrix of the forms as drawn.  For a centrally symmetric complex
-and forms of definite parity, the involution x_v -> x_{-v} splits that
-matrix into a symmetric (plus) and an antisymmetric (minus) block; their
-dimensions carry the face-number content.  A block is solved as an exact
-nullspace only when its basis or dimension is read, and `certify_dims`
-fixes the dimensions of a whole table from ranks mod a prime when a lower
-bound proves them exact, so a caller that needs only dimensions may solve
-nothing.  Stresses are local, so the stresses of a subcomplex are computed
-on the subcomplex itself.
+every form in the chosen sequence.  The stresses depend only on the span
+of the forms, so the forms are read through the reduced row echelon basis
+of that span, in integers (`echelon_rows`): by the facet-rank check, by
+`is_stress`, the one membership test, and by the constraint matrix whose
+kernels are the stress spaces, which is much sparser than with the forms
+as drawn.  For a centrally symmetric complex and forms of definite parity,
+the involution x_v -> x_{-v} splits that matrix into a symmetric (plus)
+and an antisymmetric (minus) block; their dimensions carry the
+face-number content.  A block is solved as an exact nullspace only when
+its basis or dimension is read, and `certify_dims` fixes the dimensions
+of a whole table from ranks mod a prime when a lower bound proves them
+exact, so a caller that needs only dimensions may solve nothing.
+Stresses are local, so the stresses of a subcomplex are computed on the
+subcomplex itself.
 """
 
 from __future__ import annotations
@@ -32,14 +34,7 @@ from .errors import (
     NotSubcomplex,
 )
 from .exactla import Basis, int_nullspace, int_rank, int_rref, rank_mod
-from .polynomials import (
-    LinearForm,
-    Polynomial,
-    apply_derivative,
-    delta_monomials,
-    negated_exps,
-    pm_split,
-)
+from .polynomials import LinearForm, Polynomial, delta_monomials, negated_exps
 
 COEFF_BOUND = 10**6
 MAX_ATTEMPTS = 8
@@ -189,9 +184,10 @@ class StressSpace:
     complex); basis vectors are coordinates over `columns`.  `blocks` holds
     one block for the whole space, or, when the involution splits it, the
     pair (symmetric, antisymmetric).  `plus_*`/`minus_*` read the pair and
-    are None without a split.  Reading a basis, or `contains`, solves the
-    blocks it needs exactly; a dimension is exact too, certified without
-    solving when `certify_dims` has accepted it.
+    are None without a split.  Reading a basis solves the blocks it needs
+    exactly; a dimension is exact too, certified without solving when
+    `certify_dims` has accepted it.  `contains` reads no block: it tests
+    the stress equations themselves, with `is_stress`.
     """
 
     __slots__ = ("complex", "forms", "degree", "columns", "blocks")
@@ -235,28 +231,11 @@ class StressSpace:
         part = self._part(1)
         return None if part is None else part.polynomials()
 
-    def vectorize(self, w: Polynomial):
-        """Coordinates of w over `columns`; None if w leaves the space."""
-        index = {m: j for j, m in enumerate(self.columns)}
-        vec = [Fraction(0)] * len(self.columns)
-        for m, c in w.terms.items():
-            j = index.get(m)
-            if j is None:
-                return None
-            vec[j] = c
-        return tuple(vec)
-
     def contains(self, w: Polynomial) -> bool:
-        # the two blocks together are not one reduced basis, so each
-        # parity part of w is tested against its own block
-        parts = (w,) if len(self.blocks) == 1 else pm_split(w)
-        for part, block in zip(parts, self.blocks):
-            if part.is_zero():
-                continue
-            vec = self.vectorize(part)
-            if vec is None or not block.basis.contains(vec):
-                return False
-        return True
+        """Is w a degree-i stress?  Decided from the equations, so no
+        block is solved."""
+        return (all(m.degree == self.degree for m in w.terms)
+                and is_stress(self.complex, self.forms, w))
 
     def __repr__(self):
         return (
@@ -368,7 +347,7 @@ def lsop_check(cx: SimplicialComplex, forms) -> bool:
         ]
         if rank_mod(rows, PRIMES[0]) == len(facet):
             continue
-        if int_rank(rows, len(facet)) != len(facet):
+        if int_rank(rows) != len(facet):
             return False
     return True
 
@@ -386,7 +365,7 @@ def echelon_rows(forms) -> tuple:
     every call.
     """
     if not isinstance(forms, FormSequence):
-        return _reduce_forms(forms)
+        return _reduce_forms(tuple(forms))
     if forms._echelon is None:
         forms._echelon = _reduce_forms(forms.forms)
     return forms._echelon
@@ -398,13 +377,10 @@ def _reduce_forms(forms) -> tuple:
         group = [f.coeffs for f in forms if f.parity == parity]
         labels = sorted({v for coeffs in group for v in coeffs})
         index = {v: j for j, v in enumerate(labels)}
-        rows = []
-        for coeffs in group:
-            mult = lcm(*(c.denominator for c in coeffs.values()))
-            rows.append({index[v]: int(c * mult) for v, c in coeffs.items()})
+        rows = [{index[v]: c for v, c in coeffs.items()} for coeffs in group]
         out.extend(
             (parity, {labels[j]: x for j, x in row.items()})
-            for row in int_rref(rows, len(labels))
+            for row in int_rref(rows)
         )
     return tuple(out)
 
@@ -481,11 +457,7 @@ def stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:
         # the m / x_v for distinct v lie in distinct row orbits, their
         # supports being faces of supp m, which meets its mirror in no
         # vertex; so each entry of a block has one term
-        for n, (v, e) in enumerate(exps):
-            if e > 1:
-                lower = exps[:n] + ((v, e - 1),) + exps[n + 1:]
-            else:
-                lower = exps[:n] + exps[n + 1:]
+        for v, e, lower in _partials(exps):
             orbit = orbits.get(lower)
             if orbit is None:
                 negated = negated_exps(lower) if split else lower
@@ -510,6 +482,16 @@ def stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:
     if split:
         blocks.append(_Block(columns, minus_matrix, minus_reps, mirror, -1))
     return StressSpace(cx, forms, i, columns, blocks)
+
+
+def _partials(exps):
+    """(v, e, exps of m / x_v) for each factor x_v^e of the monomial m
+    whose `exps` are given."""
+    for n, (v, e) in enumerate(exps):
+        if e > 1:
+            yield v, e, exps[:n] + ((v, e - 1),) + exps[n + 1:]
+        else:
+            yield v, e, exps[:n] + exps[n + 1:]
 
 
 def _entry_weights(cx, scaled, factors) -> dict:
@@ -572,15 +554,24 @@ def _has_parity_split(cx: SimplicialComplex, forms) -> bool:
 
 
 def is_stress(cx: SimplicialComplex, forms, w: Polynomial) -> bool:
-    """True if every term of w sits on a face and all form derivatives kill w."""
-    if w.is_zero():
-        return True
-    for m in w.terms:
-        if not cx.contains(m.support):
+    """True if every term of w sits on a face and all form derivatives kill
+    w.  They are taken along the integer rows of `echelon_rows`, which span
+    the forms, on w scaled to integers, as the test is homogeneous in w."""
+    if not all(cx.contains(m.support) for m in w.terms):
+        return False
+    mult = lcm(*(c.denominator for c in w.terms.values()))
+    # the term c m of mult * w puts c e m / x_v into d/dx_v
+    partials = [(v, c.numerator * (mult // c.denominator) * e, lower)
+                for m, c in w.terms.items()
+                for v, e, lower in _partials(m.exps)]
+    for _, row in echelon_rows(forms):
+        derivative: dict = {}
+        for v, c, lower in partials:
+            if v in row:
+                derivative[lower] = derivative.get(lower, 0) + c * row[v]
+        if any(derivative.values()):
             return False
-    return all(
-        apply_derivative(f, w).is_zero() for f in forms
-    )
+    return True
 
 
 def restrict_stress_space(s: StressSpace, sub: SimplicialComplex) -> StressSpace:

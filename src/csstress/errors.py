@@ -49,10 +49,6 @@ class LengthMismatch(CsStressError):
     """Form sequence has the wrong number of forms for the complex."""
 
 
-class IndexMismatch(CsStressError):
-    """Bases are indexed by different column sets."""
-
-
 class NotSubcomplex(CsStressError):
     """The candidate subcomplex has a face outside the ambient complex."""
 

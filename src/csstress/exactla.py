@@ -22,8 +22,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import IndexMismatch
-
 
 class SparseMatrix:
     """Immutable sparse rational matrix."""
@@ -57,12 +55,9 @@ class SparseMatrix:
 
 
 class Basis:
-    """Reduced basis of a subspace of Q^columns.
-
-    Each vector has value 1 at its own pivot coordinate and value 0 at the
-    pivot coordinates of all other vectors, which makes membership testing
-    a single reduction pass.
-    """
+    """Reduced basis of a subspace of Q^columns: each vector has value 1
+    at its own pivot coordinate and value 0 at the pivot coordinates of
+    all other vectors."""
 
     __slots__ = ("columns", "vectors", "pivots")
 
@@ -82,22 +77,6 @@ class Basis:
     @property
     def dim(self) -> int:
         return len(self.vectors)
-
-    def reduce(self, vector) -> tuple:
-        """Remainder of vector after subtracting its span components."""
-        r = [x if isinstance(x, Fraction) else Fraction(x) for x in vector]
-        if len(r) != len(self.columns):
-            raise IndexMismatch("vector length differs from column count")
-        for vec, p in zip(self.vectors, self.pivots):
-            coef = r[p]
-            if coef:
-                for j, x in enumerate(vec):
-                    if x:
-                        r[j] -= coef * x
-        return tuple(r)
-
-    def contains(self, vector) -> bool:
-        return all(x == 0 for x in self.reduce(vector))
 
 
 # -- integer row helpers ---------------------------------------------------
@@ -200,15 +179,15 @@ def rank_mod(rows, p: int) -> int:
     return len(_forward_eliminate(reduced, update))
 
 
-def int_rank(rows, ncols: int) -> int:
+def int_rank(rows) -> int:
     """Exact rank of integer rows, each a dict {column: value}."""
     return len(_forward_eliminate(_integer_rows(rows), _eliminate))
 
 
-def int_rref(rows, ncols: int) -> list[dict[int, int]]:
-    """Reduced row echelon basis of the row space of integer rows, each
-    a dict {column: value}, in pivot order.  Each row is scaled to
-    coprime integers with a positive pivot.  `rows` is not modified."""
+def int_rref(rows) -> list[dict[int, int]]:
+    """Reduced row echelon basis of the row space of rows, each a dict
+    {column: rational}, in pivot order.  Each row is scaled to coprime
+    integers with a positive pivot.  `rows` is not modified."""
     pivots = _forward_eliminate(_integer_rows(rows), _eliminate)
     return [row if row[c] > 0 else {j: -x for j, x in row.items()}
             for c, row in _back_substitute(pivots)]
@@ -241,7 +220,7 @@ def _matrix_rows(matrix: SparseMatrix) -> list[dict[int, Fraction]]:
 
 
 def rank(matrix: SparseMatrix) -> int:
-    return int_rank(_matrix_rows(matrix), matrix.cols)
+    return int_rank(_matrix_rows(matrix))
 
 
 def nullspace(matrix: SparseMatrix) -> Basis:

@@ -199,6 +199,21 @@ def brute_stress_dim(facets, coeff_rows, i) -> int:
     return len(cols) - dense_rank(rows)
 
 
+def brute_is_stress(facets, coeff_rows, terms) -> bool:
+    """Is the homogeneous polynomial {exponent tuple: coefficient} a
+    stress: is every monomial on a face, and does the derivative along
+    every form vanish?"""
+    if not terms:
+        return True
+    i = sum(e for _, e in next(iter(terms)))
+    cols, rows = _stress_system(facets, coeff_rows, i)
+    at = {m: j for j, m in enumerate(cols)}
+    if any(m not in at for m in terms):
+        return False
+    return all(sum(row[at[m]] * c for m, c in terms.items()) == 0
+               for row in rows)
+
+
 def brute_symmetric_derivative_dim(facets, coeff_rows, i) -> int:
     """dim of the degree-i stresses whose vertex derivatives are all
     symmetric (W_i of Lemmas 3.2-3.4)."""

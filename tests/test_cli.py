@@ -475,6 +475,19 @@ def test_verify_missing_file_is_input_error(capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("command, in_dir", [
+    ("info", False), ("stress", False), ("verify", False), ("verify", True),
+])
+def test_non_utf8_input_is_input_error(tmp_path, capsys, command, in_dir):
+    # exit 1 would read as "a claim failed"; a directory is read by verify
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'\xff{"facets": [[1, 2], [-1, -2]]}')
+    code, out, err = run(capsys, command, str(tmp_path if in_dir else p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"input error: cannot read {p}: not UTF-8")
+
+
 def test_verify_engine_error_exit_three(tmp_path, capsys, monkeypatch):
     def explode(cx, seed):
         raise LsopNotFound("rank check failed on every attempt", 8)
@@ -526,6 +539,18 @@ def test_generate_validates_parameters(capsys):
     assert "at least 2" in err
     code, _, err = run(capsys, "generate", "crosspoly")
     assert code == 2
+
+
+@pytest.mark.parametrize("target", ["missing/cp2.json", "."])
+def test_generate_to_an_unwritable_path_is_input_error(tmp_path, capsys,
+                                                        target):
+    # a directory that does not exist, and a path that is a directory
+    out_path = tmp_path / target
+    code, out, err = run(capsys, "generate", "crosspoly", "--d", "2",
+                         "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"input error: cannot write {out_path}:")
 
 
 @pytest.mark.parametrize("family, flag, value", [

@@ -2,10 +2,11 @@
 
 Every input, however malformed, must end in one of the documented exit
 codes (0 ok, 1 claim failed, 2 input error, 3 engine error) without an
-uncaught exception.  Inputs are drawn three ways: from scratch with
-type-confused values, as small cs complexes, and as small corpus
-instances with a few values replaced or removed.  Examples stay small so
-that a `verify` run on a well-formed draw is cheap.
+uncaught exception.  Inputs are drawn four ways: from scratch with
+type-confused values, as small cs complexes, as small corpus instances
+with a few values replaced or removed, and as raw bytes that need not be
+UTF-8.  Examples stay small so that a `verify` run on a well-formed draw
+is cheap.
 """
 
 from __future__ import annotations
@@ -88,13 +89,35 @@ def mutated_corpus(draw):
     return obj
 
 
+@st.composite
+def raw_bytes(draw):
+    """Arbitrary bytes, or a small corpus file with one to three bytes
+    overwritten by bytes above 0x7f, which are seldom valid UTF-8."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    data = bytearray(json.dumps(draw(st.sampled_from(SMALL_CORPUS))).encode())
+    for _ in range(draw(st.integers(1, 3))):
+        data[draw(st.integers(0, len(data) - 1))] = draw(
+            st.integers(0x80, 0xFF))
+    return bytes(data)
+
+
+def _is_utf8(data: bytes) -> bool:
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
 @pytest.fixture(scope="module")
 def work_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
 @given(
-    obj=st.one_of(COMPLEX, mutated_corpus(), mutated_corpus(), CONFUSED),
+    obj=st.one_of(COMPLEX, mutated_corpus(), mutated_corpus(), CONFUSED,
+                  raw_bytes()),
     args=st.sampled_from([
         ["info"],
         ["info", "--format", "json"],
@@ -108,12 +131,17 @@ def work_dir(tmp_path_factory):
           suppress_health_check=[HealthCheck.too_slow])
 def test_cli_exits_cleanly_on_any_instance_json(work_dir, obj, args):
     path = work_dir / "instance.json"
-    path.write_text(json.dumps(obj))
+    if isinstance(obj, bytes):
+        path.write_bytes(obj)
+    else:
+        path.write_text(json.dumps(obj))
     argv = args[:1] + [str(path)] + args[1:]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2, 3), (argv, obj, code)
+    if isinstance(obj, bytes) and not _is_utf8(obj):
+        assert code == 2, (argv, obj, code)
     if code >= 2:
         assert err.getvalue().split(":")[0] in (
             "input error", "error", "engine error"

@@ -16,6 +16,7 @@ from csstress import (
     LengthMismatch,
     LinearForm,
     LsopNotFound,
+    Monomial,
     NotCs,
     NotPure,
     NotSubcomplex,
@@ -41,7 +42,14 @@ from csstress import (
 )
 from csstress.claims import linear_table, stress_table
 from csstress.engine import certify_dims, echelon_rows
-from oracles import brute_stress_bases, brute_stress_dim, dense_rank, same_span
+from oracles import (
+    brute_contains,
+    brute_is_stress,
+    brute_stress_bases,
+    brute_stress_dim,
+    dense_rank,
+    same_span,
+)
 from strategies import cs_facet_halves, form_coefficient_lists, pure_facets
 
 CS_COMPLEXES = cs_facet_halves().map(
@@ -210,8 +218,6 @@ def test_stress_basis_elements_are_stresses(octahedron):
         for w in space.basis:
             assert is_stress(octahedron, seq, w)
             assert space.contains(w)
-            vec = space.vectorize(w)
-            assert vec is not None
 
 
 def test_stress_dims_match_first_principles(octahedron, hexagon, noncm):
@@ -374,7 +380,49 @@ def test_certified_zero_blocks_are_never_solved(corpus_by_name, monkeypatch):
     assert again == first and again is not first and len(solved) == 1
 
 
+def test_contains_solves_no_block(octahedron, monkeypatch):
+    seq = special_lsop(octahedron, seed=1)
+    spaces = [stress_space(octahedron, seq, i) for i in range(4)]
+
+    def refuse(*args):
+        raise AssertionError("contains solved a block")
+
+    monkeypatch.setattr(engine_module, "int_nullspace", refuse)
+    top = pair_sum(1) * pair_sum(2) * pair_sum(3)
+    cube = Polynomial([(Monomial([(1, 3)]), 1)])
+    assert spaces[3].contains(top)
+    assert not spaces[3].contains(top + cube)
+    assert not spaces[2].contains(top)
+    assert spaces[2].contains(pair_sum(1) * pair_sum(3))
+    assert not spaces[1].contains(Polynomial.variable(2))
+
+
 # -- echelon rows ----------------------------------------------------------------
+
+RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+
+
+def drawn_polynomial(data, cx, cols, kernel, j):
+    """A rational combination of the `kernel` vectors, degree-j
+    stresses over the monomials `cols`, maybe plus one stray degree-j
+    monomial: on a face, or off the complex (on the label 5, which no
+    complex here has, or on two vertices that span no edge)."""
+    terms = []
+    for vec in kernel:
+        r = data.draw(RATIONALS)
+        terms += [(Monomial(m), r * x) for m, x in zip(cols, vec)]
+    stray = data.draw(st.sampled_from(["none", "face", "off"]))
+    coeff = data.draw(RATIONALS.filter(bool))
+    if stray == "face":
+        terms.append((Monomial(data.draw(st.sampled_from(cols))), coeff))
+    elif stray == "off" and j > 0:
+        pairs = [(5, 5)]
+        if j > 1:
+            pairs += [p for p in itertools.combinations(cx.ground_set, 2)
+                      if not brute_contains(cx.facets, p)]
+        u, v = data.draw(st.sampled_from(pairs))
+        terms.append((Monomial([(u, j - 1), (v, 1)]), coeff))
+    return Polynomial(terms)
 
 
 @settings(max_examples=60, deadline=None)
@@ -384,6 +432,7 @@ def test_echelon_assembly_matches_dense_oracle_on_original_forms(cx, data):
     coeffs = data.draw(form_coefficient_lists(sorted(cx.ground_set), d + 1))
     forms = [LinearForm(c) for c in coeffs]
     rows = coeff_rows(forms, cx.ground_set)
+    oracle = []  # (space, reduced basis of its kernel) per degree
     if len(forms) == d:
         want = all(
             dense_rank([[f.coefficient(v) for v in facet] for f in forms])
@@ -403,6 +452,20 @@ def test_echelon_assembly_matches_dense_oracle_on_original_forms(cx, data):
         if split:
             assert (space.plus_dim, space.minus_dim) == tuple(
                 len(b) for b in bases), i
+        oracle.append((space, [v for b in bases for v in b]))
+
+    # membership, against the definition on the forms as drawn, from
+    # the oracle's stresses; a stress of degree i + 1 is no degree-i
+    # stress
+    for i, (space, _) in enumerate(oracle):
+        j = data.draw(st.sampled_from(range(i, min(i + 2, d + 2))))
+        cols = [m.exps for m in oracle[j][0].columns]
+        w = drawn_polynomial(data, cx, cols, oracle[j][1], j)
+        want = brute_is_stress(cx.facets, rows,
+                               {m.exps: c for m, c in w.terms.items()})
+        assert is_stress(cx, forms, w) == want, (i, w)
+        assert space.contains(w) == (want and (j == i or w.is_zero())), \
+            (i, w)
 
     # each parity class is replaced by an integer basis of its own span
     echelon = echelon_rows(forms)
