@@ -71,6 +71,12 @@ CLAIM_H_PROPAGATION = "Thm3.6.1"
 CLAIM_G_PROPAGATION = "Thm3.6.2"
 CLAIM_RESTRICTION = "Cor3.7.1"
 CLAIM_HALF_CROSSPOLY = "Cor3.7.2"
+CLAIM_IDS = (
+    CLAIM_EXPECT, CLAIM_CM, CLAIM_LBT, CLAIM_LBT_AFFINE, CLAIM_EQUIVALENCE,
+    CLAIM_EQUIVALENCE_AFFINE, CLAIM_STAR_SUPPORT, CLAIM_SQUAREFREE,
+    CLAIM_SYMMETRY_PROPAGATION, CLAIM_H_PROPAGATION, CLAIM_G_PROPAGATION,
+    CLAIM_RESTRICTION, CLAIM_HALF_CROSSPOLY,
+)
 
 
 @dataclass(frozen=True)
@@ -961,7 +967,17 @@ def instance_reports(inst: CorpusInstance, seed: int) -> list[VerificationReport
 
 
 def run_claims(instances, seed, claims=None) -> list[VerificationReport]:
-    """Run every applicable claim; records sorted by (instance, claim)."""
+    """Run every applicable claim; records sorted by (instance, claim).
+
+    With `claims`, keep the records whose claim id starts with one of
+    these prefixes.  A prefix that starts no claim id is an InputError,
+    so a misspelt filter cannot select nothing and pass."""
+    for prefix in claims or ():
+        if not any(c.startswith(prefix) for c in CLAIM_IDS):
+            raise InputError(
+                f"claim prefix {prefix!r} starts no claim id; the ids are "
+                + ", ".join(CLAIM_IDS)
+            )
     reports = []
     for inst in sorted(instances, key=lambda x: x.name):
         reports.extend(instance_reports(inst, seed))

@@ -80,6 +80,8 @@ def cmd_info(path: str, output_format: str) -> int:
 
 def cmd_stress(path: str, seed: int, affine: bool, degree, max_degree,
                show_basis: bool, output_format: str) -> int:
+    if any(x is not None and x < 0 for x in (degree, max_degree)):
+        raise InputError("degrees are nonnegative")
     inst = _load_instance(path)
     if affine:
         if inst.polytope is None:
@@ -95,8 +97,6 @@ def cmd_stress(path: str, seed: int, affine: bool, degree, max_degree,
         default_top = cx.dim + 1
     top = max_degree if max_degree is not None else default_top
     degrees = [degree] if degree is not None else range(top + 1)
-    if any(i < 0 for i in degrees):
-        raise InputError("degrees are nonnegative")
     d = cx.dim + 1
     # Above degree d an l.s.o.p. leaves no stresses.  Sampled linear forms
     # passed lsop_check already; canonical forms are checked here.

@@ -147,13 +147,23 @@ def _forward_eliminate(rows, update):
 
 
 def _back_substitute(pivots):
-    """Full reduction: clear every pivot column above its pivot row."""
+    """Full reduction: clear every pivot column above its pivot row.
+
+    Pivot rows are processed from the last.  By then row i holds only its
+    pivot column and non-pivot columns, so clearing column c_i changes no
+    row's entry in any other pivot column.  The rows holding each pivot
+    column are therefore indexed once, up front, and need no repair."""
+    row_of = {c: i for i, (c, _) in enumerate(pivots)}
+    holders = [[] for _ in pivots]
+    for j, (cj, row) in enumerate(pivots):
+        for col in row:
+            if col != cj and col in row_of:
+                holders[row_of[col]].append(j)
     for i in range(len(pivots) - 1, -1, -1):
         c, pivot = pivots[i]
-        for j in range(i):
+        for j in holders[i]:
             cj, rowj = pivots[j]
-            if c in rowj:
-                pivots[j] = (cj, _eliminate(rowj, pivot, c))
+            pivots[j] = (cj, _eliminate(rowj, pivot, c))
     return pivots
 
 

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 
 def dense_rank(rows) -> int:
-    """Rank by textbook Gauss-Jordan over Fraction."""
+    """Rank by textbook Gaussian elimination over Fraction: the number of
+    pivots of a row echelon form, so rows above a pivot are left alone."""
     m = [[Fraction(x) for x in row] for row in rows]
     if not m:
         return 0
@@ -26,12 +27,13 @@ def dense_rank(rows) -> int:
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        inv = Fraction(1) / m[rank][c]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][c] != 0:
-                factor = m[r][c]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        top = m[rank]
+        for r in range(rank + 1, len(m)):
+            if m[r][c] != 0:
+                factor = m[r][c] / top[c]
+                # both rows are 0 left of column c
+                m[r][c:] = [a - factor * b if b else a
+                            for a, b in zip(m[r][c:], top[c:])]
         rank += 1
         if rank == len(m):
             break
@@ -39,7 +41,8 @@ def dense_rank(rows) -> int:
 
 
 def dense_rank_mod(rows, p) -> int:
-    """Rank over GF(p), p prime, by textbook Gauss-Jordan on dense rows."""
+    """Rank over GF(p), p prime, by textbook Gaussian elimination on dense
+    rows, below each pivot only."""
     m = [[x % p for x in row] for row in rows]
     if not m:
         return 0
@@ -49,12 +52,13 @@ def dense_rank_mod(rows, p) -> int:
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][c], p - 2, p)  # Fermat inverse
-        m[rank] = [x * inv % p for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][c]:
-                factor = m[r][c]
-                m[r] = [(a - factor * b) % p for a, b in zip(m[r], m[rank])]
+        top = m[rank]
+        inv = pow(top[c], p - 2, p)  # Fermat inverse
+        for r in range(rank + 1, len(m)):
+            if m[r][c]:
+                factor = m[r][c] * inv % p
+                m[r][c:] = [(a - factor * b) % p
+                            for a, b in zip(m[r][c:], top[c:])]
         rank += 1
         if rank == len(m):
             break
@@ -71,12 +75,14 @@ def dense_nullspace(rows, ncols) -> list[list[Fraction]]:
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
+        # the pivot row is 0 left of column c, so no row changes there
         inv = Fraction(1) / m[rank][c]
-        m[rank] = [x * inv for x in m[rank]]
+        top = m[rank][c:] = [x * inv if x else x for x in m[rank][c:]]
         for r in range(len(m)):
             if r != rank and m[r][c] != 0:
                 factor = m[r][c]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+                m[r][c:] = [a - factor * b if b else a
+                            for a, b in zip(m[r][c:], top)]
         pivot_of_col[c] = rank
         rank += 1
         if rank == len(m):
@@ -138,12 +144,12 @@ def h_from_f(f) -> list[int]:
 
 
 def _face_monomials(faces, i):
-    """Degree-i exponent maps supported on one of the given faces."""
+    """Degree-i exponent maps whose support is one of the given faces, a
+    set of sorted tuples closed under taking subsets (`brute_faces`)."""
     verts = sorted({v for f in faces for v in f}, key=lambda v: (abs(v), v < 0))
     out = set()
     for combo in itertools.combinations_with_replacement(verts, i):
-        support = tuple(sorted(set(combo)))
-        if any(set(support) <= set(f) for f in faces):
+        if tuple(sorted(set(combo))) in faces:
             exps = tuple(
                 sorted(((v, combo.count(v)) for v in set(combo)),
                        key=lambda t: (abs(t[0]), t[0] < 0))

@@ -468,6 +468,8 @@ def test_run_claims_prefix_filter(corpus):
     assert {r.claim_id for r in reports} == {
         "Cor2.3.1", "Cor2.3.2", "Cor3.7.1", "Cor3.7.2",
     }
+    with pytest.raises(InputError, match="'Thm35'"):
+        run_claims(small, seed=1, claims=["Thm3.5", "Thm35"])
 
 
 def test_run_claims_one_record_per_claim(corpus):

@@ -98,6 +98,17 @@ def test_stress_max_degree_extends_table(capsys):
     assert rows[-1].split() == ["4", "0", "0", "0"]
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("option", ["--degree", "--max-degree"])
+def test_stress_negative_degree_is_input_error(capsys, option, fmt):
+    path = str(CORPUS_DIR / "crosspoly_d2.json")
+    code, out, err = run(capsys, "stress", path, option, "-1",
+                         "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err == "input error: degrees are nonnegative\n"
+
+
 def run_subprocess(*argv, timeout):
     """The CLI in a child process, so that a regression to a slow path
     fails by timeout instead of hanging the suite."""
@@ -447,6 +458,18 @@ def test_verify_claims_filter(capsys):
     assert code == 0
     claims = {json.loads(line)["claim"] for line in out.splitlines()}
     assert claims == {"Lem3.1", "Lem3.2-3.4"}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_verify_claims_prefix_must_start_a_claim_id(capsys, fmt):
+    # a misspelt filter would otherwise select no record and exit 0
+    path = str(CORPUS_DIR / "crosspoly_d2.json")
+    code, out, err = run(capsys, "verify", path, "--claims", "Lem",
+                         "Thm35", "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: claim prefix 'Thm35' starts no "
+                          "claim id")
 
 
 def test_verify_reports_failure_with_exit_one(tmp_path, capsys):
