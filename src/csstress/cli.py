@@ -247,9 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_stress.add_argument("--affine", action="store_true",
                           help="use the polytope's canonical forms")
     p_stress.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_stress.add_argument("--degree", type=int, default=None,
-                          help="single degree instead of the full table")
-    p_stress.add_argument("--max-degree", type=int, default=None)
+    degrees = p_stress.add_mutually_exclusive_group()
+    degrees.add_argument("--degree", type=int, default=None,
+                         help="single degree instead of the full table")
+    degrees.add_argument("--max-degree", type=int, default=None)
     p_stress.add_argument("--basis", action="store_true",
                           help="also print basis stresses")
     p_stress.add_argument("--format", choices=("table", "json"),

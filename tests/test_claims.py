@@ -23,11 +23,13 @@ from csstress import (
     derived_stress,
     instance_from_json,
     is_stress,
+    is_symmetric,
     merge_reports,
     pair_sum,
     polygon,
     run_claims,
     special_lsop,
+    stress_space,
     verify_cor37,
     verify_cor_equivalence,
     verify_lbt,
@@ -210,9 +212,6 @@ def test_lemma31_rejects_out_of_scope_inputs(octahedron):
         verify_lemma31(octahedron, seq, off_star, 2)
 
 
-# -- squarefree / pair-sum structure -------------------------------------------------
-
-
 @pytest.mark.parametrize("name", ["crosspoly_d3", "bipyramid_m3"])
 def test_lemma31_checks_every_symmetric_star_stress(corpus_by_name, name):
     # one check per basis vector of the symmetric stresses on each st(v)
@@ -230,6 +229,54 @@ def test_lemma31_checks_every_symmetric_star_stress(corpus_by_name, name):
     assert dense > 0
     assert record.verdict == "pass"
     assert record.computed == {"checked": dense}
+
+
+@pytest.mark.parametrize("name", ["crosspoly_d3", "bipyramid_m3",
+                                  "bipyramid_m4", "crosspoly_d4"])
+def test_lemma31_holds_for_every_counted_vector(corpus_by_name, name):
+    # the suite counts the plus basis of each Γ_k = lk(k) ∩ lk(-k) twice,
+    # once per v = ±k; each such vector is a symmetric stress of the
+    # whole complex, and the lemma holds for it at both vertices
+    inst = corpus_by_name[name]
+    cx = inst.complex
+    seq, spaces = linear_table(cx, 1)
+    pairs = sorted({abs(v) for v in cx.vertices})
+    counted = 0
+    for i in range(1, cx.dim + 2):
+        if spaces[i].dim == 0:
+            continue
+        for k in pairs:
+            link = claims_module._antipodal_link(cx, k)
+            if link is None or i > link.dim + 1:
+                continue
+            for w in stress_space(link, seq, i).plus_basis:
+                assert is_symmetric(w)
+                assert is_stress(cx, seq, w)
+                for v in (k, -k):
+                    assert verify_lemma31(cx, seq, w, v).verdict == "pass"
+                    counted += 1
+    record = next(r for r in instance_reports(inst, 1)
+                  if r.claim_id == "Lem3.1")
+    assert counted > 0
+    assert record.computed == {"checked": counted}
+
+
+def test_lemma31_suite_does_not_rederive_the_lemma(corpus_by_name,
+                                                   monkeypatch):
+    inst = corpus_by_name["crosspoly_d3"]
+    want = next(r for r in instance_reports(inst, 1)
+                if r.claim_id == "Lem3.1")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_lemma31 called by the suite")
+
+    monkeypatch.setattr(claims_module, "verify_lemma31", refuse)
+    got = next(r for r in instance_reports(inst, 1)
+               if r.claim_id == "Lem3.1")
+    assert got.to_json_obj() == want.to_json_obj()
+
+
+# -- squarefree / pair-sum structure -------------------------------------------------
 
 
 def test_lemma32_34_on_octahedron(octahedron):

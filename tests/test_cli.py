@@ -109,6 +109,21 @@ def test_stress_negative_degree_is_input_error(capsys, option, fmt):
     assert err == "input error: degrees are nonnegative\n"
 
 
+@pytest.mark.parametrize("options", [
+    ["--degree", "1", "--max-degree", "3"],
+    ["--max-degree", "3", "--degree", "1"],
+])
+def test_stress_degree_and_max_degree_exclude_each_other(capsys, options):
+    # one of them would otherwise be dropped without a word
+    path = str(CORPUS_DIR / "crosspoly_d2.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["stress", path, *options])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "not allowed with argument" in err
+
+
 def run_subprocess(*argv, timeout):
     """The CLI in a child process, so that a regression to a slow path
     fails by timeout instead of hanging the suite."""

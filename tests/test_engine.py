@@ -444,14 +444,17 @@ def test_echelon_assembly_matches_dense_oracle_on_original_forms(cx, data):
         space = stress_space(cx, forms, i)
         split = len(space.blocks) == 2
         assert split == (cx.cs and all(f.parity != "none" for f in forms))
-        assert space.dim == brute_stress_dim(cx.facets, rows, i), i
         bases = brute_stress_bases(cx.facets, rows, i,
                                    [m.exps for m in space.columns], split)
         assert [[list(v) for v in b.basis.vectors] for b in space.blocks] \
             == bases, i
         if split:
+            # the whole kernel, a system the split bases do not solve
+            assert space.dim == brute_stress_dim(cx.facets, rows, i), i
             assert (space.plus_dim, space.minus_dim) == tuple(
                 len(b) for b in bases), i
+        else:
+            assert space.dim == len(bases[0]), i
         oracle.append((space, [v for b in bases for v in b]))
 
     # membership, against the definition on the forms as drawn, from
