@@ -10,7 +10,6 @@ failed; a failed verdict always carries a concrete witness.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -79,21 +78,45 @@ CLAIM_IDS = (
 )
 
 
-@dataclass(frozen=True)
 class VerificationReport:
-    claim_id: str
-    instance: str
-    verdict: str
-    expected: object = None
-    computed: object = None
-    witness: object = None
-    note: str = ""
+    """One claim's verdict on one instance; read-only."""
 
-    def __post_init__(self):
-        if self.verdict not in VERDICTS:
-            raise ValueError(f"unknown verdict {self.verdict!r}")
-        if self.verdict == FAIL and self.witness is None:
+    __slots__ = ("claim_id", "instance", "verdict", "expected", "computed",
+                 "witness", "note")
+
+    def __init__(self, claim_id: str, instance: str, verdict: str,
+                 expected=None, computed=None, witness=None, note: str = ""):
+        if verdict not in VERDICTS:
+            raise ValueError(f"unknown verdict {verdict!r}")
+        if verdict == FAIL and witness is None:
             raise ValueError("a failed verdict requires a witness")
+        values = (claim_id, instance, verdict, expected, computed, witness,
+                  note)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not VerificationReport:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__
+        )
+        return f"VerificationReport({fields})"
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -155,12 +178,31 @@ def merge_reports(claim_id, instance, reports) -> VerificationReport:
 # -- corpus instances --------------------------------------------------------
 
 
-@dataclass
 class CorpusInstance:
-    name: str
-    complex: SimplicialComplex
-    polytope: Polytope | None = None
-    expected: dict = field(default_factory=dict)
+    """A named complex, its polytope when it has coordinates, and the
+    values its file expects."""
+
+    __slots__ = ("name", "complex", "polytope", "expected")
+
+    def __init__(self, name: str, complex: SimplicialComplex,
+                 polytope: Polytope | None = None, expected=None):
+        self.name = name
+        self.complex = complex
+        self.polytope = polytope
+        self.expected = {} if expected is None else expected
+
+    def __eq__(self, other):
+        if type(other) is not CorpusInstance:
+            return NotImplemented
+        return (self.name, self.complex, self.polytope, self.expected) == (
+            other.name, other.complex, other.polytope, other.expected
+        )
+
+    def __repr__(self):
+        return (
+            f"CorpusInstance(name={self.name!r}, complex={self.complex!r}, "
+            f"polytope={self.polytope!r}, expected={self.expected!r})"
+        )
 
 
 def instance_from_json(text: str, fallback_name="instance") -> CorpusInstance:

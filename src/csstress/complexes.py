@@ -5,7 +5,9 @@ the relabeling v -> -v maps every nonempty face to a different face of the
 complex, so the involution acts freely on faces.  Complexes are stored by
 their facets plus one face set, built on first use and kept: face
 membership is a lookup in that set, and the cs and redundancy checks work
-on facets, so a pure complex never builds it just to be constructed.
+on facets, so a pure complex never builds it just to be constructed.  The
+face counts are taken on vertex bitmasks instead, so the f-, h- and
+g-vectors never build it either.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import Counter
-from dataclasses import dataclass
 
 from .errors import (
     CsViolation,
@@ -72,20 +72,44 @@ def negate(tau: Face) -> Face:
     return tuple(sorted(-v for v in tau))
 
 
-@dataclass(frozen=True)
 class FHGVectors:
-    """Face counts f_(-1..d-1), the h-transform, and g_i = h_i - h_(i-1)."""
+    """Face counts f_(-1..d-1), the h-transform, and g_i = h_i - h_(i-1).
+    Read-only."""
 
-    d: int
-    f: tuple[int, ...]
-    h: tuple[int, ...]
-    g: tuple[int, ...]
+    __slots__ = ("d", "f", "h", "g")
+
+    def __init__(self, d: int, f: tuple, h: tuple, g: tuple):
+        for name, value in zip(self.__slots__, (d, f, h, g)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return (self.d, self.f, self.h, self.g)
+
+    def __eq__(self, other):
+        if type(other) is not FHGVectors:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"FHGVectors(d={self.d!r}, f={self.f!r}, h={self.h!r}, "
+            f"g={self.g!r})"
+        )
 
 
 class SimplicialComplex:
     """Immutable simplicial complex given by an inclusion-free facet list."""
 
-    __slots__ = ("facets", "ground_set", "cs", "_faces", "_fhg")
+    __slots__ = ("facets", "ground_set", "cs", "_faces", "_counts", "_fhg")
 
     def __init__(self, facets, ground_set=None, _cs=None):
         fs = sorted({face(f) for f in facets})
@@ -94,6 +118,7 @@ class SimplicialComplex:
         check_face_subsets(sum(1 << len(f) for f in fs))
         self.facets = tuple(fs)
         self._faces = None
+        self._counts = None
         self._fhg = None
         if not self.is_pure():
             self._check_redundancy()
@@ -243,7 +268,7 @@ class SimplicialComplex:
             raise NotPure("h-vector requires a pure complex")
         d = self.dim + 1
         counts = self.face_counts()
-        f = tuple(counts.get(s, 0) for s in range(d + 1))
+        f = tuple(counts[s] for s in range(d + 1))
         h = tuple(
             sum(
                 (-1) ** (i - k) * math.comb(d - k, i - k) * f[k]
@@ -256,9 +281,34 @@ class SimplicialComplex:
         return self._fhg
 
     def face_counts(self) -> dict[int, int]:
-        """{s: number of faces with s vertices}, the empty face included;
-        defined for non-pure complexes too."""
-        return dict(Counter(map(len, self.all_faces())))
+        """{s: number of faces with s vertices} for s = 0..dim+1, the empty
+        face included; defined for non-pure complexes too.
+
+        Counted once, level by level on vertex bitmasks, without the face
+        set: the faces with s vertices are the facets with s vertices and
+        every face with s + 1 vertices less one of its vertices.
+        """
+        if self._counts is None:
+            bit = {v: 1 << n for n, v in enumerate(self.vertices)}
+            by_size = {}
+            for f in self.facets:
+                by_size.setdefault(len(f), []).append(
+                    sum(bit[v] for v in f)
+                )
+            counts = []
+            level = set()
+            for s in range(self.dim + 1, -1, -1):
+                below = set(by_size.get(s, ()))
+                for m in level:
+                    rest = m
+                    while rest:
+                        b = rest & -rest
+                        below.add(m ^ b)
+                        rest ^= b
+                level = below
+                counts.append(len(level))
+            self._counts = tuple(reversed(counts))
+        return dict(enumerate(self._counts))
 
 
 # -- constructions -------------------------------------------------------

@@ -77,7 +77,26 @@ class Monomial:
         return 0
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.exps + other.exps)
+        # merge the two canonical exps, adding the exponents of a shared
+        # variable
+        a, b = self.exps, other.exps
+        merged = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            u, v = a[i][0], b[j][0]
+            if u == v:
+                merged.append((u, a[i][1] + b[j][1]))
+                i += 1
+                j += 1
+            elif _vkey(u) < _vkey(v):
+                merged.append(a[i])
+                i += 1
+            else:
+                merged.append(b[j])
+                j += 1
+        return Monomial._canonical(
+            tuple(merged) + a[i:] + b[j:], self.degree + other.degree
+        )
 
     def sort_key(self):
         # ascending sort by this key lists same-degree monomials in

@@ -63,6 +63,10 @@ def test_report_validates_verdict():
         VerificationReport("X", "inst", "fail")  # fail needs a witness
     r = VerificationReport("X", "inst", "fail", witness={"reason": "r"})
     assert r.verdict == "fail"
+    assert r == VerificationReport("X", "inst", "fail", witness={"reason": "r"})
+    # read-only, so the checks above cannot be bypassed afterwards
+    with pytest.raises(AttributeError):
+        r.witness = None
 
 
 def test_report_json_omits_missing_fields():

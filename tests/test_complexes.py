@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from math import comb
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from csstress import (
     CsViolation,
+    FHGVectors,
     GroundSetOverlap,
     InputError,
     NotAFace,
@@ -24,10 +26,12 @@ from csstress import (
     join,
     negate,
 )
+from csstress.polynomials import monomial_count
 from oracles import (
     brute_contains,
     brute_cross_polytope_pairs,
     brute_f_vector,
+    brute_faces,
     brute_has_redundant_facet,
     brute_is_cs,
     h_from_f,
@@ -248,6 +252,9 @@ def test_complex_layer_matches_facet_scan_oracles(facets, extra, probes):
         return
     cx = SimplicialComplex(facets, ground_set=ground)
     assert cx.cs == brute_is_cs(facets, ground)
+    assert cx.face_counts() == dict(Counter(
+        map(len, brute_faces([set(f) for f in facets]))
+    ))
     for tau in probes + [[]] + [list(reversed(f)) * 2 for f in facets]:
         assert cx.contains(tau) == brute_contains(facets, tau), tau
 
@@ -272,6 +279,34 @@ def test_ten_cross_polytope_loads_with_closed_form_f_vector():
     assert cx.fhg_vectors().f == tuple(
         2**k * comb(10, k) for k in range(11)
     )
+
+
+def test_face_numbers_build_no_face_set():
+    # f, h, g and the monomial counts come from face_counts alone, which
+    # counts on vertex bitmasks: the 3^10 faces are never listed
+    cx = cross_polytope_boundary(10)
+    vec = cx.fhg_vectors()
+    assert cx.face_counts() == {k: 2**k * comb(10, k) for k in range(11)}
+    assert vec.h == tuple(comb(10, i) for i in range(11))
+    assert vec.g == (1,) + tuple(
+        comb(10, i) - comb(10, i - 1) for i in range(1, 6)
+    )
+    counts = [monomial_count(cx, i) for i in range(11)]
+    assert counts[:3] == [1, 20, 20 + 180]
+    assert cx._faces is None
+
+
+def test_fhg_vectors_are_read_only_values():
+    vec = cross_polytope_boundary(2).fhg_vectors()
+    same = FHGVectors(d=2, f=(1, 4, 4), h=(1, 2, 1), g=(1, 1))
+    assert vec == same and hash(vec) == hash(same)
+    assert vec != FHGVectors(2, (1, 4, 4), (1, 2, 1), (1, 2))
+    assert repr(vec) == "FHGVectors(d=2, f=(1, 4, 4), h=(1, 2, 1), g=(1, 1))"
+    with pytest.raises(AttributeError):
+        vec.h = (1, 1, 1)
+    with pytest.raises(AttributeError):
+        del vec.g
+    assert vec.h == (1, 2, 1)
 
 
 def test_face_subset_limit():

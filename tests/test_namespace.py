@@ -84,3 +84,14 @@ def test_cli_module_run_writes_nothing_to_stderr():
     out = fresh("-m", "csstress.cli", "info",
                 str(CORPUS_DIR / "crosspoly_d2.json"))
     assert out.startswith("d=2, f=(1,4,4)")
+
+
+def test_cli_import_loads_no_dataclasses():
+    # dataclasses imports inspect, ast, dis and tokenize: about 10 ms of
+    # CPU on every command-line run
+    out = fresh("-S", "-c", """if True:
+        import sys
+        import csstress.cli
+        print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
+    """)
+    assert out == "[]\n"

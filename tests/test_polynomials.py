@@ -79,6 +79,22 @@ def test_monomial_product_merges_exponents():
     assert mono(1) * ONE == mono(1)
 
 
+MONOMIAL_LABELS = st.lists(st.sampled_from(LABELS), max_size=5)
+
+
+@given(MONOMIAL_LABELS, MONOMIAL_LABELS)
+@example([1, -1, 2], [-1, 2, 2])  # shared variables
+@example([2, 3], [-2, -3, 1])  # only +-k pairs across the factors
+@example([], [-3])
+def test_monomial_product_matches_the_normalising_constructor(vs, ws):
+    m1, m2 = mono(*vs), mono(*ws)
+    slow = Monomial(m1.exps + m2.exps)
+    product = m1 * m2
+    assert product.exps == slow.exps
+    assert product.degree == slow.degree
+    assert hash(product) == hash(slow)
+
+
 # -- polynomials ----------------------------------------------------------------
 
 
