@@ -21,9 +21,11 @@ from .complexes import (
     load_json,
 )
 from .engine import (
+    PRIMES,
     canonical_forms,
     certify_dims,
     generic_lsop,
+    is_integer_stress,
     is_stress,
     restrict_stress_space,
     special_lsop,
@@ -36,18 +38,18 @@ from .errors import (
     NotPure,
     PreconditionUnmet,
 )
-from .exactla import SparseMatrix, nullspace
+from .exactla import int_nullspace, int_rank, rank_mod
 from .polynomials import (
     LinearForm,
     Monomial,
     Polynomial,
-    expand_y_representation,
-    involution_action,
-    is_squarefree,
+    exps_divide,
+    exps_partials,
+    exps_times,
     is_symmetric,
+    negated_exps,
     pair_sum,
     partial_derivative,
-    y_representation,
 )
 from .polytopes import Polytope, polytope_from_json_obj
 
@@ -459,22 +461,80 @@ def verify_lemma31(cx, forms, w: Polynomial, v: int, instance="") -> Verificatio
     )
 
 
-def _subspace(basis, conditions) -> list[Polynomial]:
-    """Basis of the w in the span of `basis` on which every polynomial of
-    conditions(w), a linear map, vanishes: one exact system in the
-    coefficients of w over `basis`, one row per (condition, monomial)."""
+def _integer_family(block) -> list:
+    """The kernel of a stress block as pairs (pivot exps, {exps: int})."""
+    cols = block.columns
+    return [(cols[p].exps, {cols[j].exps: x for j, x in vec.items()})
+            for p, vec in block.vectors]
+
+
+def _accumulate(pairs) -> dict:
+    out: dict = {}
+    for key, x in pairs:
+        out[key] = out.get(key, 0) + x
+    return {key: x for key, x in out.items() if x}
+
+
+def _subfamily(family, conditions) -> list:
+    """The members of span(family) on which the linear map `conditions`,
+    from terms to {condition: value}, vanishes, from one integer system
+    over the family.  Like the family, they are positive at their own
+    pivots and 0 at the others'."""
     rows: dict = {}
-    entries = {}
-    for col, b in enumerate(basis):
-        for k, p in enumerate(conditions(b)):
-            for m, x in p.terms.items():
-                entries[rows.setdefault((k, m), len(rows)), col] = x
-    kernel = nullspace(SparseMatrix(len(rows), len(basis), entries))
-    return [
-        Polynomial((m, x * c) for b, x in zip(basis, vec) if x
-                   for m, c in b.terms.items())
-        for vec in kernel.vectors
-    ]
+    for b, (_, terms) in enumerate(family):
+        for key, x in conditions(terms).items():
+            rows.setdefault(key, {})[b] = x
+    return [(family[f][0], _accumulate((exps, x * c) for b, x in y.items()
+                                       for exps, c in family[b][1].items()))
+            for f, y in int_nullspace(list(rows.values()), len(family))]
+
+
+def _asymmetry(terms) -> dict:
+    # d/dx_v w - sigma(d/dx_v w): the term c m adds e c at (v, m / x_v)
+    # and takes it at (v, sigma(m / x_v))
+    return _accumulate(
+        pair for exps, c in terms.items()
+        for v, e, lower in exps_partials(exps)
+        for pair in (((v, lower), e * c), ((v, negated_exps(lower)), -e * c)))
+
+
+def _y_obstruction(terms) -> dict:
+    # zero exactly when each vertex derivative is squarefree and has
+    # equal derivatives at k and -k, the criterion of y_representation
+    def pairs():
+        for exps, c in terms.items():
+            for v, e, lower in exps_partials(exps):
+                if any(f > 1 for _, f in lower):
+                    yield (None, v, lower), e * c
+                for u, f, lowest in exps_partials(lower):
+                    yield (v, abs(u), lowest), (e if u > 0 else -e) * c * f
+    return _accumulate(pairs())
+
+
+def _squarefree(terms) -> bool:
+    return all(e == 1 for exps in terms for _, e in exps)
+
+
+def _is_y_polynomial(terms) -> bool:
+    """Are the squarefree terms c_m m a polynomial in the pair sums y_k?
+    Exactly when they are the sum of c_tau y_tau over the terms c_tau x_tau
+    of positive support tau, y_tau expanding to the 2^|tau| signings of
+    x_tau: each signing's coefficient is then c_tau, which is also what
+    d/dx_k = d/dx_{-k} for all k, the criterion of y_representation,
+    says, so that round trip cannot fail on its own."""
+    return terms == _accumulate(
+        (tuple((s * v, 1) for s, (v, _) in zip(signs, exps)), c)
+        for exps, c in terms.items() if all(v > 0 for v, _ in exps)
+        for signs in itertools.product((1, -1), repeat=len(exps)))
+
+
+def _reduced(member) -> Polynomial:
+    """The member (pivot, {exps: int}) of a family, as the polynomial of
+    the reduced basis: divided by its coefficient at the pivot."""
+    pivot, terms = member
+    degree = sum(e for _, e in pivot)
+    return Polynomial._of({Monomial._canonical(exps, degree): Fraction(
+        c, terms[pivot]) for exps, c in terms.items()})
 
 
 def verify_lemma32_34(cx, table, i, instance="") -> VerificationReport:
@@ -489,44 +549,29 @@ def verify_lemma32_34(cx, table, i, instance="") -> VerificationReport:
     symmetric.  The forms have definite parity, so W_i and that subspace
     are stable under the involution and split into their symmetric and
     antisymmetric parts, each computed inside the matching part of
-    Stress_i.  `checked` is dim W_i.
+    Stress_i.  Every system and check runs on integer multiples of the
+    basis vectors, which changes no conclusion, as each is linear and
+    homogeneous; a witness is printed as the reduced vector.  `checked`
+    is dim W_i.
     """
     space = table[1][i]
-    if space.plus_basis is None:
+    if len(space.blocks) != 2:
         raise HypothesisUnmet(
             "the lemmas need a cs complex and forms of definite parity"
         )
-    ground = cx.ground_set
-
-    def asymmetry(w):
-        return [dw - involution_action(dw)
-                for dw in (partial_derivative(w, v) for v in ground)]
-
-    def y_obstruction(w):
-        # zero exactly when each vertex derivative is squarefree and has
-        # equal derivatives at k and -k, the criterion of y_representation
-        for dw in (partial_derivative(w, v) for v in ground):
-            yield Polynomial((m, c) for m, c in dw.terms.items()
-                             if not m.is_squarefree())
-            yield from (partial_derivative(dw, k) - partial_derivative(dw, -k)
-                        for k in ground if k > 0)
-
-    plus = _subspace(space.plus_basis, asymmetry)
-    minus = _subspace(space.minus_basis, asymmetry)
+    plus, minus = (_subfamily(_integer_family(b), _asymmetry)
+                   for b in space.blocks)
     failures = [(w, "stress is not squarefree")
-                for w in plus + minus if not is_squarefree(w)]
-    for w in filter(is_squarefree, plus):
-        rep = y_representation(w)
-        if rep is None:
-            failures.append((w, "symmetric stress has no y-representation"))
-        elif expand_y_representation(rep) != w:
-            failures.append((w, "y-representation round trip failed"))
+                for w in plus + minus if not _squarefree(w[1])]
+    failures += [(w, "symmetric stress has no y-representation")
+                 for w in plus
+                 if _squarefree(w[1]) and not _is_y_polynomial(w[1])]
     # forced symmetry needs degree >= 2: a linear polynomial has
     # constant derivatives, which say nothing about its symmetry
     if i >= 2:
         failures += [(w, "derivative y-representations did not force a "
                          "symmetric y-polynomial")
-                     for w in _subspace(minus, y_obstruction)]
+                     for w in _subfamily(minus, _y_obstruction)]
     checked = len(plus) + len(minus)
     return VerificationReport(
         CLAIM_SQUAREFREE,
@@ -534,7 +579,8 @@ def verify_lemma32_34(cx, table, i, instance="") -> VerificationReport:
         FAIL if failures else PASS if checked else UNMET,
         computed={"degree": i, "checked": checked,
                   "skipped": space.dim - checked},
-        witness=[{"stress": w.text(), "reason": r} for w, r in failures]
+        witness=[{"stress": _reduced(w).text(), "reason": r}
+                 for w, r in failures]
         or None,
         note="" if checked else "no stresses with all-symmetric derivatives",
     )
@@ -604,7 +650,7 @@ def verify_thm35(cx, table, i, instance="", steps=None) -> VerificationReport:
     transported = 0
     for j in range(i + 1, top + 1):
         if j not in steps:
-            steps[j] = _thm35_step(cx, spaces, j)
+            steps[j] = _thm35_step(cx, forms, spaces, j)
         hits, count, found = steps[j]
         if hits is not None:
             detected[j] = hits
@@ -620,10 +666,26 @@ def verify_thm35(cx, table, i, instance="", steps=None) -> VerificationReport:
     )
 
 
-def _thm35_step(cx, spaces, j):
+def _transported(terms, u1, u2) -> dict:
+    """`derived_stress` on the integer terms {exps: coefficient}."""
+    a, b = abs(u1), abs(u2)
+    pairs = []
+    for exps, c in terms.items():
+        e1, lower = exps_divide(exps, u1)
+        e2, lower = exps_divide(lower, u2)
+        if e1 and e2:
+            c *= e1 * e2
+            pairs += [(exps_times(lower, v), x)
+                      for v, x in ((a, c), (-a, c), (b, -c), (-b, -c))]
+    return _accumulate(pairs)
+
+
+def _thm35_step(cx, forms, spaces, j):
     """(cross-polytope subcomplexes found, or None when Stress_j = 0;
     transported pairs; failures) of degree j, one above an all-symmetric
-    degree."""
+    degree.  The transport is linear, so it runs on the integer multiples
+    of the basis vectors and feeds `is_integer_stress`; a failure's
+    witness is `derived_stress` of the reduced vector."""
     failures = []
     hits = None
     if spaces[j].dim > 0:
@@ -635,20 +697,21 @@ def _thm35_step(cx, spaces, j):
                            "nonzero stresses"}
             )
     transported = 0
-    for w in spaces[j].basis:
-        edges = sorted(
-            {e for m in w.terms
-             for e in itertools.combinations(m.support, 2)}
-        )
-        for u1, u2 in edges:
-            w_prime = derived_stress(w, u1, u2)
-            transported += 1
-            if not spaces[j - 1].contains(w_prime):
-                failures.append(
-                    {"degree": j, "edge": [u1, u2],
-                     "witness": w_prime.text(),
-                     "reason": "derived polynomial is not a stress"}
-                )
+    for block in spaces[j].blocks:
+        for member in _integer_family(block):
+            terms = member[1]
+            edges = sorted({e for exps in terms for e in itertools.combinations(
+                sorted(v for v, _ in exps), 2)})
+            for u1, u2 in edges:
+                transported += 1
+                if not is_integer_stress(cx, forms,
+                                         _transported(terms, u1, u2)):
+                    failures.append(
+                        {"degree": j, "edge": [u1, u2],
+                         "witness": derived_stress(_reduced(member), u1,
+                                                   u2).text(),
+                         "reason": "derived polynomial is not a stress"}
+                    )
     return hits, transported, failures
 
 
@@ -864,47 +927,66 @@ def _expect_report(inst: CorpusInstance, table) -> VerificationReport:
     )
 
 
-def _antipodal_link(cx: SimplicialComplex, k: int):
-    """lk(k) ∩ lk(-k), or None when it has no nonempty face."""
-    meets = {
-        tuple(sorted(set(a) & set(b)))
-        for a in cx.link((k,)).facets
-        for b in cx.link((-k,)).facets
-    }
-    facets = [f for f in meets if not any(set(f) < set(g) for g in meets)]
-    if facets == [()]:
-        return None
-    return SimplicialComplex(facets)
+def _supported_count(vectors, on) -> int:
+    """The dimension of the w in the span of `vectors`, pairs (pivot,
+    {column: int}) of a reduced basis, that vanish on every column where
+    on(column) is false: the off columns.
+
+    A vector whose pivot is off is the only one nonzero at its pivot, so
+    it stays independent of the others on the off columns.  The count is
+    therefore the number of the other vectors less their rank on the off
+    columns.  That rank is taken mod PRIMES[0] when that is full, which
+    makes it exact, and exactly otherwise."""
+    kept = [vec for p, vec in vectors if on(p)]
+    rows = [r for r in ({j: x for j, x in vec.items() if not on(j)}
+                        for vec in kept) if r]
+    if rows and rank_mod(rows, PRIMES[0]) < len(rows):
+        return len(kept) - int_rank(rows)
+    return len(kept) - len(rows)
 
 
 def _lemma31_suite(cx, table, instance) -> VerificationReport:
-    # A symmetric stress supported on st(v) is also supported on st(-v),
-    # hence on st(v) ∩ st(-v) = lk(v) ∩ lk(-v) = Γ_|v|.  Stresses are
-    # local, so those are the symmetric stresses of Γ_|v|, and each is a
-    # stress of cx.  The lemma's conclusion therefore holds by
-    # construction: a plus-block vector is symmetric, and its terms lie
-    # on faces of Γ_k ⊆ lk(±k).  So the record cannot read fail, and
-    # `checked` counts the (v, w) pairs, v = ±k and w in a basis of the
-    # plus block; tests check those vectors against `verify_lemma31`.
-    # Every face of Γ_k has a facet-rank restriction of seq, so its
-    # stresses vanish above its dimension + 1 (Stanley, CCA III.2.4).
+    # Lem3.1: a symmetric stress supported on st(v) is supported on
+    # Γ_|v| = lk(v) ∩ lk(-v).  Stresses are local, so the symmetric
+    # stresses supported on a subcomplex are the plus-block stresses of
+    # cx that vanish off it, and their dimension is `_supported_count`.
+    # A support σ lies on st(v) when σ ∪ {v} is a face, and on Γ_k when
+    # σ ∪ {k} and σ ∪ {-k} both are.  For each (v, i) the two counts
+    # must agree; `checked` sums the Γ counts over the (v, i).
     seq, spaces = table
     d = cx.dim + 1
-    pairs = sorted({abs(v) for v in cx.vertices})
-    links = {k: _antipodal_link(cx, k) for k in pairs}
-    checked = 2 * sum(
-        stress_space(links[k], seq, i).plus_dim
-        for i in range(1, d + 1) if spaces[i].dim
-        for k in pairs
-        if links[k] is not None and i <= links[k].dim + 1
-    )
-    if checked == 0:
-        return VerificationReport(
-            CLAIM_STAR_SUPPORT, instance, UNMET,
-            note="no symmetric star-supported stresses",
-        )
+    vertices = cx.vertices
+    pairs = sorted({abs(v) for v in vertices})
+    reach: dict = {}  # support -> the vertices v with support ∪ {v} a face
+    checked = 0
+    failures = []
+    for i in range(1, d + 1):
+        if not spaces[i].dim:
+            continue
+        vectors = spaces[i].blocks[0].vectors
+        near = []
+        for m in spaces[i].columns:
+            sigma = m.support
+            if sigma not in reach:
+                reach[sigma] = {v for v in vertices
+                                if cx.contains(sigma + (v,))}
+            near.append(reach[sigma])
+        for k in pairs:
+            gamma = _supported_count(
+                vectors, lambda j: k in near[j] and -k in near[j])
+            for v in (k, -k):
+                star = _supported_count(vectors, lambda j: v in near[j])
+                checked += gamma
+                if star != gamma:
+                    failures.append({"vertex": v, "degree": i,
+                                     "star": star, "gamma": gamma})
+    verdict = FAIL if failures else PASS if checked else UNMET
     return VerificationReport(
-        CLAIM_STAR_SUPPORT, instance, PASS, computed={"checked": checked}
+        CLAIM_STAR_SUPPORT, instance, verdict,
+        computed=None if verdict == UNMET else {"checked": checked},
+        witness=failures or None,
+        note="no symmetric star-supported stresses" if verdict == UNMET
+        else "",
     )
 
 

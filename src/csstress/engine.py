@@ -10,8 +10,8 @@ kernels are the stress spaces, which is much sparser than with the forms
 as drawn.  For a centrally symmetric complex and forms of definite parity,
 the involution x_v -> x_{-v} splits that matrix into a symmetric (plus)
 and an antisymmetric (minus) block; their dimensions carry the
-face-number content.  A block is solved as an exact nullspace only when
-its basis or dimension is read, and `certify_dims` fixes the dimensions
+face-number content.  A block is solved as an exact nullspace, into
+primitive integer vectors, only when its kernel or dimension is read, and `certify_dims` fixes the dimensions
 of a whole table from ranks mod a prime when a lower bound proves them
 exact, so a caller that needs only dimensions may solve nothing.
 Stresses are local, so the stresses of a subcomplex are computed on the
@@ -34,7 +34,13 @@ from .errors import (
     NotSubcomplex,
 )
 from .exactla import Basis, int_nullspace, int_rank, int_rref, rank_mod
-from .polynomials import LinearForm, Polynomial, delta_monomials, negated_exps
+from .polynomials import (
+    LinearForm,
+    Polynomial,
+    delta_monomials,
+    exps_partials,
+    negated_exps,
+)
 
 COEFF_BOUND = 10**6
 MAX_ATTEMPTS = 8
@@ -99,14 +105,14 @@ class _Block:
     per representative; block column b stands for the full column
     reps[b] plus `sign` times its mirror (the column itself when the
     space does not split).  `known` is the exact kernel dimension once
-    it is known, from the basis, certified by the caller of
-    `certify_dims` or by theorem; the matrix is dropped once the basis
-    exists.  A block known to be 0 has the empty basis, so it is never
+    it is known, from the kernel, certified by the caller of
+    `certify_dims` or by theorem; the matrix is dropped once the kernel
+    exists.  A block known to be 0 has the empty kernel, so it is never
     solved.
     """
 
     __slots__ = ("columns", "matrix", "reps", "mirror", "sign", "known",
-                 "_basis", "_polynomials")
+                 "_vectors", "_polynomials")
 
     def __init__(self, columns, matrix, reps, mirror, sign, known=None):
         self.columns = columns
@@ -115,13 +121,13 @@ class _Block:
         self.mirror = mirror
         self.sign = sign
         self.known = known
-        self._basis = None
+        self._vectors = None
         self._polynomials = None
 
     @property
     def dim(self) -> int:
         if self.known is None:
-            self.known = self.basis.dim
+            self.known = len(self.vectors)
         return self.known
 
     def dim_mod(self, p: int) -> int:
@@ -136,43 +142,45 @@ class _Block:
         return len(self.reps) - rank_mod(self.matrix, p)
 
     @property
-    def basis(self) -> Basis:
-        """Reduced exact basis in full coordinates."""
-        if self._basis is None:
-            self._basis = self._solve()
+    def vectors(self) -> tuple:
+        """The kernel as pairs (pivot, {column: int}) in full coordinates:
+        each vector a positive multiple of the reduced basis vector that
+        is 1 at its pivot column and 0 at the pivot of every other."""
+        if self._vectors is None:
+            self._vectors = self._solve()
             self.matrix = None
-        return self._basis
+        return self._vectors
 
-    def _solve(self) -> Basis:
+    def _solve(self) -> tuple:
         if self.known == 0:
-            return Basis(self.columns, [], [])
-        # the reduced kernel basis does not depend on the row order
+            return ()
+        # the kernel does not depend on the row order
         rows: dict = {}
         for b, column in enumerate(self.matrix):
             for r, x in column.items():
                 rows.setdefault(r, {})[b] = x
-        kernel = int_nullspace(list(rows.values()), len(self.reps))
         vectors = []
-        for u in kernel.vectors:
-            vec = [Fraction(0)] * len(self.columns)
-            for j, x in zip(self.reps, u):
-                if x:
-                    vec[j] = x
-                    vec[self.mirror[j]] = self.sign * x
-            vectors.append(vec)
-        pivots = [self.reps[b] for b in kernel.pivots]
-        return Basis(self.columns, vectors, pivots)
+        for f, u in int_nullspace(list(rows.values()), len(self.reps)):
+            vec = {}
+            for b, x in u.items():
+                j = self.reps[b]
+                vec[j] = x
+                vec[self.mirror[j]] = self.sign * x
+            vectors.append((self.reps[f], vec))
+        return tuple(vectors)
+
+    @property
+    def basis(self) -> Basis:
+        """Reduced exact basis in full coordinates."""
+        return Basis.from_integer(self.columns, self.vectors)
 
     def polynomials(self) -> list[Polynomial]:
-        """The basis as polynomials, in a new list on every call."""
+        """The reduced basis as polynomials, in a new list on every call."""
         if self._polynomials is None:
-            # each vector holds nonzero Fractions on distinct columns of
-            # one degree
             self._polynomials = tuple(
-                Polynomial._of(
-                    {m: c for m, c in zip(self.columns, vec) if c}
-                )
-                for vec in self.basis.vectors
+                Polynomial._of({self.columns[j]: Fraction(vec[j], vec[p])
+                                for j in sorted(vec)})
+                for p, vec in self.vectors
             )
         return list(self._polynomials)
 
@@ -457,7 +465,7 @@ def stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:
         # the m / x_v for distinct v lie in distinct row orbits, their
         # supports being faces of supp m, which meets its mirror in no
         # vertex; so each entry of a block has one term
-        for v, e, lower in _partials(exps):
+        for v, e, lower in exps_partials(exps):
             orbit = orbits.get(lower)
             if orbit is None:
                 negated = negated_exps(lower) if split else lower
@@ -482,16 +490,6 @@ def stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:
     if split:
         blocks.append(_Block(columns, minus_matrix, minus_reps, mirror, -1))
     return StressSpace(cx, forms, i, columns, blocks)
-
-
-def _partials(exps):
-    """(v, e, exps of m / x_v) for each factor x_v^e of the monomial m
-    whose `exps` are given."""
-    for n, (v, e) in enumerate(exps):
-        if e > 1:
-            yield v, e, exps[:n] + ((v, e - 1),) + exps[n + 1:]
-        else:
-            yield v, e, exps[:n] + exps[n + 1:]
 
 
 def _entry_weights(cx, scaled, factors) -> dict:
@@ -555,23 +553,34 @@ def _has_parity_split(cx: SimplicialComplex, forms) -> bool:
 
 def is_stress(cx: SimplicialComplex, forms, w: Polynomial) -> bool:
     """True if every term of w sits on a face and all form derivatives kill
-    w.  They are taken along the integer rows of `echelon_rows`, which span
-    the forms, on w scaled to integers, as the test is homogeneous in w."""
-    if not all(cx.contains(m.support) for m in w.terms):
-        return False
+    w.  The test is homogeneous in w, so it runs on w scaled to integers."""
     mult = lcm(*(c.denominator for c in w.terms.values()))
-    # the term c m of mult * w puts c e m / x_v into d/dx_v
-    partials = [(v, c.numerator * (mult // c.denominator) * e, lower)
-                for m, c in w.terms.items()
-                for v, e, lower in _partials(m.exps)]
-    for _, row in echelon_rows(forms):
-        derivative: dict = {}
-        for v, c, lower in partials:
-            if v in row:
-                derivative[lower] = derivative.get(lower, 0) + c * row[v]
-        if any(derivative.values()):
-            return False
-    return True
+    return is_integer_stress(cx, forms, {
+        m.exps: c.numerator * (mult // c.denominator)
+        for m, c in w.terms.items()})
+
+
+def is_integer_stress(cx: SimplicialComplex, forms, terms) -> bool:
+    """`is_stress` of the polynomial with the nonzero integer terms
+    {exps: coefficient}.  The derivatives are taken along the integer
+    rows of `echelon_rows`, which span the forms."""
+    if not all(cx.contains(v for v, _ in exps) for exps in terms):
+        return False
+    # vertex -> (k, coefficient) of the rows holding it; an echelon row
+    # holds few vertices
+    weights: dict = {}
+    for k, (_, row) in enumerate(echelon_rows(forms)):
+        for v, x in row.items():
+            weights.setdefault(v, []).append((k, x))
+    # the term c m puts c e x m / x_v into the derivative along a row
+    # with coefficient x at v
+    derivative: dict = {}
+    for exps, c in terms.items():
+        for v, e, lower in exps_partials(exps):
+            for k, x in weights.get(v, ()):
+                key = k, lower
+                derivative[key] = derivative.get(key, 0) + c * e * x
+    return not any(derivative.values())
 
 
 def restrict_stress_space(s: StressSpace, sub: SimplicialComplex) -> StressSpace:

@@ -7,9 +7,11 @@ finds the rows holding each column, and the pivot is the sparsest of them
 
 Over Q the update is fraction-free: each row is scaled to coprime
 integers, and updates cross-multiply and remove the common factor, so no
-rational division happens until basis extraction.  `int_rank`, `int_rref`
-and `int_nullspace` take integer rows, dicts {column: value}, directly;
-`rank` and `nullspace` split a `SparseMatrix` into such rows.
+rational division happens.  `int_rank`, `int_rref` and `int_nullspace`
+take integer rows, dicts {column: value}, directly, and `int_nullspace`
+gives its kernel as primitive integer vectors; `rank` and `nullspace`
+split a `SparseMatrix` into such rows, and `nullspace` divides each
+kernel vector down to the reduced basis.
 `rank_mod` updates rows in place over GF(p).  Its entries stay below p,
 so it costs a fraction of the exact path, and for an integer matrix
 rank mod p <= rank over Q: every minor that is nonzero mod p is a nonzero
@@ -73,6 +75,19 @@ class Basis:
                 raise ValueError("vector length differs from column count")
         if len(self.pivots) != len(self.vectors):
             raise ValueError("one pivot per vector required")
+
+    @classmethod
+    def from_integer(cls, columns, kernel) -> "Basis":
+        """The reduced basis of the pairs (f, vector) of `int_nullspace`,
+        vectors over the positions of `columns`: each divided by its
+        entry at f."""
+        vectors = []
+        for f, vec in kernel:
+            dense = [Fraction(0)] * len(columns)
+            for c, x in vec.items():
+                dense[c] = Fraction(x, vec[f])
+            vectors.append(dense)
+        return cls(columns, vectors, [f for f, _ in kernel])
 
     @property
     def dim(self) -> int:
@@ -203,23 +218,33 @@ def int_rref(rows) -> list[dict[int, int]]:
             for c, row in _back_substitute(pivots)]
 
 
-def int_nullspace(rows, ncols: int) -> Basis:
-    """Reduced kernel basis of integer rows, each a dict {column: value},
-    over the columns 0..ncols-1, one vector per free column.  `rows` is
-    not modified."""
+def int_nullspace(rows, ncols: int) -> list[tuple[int, dict[int, int]]]:
+    """Kernel of integer rows, each a dict {column: value}, over the
+    columns 0..ncols-1: one pair (f, vector) per free column f, in
+    ascending order.  The vector is a primitive integer dict {column:
+    value}, positive at f, and a multiple of the reduced kernel vector,
+    which is 1 at f, 0 at every other free column and -row[f] / row[c]
+    at the pivot column c of each row, scaled by the lcm of those
+    denominators.  That is primitive: the lcm's full power of a prime
+    divides some denominator, and the entry there loses it all.  `rows`
+    is not modified."""
     pivots = _back_substitute(
         _forward_eliminate(_integer_rows(rows), _eliminate))
     taken = {c for c, _ in pivots}
-    free_cols = [c for c in range(ncols) if c not in taken]
-    vectors = []
-    for f in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for c, row in pivots:
-            if f in row:
-                vec[c] = -Fraction(row[f], row[c])
-        vectors.append(tuple(vec))
-    return Basis(range(ncols), vectors, free_cols)
+    # a reduced row holds its pivot column and free columns only
+    holding = {f: [] for f in range(ncols) if f not in taken}
+    for c, row in pivots:
+        for f in row:
+            if f != c:
+                holding[f].append((c, row))
+    kernel = []
+    for f, held in holding.items():
+        scale = lcm(*(row[c] // gcd(row[f], row[c]) for c, row in held))
+        vec = {f: scale}
+        for c, row in held:
+            vec[c] = -row[f] * scale // row[c]
+        kernel.append((f, vec))
+    return kernel
 
 
 def _matrix_rows(matrix: SparseMatrix) -> list[dict[int, Fraction]]:
@@ -235,4 +260,5 @@ def rank(matrix: SparseMatrix) -> int:
 
 def nullspace(matrix: SparseMatrix) -> Basis:
     """Reduced basis of the right kernel, one vector per free column."""
-    return int_nullspace(_matrix_rows(matrix), matrix.cols)
+    return Basis.from_integer(
+        range(matrix.cols), int_nullspace(_matrix_rows(matrix), matrix.cols))

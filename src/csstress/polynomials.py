@@ -56,15 +56,10 @@ class Monomial:
 
     def divide(self, v: int) -> "Monomial":
         """Divide by x_v; requires x_v | self."""
-        exps = self.exps
-        for n, (u, e) in enumerate(exps):
-            if u == v:
-                # lowering or dropping one exponent keeps the order
-                rest = exps[n + 1:]
-                if e > 1:
-                    rest = ((u, e - 1),) + rest
-                return Monomial._canonical(exps[:n] + rest, self.degree - 1)
-        raise ValueError(f"x_{v} does not divide {self}")
+        e, lower = exps_divide(self.exps, v)
+        if not e:
+            raise ValueError(f"x_{v} does not divide {self}")
+        return Monomial._canonical(lower, self.degree - 1)
 
     def negate(self) -> "Monomial":
         """Image under the involution x_v -> x_{-v}."""
@@ -129,6 +124,42 @@ def negated_exps(pairs: tuple) -> tuple:
     if any(u == -v for (u, _), (v, _) in zip(negated, negated[1:])):
         negated = tuple(sorted(negated, key=lambda p: _vkey(p[0])))
     return negated
+
+
+def exps_divide(exps: tuple, v: int) -> tuple:
+    """(e, exps of m / x_v) for the monomial m whose `exps` are given and
+    its exponent e of x_v; e is 0, and exps are returned, when x_v does
+    not divide m."""
+    for n, (u, e) in enumerate(exps):
+        if u == v:
+            # lowering or dropping one exponent keeps the order
+            rest = exps[n + 1:]
+            if e > 1:
+                rest = ((u, e - 1),) + rest
+            return e, exps[:n] + rest
+    return 0, exps
+
+
+def exps_times(exps: tuple, v: int) -> tuple:
+    """`exps` of x_v m for the monomial m whose `exps` are given."""
+    a = abs(v)
+    for n, (u, e) in enumerate(exps):
+        if u == v:
+            return exps[:n] + ((v, e + 1),) + exps[n + 1:]
+        # the canonical order puts x_v before x_u
+        if abs(u) > a or (u == -v and v > 0):
+            return exps[:n] + ((v, 1),) + exps[n:]
+    return exps + ((v, 1),)
+
+
+def exps_partials(exps: tuple):
+    """(v, e, exps of m / x_v) for each factor x_v^e of the monomial m
+    whose `exps` are given."""
+    for n, (v, e) in enumerate(exps):
+        if e > 1:
+            yield v, e, exps[:n] + ((v, e - 1),) + exps[n + 1:]
+        else:
+            yield v, e, exps[:n] + exps[n + 1:]
 
 
 ONE = Monomial()
@@ -379,9 +410,9 @@ def partial_derivative(w: Polynomial, v: int) -> Polynomial:
     # normalisation of Polynomial.__init__
     out = {}
     for m, c in w.terms.items():
-        e = m.exponent(v)
+        e, lower = exps_divide(m.exps, v)
         if e:
-            out[m.divide(v)] = c * e
+            out[Monomial._canonical(lower, m.degree - 1)] = c * e
     return Polynomial._of(out)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import sys
 from fractions import Fraction
+from math import lcm
 
 from .complexes import (
     SimplicialComplex,
@@ -21,8 +22,9 @@ from .complexes import (
     facets_from_json,
     load_json,
 )
+from .engine import PRIMES
 from .errors import InputError, NotCs, NotSimplicial
-from .exactla import SparseMatrix, rank
+from .exactla import int_rank, rank_mod
 
 
 class Polytope:
@@ -100,13 +102,20 @@ class Polytope:
 
 
 def _affinely_independent(points) -> bool:
+    """Are the difference rows p - points[0] independent?  They are
+    scaled to integers by one common denominator.  Full rank mod
+    PRIMES[0] proves independence, since a rank mod p is at most the
+    rank; otherwise the exact rank decides."""
     if len(points) <= 1:
         return True
-    base = points[0]
-    diffs = [
-        [x - b for x, b in zip(p, base)] for p in points[1:]
-    ]
-    return rank(SparseMatrix.from_dense(diffs)) == len(points) - 1
+    scale = lcm(*(x.denominator for p in points for x in p))
+    scaled = [[x.numerator * (scale // x.denominator) for x in p]
+              for p in points]
+    base = scaled[0]
+    rows = [{j: x - b for j, (x, b) in enumerate(zip(p, base)) if x != b}
+            for p in scaled[1:]]
+    full = len(rows)
+    return rank_mod(rows, PRIMES[0]) == full or int_rank(rows) == full
 
 
 # -- built-in families -----------------------------------------------------

@@ -126,6 +126,19 @@ def brute_f_vector(facets) -> list[int]:
     return [sum(1 for f in faces if len(f) == k) for k in range(d + 1)]
 
 
+def antipodal_link(facets, k):
+    """Facets of Γ_k = lk(k) ∩ lk(-k): the maximal faces tau, free of
+    +-k, with tau ∪ {k} and tau ∪ {-k} both faces.  None when the empty
+    face is the only one."""
+    faces = brute_faces(facets)
+    meets = [t for t in faces
+             if k not in t and -k not in t
+             and tuple(sorted(t + (k,))) in faces
+             and tuple(sorted(t + (-k,))) in faces]
+    maximal = [t for t in meets if not any(set(t) < set(u) for u in meets)]
+    return None if maximal == [()] else maximal
+
+
 def h_from_f(f) -> list[int]:
     """Coefficients of sum_k f_(k-1) (t-1)^(d-k), highest power first."""
     d = len(f) - 1

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
+from math import lcm
 from types import SimpleNamespace
 
 import pytest
@@ -13,6 +15,7 @@ from csstress import (
     HypothesisUnmet,
     InputError,
     LinearForm,
+    Monomial,
     Polynomial,
     PreconditionUnmet,
     SimplicialComplex,
@@ -22,6 +25,7 @@ from csstress import (
     cross_polytope,
     derived_stress,
     instance_from_json,
+    involution_action,
     is_stress,
     is_symmetric,
     merge_reports,
@@ -43,13 +47,19 @@ from csstress import (
     verify_thm36,
 )
 import csstress.claims as claims_module
+from csstress.engine import is_integer_stress
 from csstress.claims import (
     affine_table,
     instance_reports,
     linear_table,
     stress_table,
 )
-from oracles import brute_symmetric_derivative_dim, brute_symmetric_star_dim
+from oracles import (
+    antipodal_link,
+    brute_is_stress,
+    brute_symmetric_derivative_dim,
+    brute_symmetric_star_dim,
+)
 from strategies import cs_facet_halves
 
 
@@ -250,8 +260,11 @@ def test_lemma31_holds_for_every_counted_vector(corpus_by_name, name):
         if spaces[i].dim == 0:
             continue
         for k in pairs:
-            link = claims_module._antipodal_link(cx, k)
-            if link is None or i > link.dim + 1:
+            link = antipodal_link(cx.facets, k)
+            if link is None:
+                continue
+            link = SimplicialComplex(link)
+            if i > link.dim + 1:
                 continue
             for w in stress_space(link, seq, i).plus_basis:
                 assert is_symmetric(w)
@@ -278,6 +291,29 @@ def test_lemma31_suite_does_not_rederive_the_lemma(corpus_by_name,
     got = next(r for r in instance_reports(inst, 1)
                if r.claim_id == "Lem3.1")
     assert got.to_json_obj() == want.to_json_obj()
+
+
+def test_lemma31_fails_on_a_stand_in_table(octahedron):
+    # a stand-in degree-1 plus block that is not symmetric: x_2 + x_1
+    # and x_3 + x_1, pivoted at x_2 and x_3.  No face holds both k and
+    # -k.  Both vectors lie on st(k); on Γ_1 only their difference,
+    # which only the rank finds; on Γ_2 only x_3 + x_1, and on Γ_3 only
+    # x_2 + x_1.  The counts on st(-k) agree with those on Γ_k
+    seq, spaces = linear_table(octahedron, 1)
+    columns = spaces[1].columns
+    x1, x2, x3 = ([j for j, m in enumerate(columns) if m.support == (v,)][0]
+                  for v in (1, 2, 3))
+    vectors = ((x2, {x2: 1, x1: 1}), (x3, {x3: 1, x1: 1}))
+    stand_in = SimpleNamespace(dim=2, columns=columns,
+                               blocks=(SimpleNamespace(vectors=vectors),))
+    table = (seq, (spaces[0], stand_in, *spaces[2:]))
+    r = claims_module._lemma31_suite(octahedron, table, "oct")
+    assert r.verdict == "fail"
+    assert r.witness == [{"vertex": k, "degree": 1, "star": 2, "gamma": 1}
+                         for k in (1, 2, 3)]
+    # one Γ_k vector in degree 1 and, each Γ_k being a 4-cycle, one in
+    # degree 2, counted at both vertices ±k
+    assert r.computed == {"checked": 2 * (3 + 3)}
 
 
 # -- squarefree / pair-sum structure -------------------------------------------------
@@ -319,6 +355,18 @@ def test_lemma32_34_checks_all_of_w_i(half, seed):
         assert r.computed["checked"] == dense, i
         assert r.computed["skipped"] == table[1][i].dim - dense, i
         assert r.verdict == ("pass" if dense else "hypothesis_unmet"), i
+        # the integer members of W_i are stresses of their block's
+        # parity, each positive at its own pivot and 0 at the others'
+        for sign, block in zip((1, -1), table[1][i].blocks):
+            family = claims_module._subfamily(
+                claims_module._integer_family(block), claims_module._asymmetry)
+            pivots = {p for p, _ in family}
+            for pivot, terms in family:
+                assert terms[pivot] > 0
+                assert not set(terms) & (pivots - {pivot})
+                assert brute_is_stress(cx.facets, rows, terms)
+                w = Polynomial((Monomial(e), c) for e, c in terms.items())
+                assert involution_action(w) == w.scale(sign)
 
 
 NOT_SQUAREFREE = "stress is not squarefree"
@@ -340,8 +388,17 @@ NOT_FORCED = ("derivative y-representations did not force a symmetric "
      [NOT_SQUAREFREE]),
 ])
 def test_lemma32_34_fails_with_a_witness(octahedron, part, w, reasons):
-    space = SimpleNamespace(plus_basis=[], minus_basis=[], dim=1)
-    setattr(space, part, [w])
+    # a stand-in block whose one kernel vector is w, with its pivot at a
+    # monomial of coefficient 1, so the reduced vector is w itself
+    items = w.items()
+    pivot = next(j for j, (_, c) in enumerate(items) if c == 1)
+    block = SimpleNamespace(
+        columns=[m for m, _ in items],
+        vectors=((pivot, {j: int(c) for j, (_, c) in enumerate(items)}),),
+    )
+    blocks = [SimpleNamespace(columns=(), vectors=())] * 2
+    blocks[("plus_basis", "minus_basis").index(part)] = block
+    space = SimpleNamespace(blocks=blocks, dim=1)
     table = (None, [None] * w.degree + [space])
     r = verify_lemma32_34(octahedron, table, w.degree)
     assert r.verdict == "fail"
@@ -378,11 +435,14 @@ def test_thm35_on_octahedron(octahedron):
         verify_thm35(octahedron, table, 1)
 
 
-def test_thm35_fails_when_a_derived_polynomial_is_no_stress(octahedron):
+def test_thm35_fails_when_a_derived_polynomial_is_no_stress(octahedron,
+                                                          monkeypatch):
     seq, spaces = linear_table(octahedron, 1)
-    # a degree-2 space that holds none of the derived polynomials
-    empty = SimpleNamespace(minus_dim=0, dim=0, contains=lambda w: False)
-    r = verify_thm35(octahedron, (seq, (*spaces[:2], empty, spaces[3])), 2)
+    # a stress test that holds none of the derived polynomials; only
+    # degree 3 transports, into degree 2
+    monkeypatch.setattr(claims_module, "is_integer_stress",
+                        lambda cx, forms, terms: False)
+    r = verify_thm35(octahedron, (seq, spaces), 2)
     assert r.verdict == "fail"
     assert r.computed["transported"] == 12
     assert len(r.witness) == 12
@@ -392,14 +452,46 @@ def test_thm35_fails_when_a_derived_polynomial_is_no_stress(octahedron):
 
 def test_thm35_transports_each_degree_once(corpus_by_name, monkeypatch):
     calls = []
-    real = claims_module.derived_stress
-    monkeypatch.setattr(claims_module, "derived_stress",
+    real = claims_module._transported
+    monkeypatch.setattr(claims_module, "_transported",
                         lambda *a: calls.append(a) or real(*a))
     reports = instance_reports(corpus_by_name["crosspoly_d4"], 1)
     (thm35,) = [r for r in reports if r.claim_id == "Thm3.5"]
     # degree 2 reports the pairs of degrees 3 and 4, degree 3 those of 4
     assert [c["transported"] for c in thm35.computed] == [72, 24, 0]
     assert len(calls) == 72
+
+
+@settings(max_examples=40, deadline=None)
+@given(half=cs_facet_halves(), seed=st.integers(0, 99), data=st.data())
+def test_fused_transport_agrees_with_derived_stress(half, seed, data):
+    # a rational combination of degree-j stresses, maybe plus one stray
+    # face monomial, carried along a vertex pair: the integer transport
+    # is derived_stress scaled to integers, and is_integer_stress
+    # decides it as is_stress and the dense oracle do
+    cx = SimplicialComplex.from_facets(
+        half + [[-v for v in f] for f in half], expect_cs=True
+    )
+    seq, spaces = linear_table(cx, seed)
+    j = data.draw(st.integers(1, cx.dim + 1))
+    coefficient = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    w = Polynomial.zero()
+    for b in spaces[j].basis:
+        w = w + b.scale(data.draw(coefficient))
+    if data.draw(st.booleans()):
+        stray = data.draw(st.sampled_from(spaces[j].columns))
+        w = w + Polynomial([(stray, data.draw(coefficient.filter(bool)))])
+    u1, u2 = data.draw(st.lists(st.sampled_from(cx.vertices), min_size=2,
+                                max_size=2, unique=True))
+    mult = lcm(*(c.denominator for c in w.terms.values()))
+    terms = {m.exps: int(c * mult) for m, c in w.terms.items()}
+    fused = claims_module._transported(terms, u1, u2)
+    derived = derived_stress(w, u1, u2)
+    assert fused == {m.exps: c * mult for m, c in derived.terms.items()}
+    rows = [{v: f.coefficient(v) for v in cx.ground_set} for f in seq]
+    want = brute_is_stress(cx.facets, rows, fused)
+    assert is_integer_stress(cx, seq, fused) == want
+    assert is_stress(cx, seq, derived) == want
 
 
 def test_thm35_unmet_when_asymmetric_stresses_exist():

@@ -3,7 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from unittest import mock
 
 import pytest
@@ -488,6 +488,30 @@ def test_echelon_assembly_matches_dense_oracle_on_original_forms(cx, data):
     seq = FormSequence(forms, "custom")
     assert echelon_rows(seq) == echelon
     assert echelon_rows(seq) is echelon_rows(seq)
+
+
+def test_kernel_vectors_scale_to_the_reduced_basis(corpus_by_name):
+    # bipyramid_m5's stresses have coefficients past 200 bits.  Each
+    # kernel vector is primitive, positive at its pivot and 0 at the
+    # other pivots, and divided by its pivot entry it is the oracle's
+    # reduced vector
+    cx = corpus_by_name["bipyramid_m5"].complex
+    seq, spaces = linear_table(cx, 1)
+    rows = coeff_rows(list(seq), cx.ground_set)
+    bits = 0
+    for i, space in enumerate(spaces):
+        bases = brute_stress_bases(cx.facets, rows, i,
+                                   [m.exps for m in space.columns], True)
+        for block, want in zip(space.blocks, bases):
+            assert len(block.vectors) == len(want)
+            pivots = {p for p, _ in block.vectors}
+            for (p, vec), reduced in zip(block.vectors, want):
+                assert vec[p] > 0 and gcd(*vec.values()) == 1
+                assert not set(vec) & (pivots - {p})
+                assert [Fraction(vec.get(j, 0), vec[p])
+                        for j in range(len(space.columns))] == reduced
+                bits = max(bits, *(x.bit_length() for x in vec.values()))
+    assert bits > 200
 
 
 def relabelled_cross_polytope(d, seed):

@@ -115,7 +115,8 @@ def test_integer_row_entry_points_match_the_matrix_path(nrows, ncols, seed):
     dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
     m = to_sparse(dense, ncols)
     assert int_rank(rows) == rank(m) == dense_rank(dense)
-    ours, theirs = int_nullspace(rows, ncols), nullspace(m)
+    ours = Basis.from_integer(range(ncols), int_nullspace(rows, ncols))
+    theirs = nullspace(m)
     assert ours.vectors == theirs.vectors
     assert ours.pivots == theirs.pivots
     assert ours.columns == tuple(range(ncols))
@@ -224,6 +225,47 @@ def test_int_rref_is_the_reduced_echelon_form_in_coprime_integers(matrix):
     as_dense = [[row.get(c, 0) for c in range(ncols)] for row in reduced]
     assert same_span(as_dense, dense)
     # the kernel basis reduced on the free columns is unique too
-    kernel = int_nullspace(rows, ncols)
+    kernel = Basis.from_integer(range(ncols), int_nullspace(rows, ncols))
     assert [list(v) for v in kernel.vectors] == dense_nullspace(dense, ncols)
     assert rows == before
+
+
+@st.composite
+def large_entry_matrices(draw):
+    """Wide integer matrices with entries of up to 48 bits, whose kernel
+    vectors reach heights past 200 bits."""
+    ncols = draw(st.integers(2, 8))
+    nrows = draw(st.integers(1, ncols - 1))
+    big = st.integers(-2**48, 2**48)
+    return [[draw(big) for _ in range(ncols)] for _ in range(nrows)], ncols
+
+
+def check_integer_kernel(dense, ncols):
+    """int_nullspace of dense: one primitive vector per free column,
+    positive there and 0 at the other free columns, which divided by that
+    entry is the reduced kernel vector of the oracle.  Returns the
+    largest entry's bit length."""
+    rows = [{c: x for c, x in enumerate(row) if x} for row in dense]
+    kernel = int_nullspace(rows, ncols)
+    reduced = dense_nullspace(dense, ncols)
+    free = {f for f, _ in kernel}
+    assert len(kernel) == len(reduced)
+    for (f, vec), want in zip(kernel, reduced):
+        assert all(type(x) is int and x for x in vec.values())
+        assert vec[f] > 0 and gcd(*vec.values()) == 1
+        assert not set(vec) & (free - {f})
+        assert [Fraction(vec.get(c, 0), vec[f]) for c in range(ncols)] == want
+    return max((x.bit_length() for _, vec in kernel for x in vec.values()),
+               default=0)
+
+
+@given(integer_matrices() | large_entry_matrices())
+@settings(max_examples=100, deadline=None)
+def test_int_nullspace_vectors_scale_to_the_reduced_basis(matrix):
+    check_integer_kernel(*matrix)
+
+
+def test_int_nullspace_keeps_heights_past_200_bits():
+    rng = random.Random(7)
+    dense = [[rng.randint(-2**48, 2**48) for _ in range(8)] for _ in range(6)]
+    assert check_integer_kernel(dense, 8) > 200

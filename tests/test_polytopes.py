@@ -93,6 +93,28 @@ def test_polytope_rejects_degenerate_facets():
         Polytope(coords, [(1, 2, 3), (-1, -2, -3)])
 
 
+def test_polytope_facet_rank_is_exact_past_the_prime():
+    # the square with vertices ±32749 e_1, ±32749 e_2: each edge's
+    # difference row is 0 mod 32749, yet the edges are independent
+    q = 32749
+    coords = {1: (q, 0), -1: (-q, 0), 2: (0, q), -2: (0, -q)}
+    p = Polytope(coords, [(1, 2), (2, -1), (-1, -2), (-2, 1)])
+    assert len(p.boundary.facets) == 4
+
+
+def test_polytope_rejects_degenerate_rational_facets():
+    # three collinear points with rational coordinates, scaled to
+    # integers by one common denominator
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    coords = {
+        1: (half, third, 0), -1: (-half, -third, 0),
+        2: (1, 2 * third, 0), -2: (-1, -2 * third, 0),
+        3: (3 * half, 1, 0), -3: (-3 * half, -1, 0),
+    }
+    with pytest.raises(NotSimplicial):
+        Polytope(coords, [(1, 2, 3), (-1, -2, -3)])
+
+
 def test_polytope_facet_size_must_match_dimension():
     square = cross_polytope(2)
     with pytest.raises(NotSimplicial):
