@@ -21,12 +21,13 @@ from .complexes import (
     load_json,
 )
 from .engine import (
-    PRIMES,
     canonical_forms,
     certify_dims,
     generic_lsop,
+    integer_family,
     is_integer_stress,
     is_stress,
+    reduced_polynomial,
     restrict_stress_space,
     special_lsop,
     stress_space,
@@ -38,7 +39,7 @@ from .errors import (
     NotPure,
     PreconditionUnmet,
 )
-from .exactla import int_nullspace, int_rank, rank_mod
+from .exactla import int_nullspace, int_rank
 from .polynomials import (
     LinearForm,
     Monomial,
@@ -461,13 +462,6 @@ def verify_lemma31(cx, forms, w: Polynomial, v: int, instance="") -> Verificatio
     )
 
 
-def _integer_family(block) -> list:
-    """The kernel of a stress block as pairs (pivot exps, {exps: int})."""
-    cols = block.columns
-    return [(cols[p].exps, {cols[j].exps: x for j, x in vec.items()})
-            for p, vec in block.vectors]
-
-
 def _accumulate(pairs) -> dict:
     out: dict = {}
     for key, x in pairs:
@@ -515,57 +509,36 @@ def _squarefree(terms) -> bool:
     return all(e == 1 for exps in terms for _, e in exps)
 
 
-def _is_y_polynomial(terms) -> bool:
-    """Are the squarefree terms c_m m a polynomial in the pair sums y_k?
-    Exactly when they are the sum of c_tau y_tau over the terms c_tau x_tau
-    of positive support tau, y_tau expanding to the 2^|tau| signings of
-    x_tau: each signing's coefficient is then c_tau, which is also what
-    d/dx_k = d/dx_{-k} for all k, the criterion of y_representation,
-    says, so that round trip cannot fail on its own."""
-    return terms == _accumulate(
-        (tuple((s * v, 1) for s, (v, _) in zip(signs, exps)), c)
-        for exps, c in terms.items() if all(v > 0 for v, _ in exps)
-        for signs in itertools.product((1, -1), repeat=len(exps)))
-
-
-def _reduced(member) -> Polynomial:
-    """The member (pivot, {exps: int}) of a family, as the polynomial of
-    the reduced basis: divided by its coefficient at the pivot."""
-    pivot, terms = member
-    degree = sum(e for _, e in pivot)
-    return Polynomial._of({Monomial._canonical(exps, degree): Fraction(
-        c, terms[pivot]) for exps, c in terms.items()})
-
-
 def verify_lemma32_34(cx, table, i, instance="") -> VerificationReport:
     """Squarefreeness, y-representation, and forced symmetry of stresses.
 
     The lemmas range over W_i, the degree-i stresses whose vertex
     derivatives are all symmetric, and their conclusions are linear, so a
     basis of W_i decides them for every stress: each stress of W_i is
-    squarefree; each symmetric one is a polynomial in the pair sums y_k
-    with an exact round trip; and, in degrees two and up, the stresses of
-    W_i whose vertex derivatives all admit y-representations are
-    symmetric.  The forms have definite parity, so W_i and that subspace
-    are stable under the involution and split into their symmetric and
-    antisymmetric parts, each computed inside the matching part of
-    Stress_i.  Every system and check runs on integer multiples of the
-    basis vectors, which changes no conclusion, as each is linear and
-    homogeneous; a witness is printed as the reduced vector.  `checked`
-    is dim W_i.
+    squarefree; each symmetric one is a polynomial in the pair sums y_k;
+    and, in degrees two and up, the stresses of W_i whose vertex
+    derivatives all admit y-representations are symmetric.  The forms
+    have definite parity, so W_i and that subspace are stable under the
+    involution and split into their symmetric and antisymmetric parts,
+    each computed inside the matching part of Stress_i.  Every system and
+    check runs on integer multiples of the basis vectors, which changes
+    no conclusion, as each is linear and homogeneous; a witness is
+    printed as the reduced vector.  `checked` is dim W_i.
     """
     space = table[1][i]
     if len(space.blocks) != 2:
         raise HypothesisUnmet(
             "the lemmas need a cs complex and forms of definite parity"
         )
-    plus, minus = (_subfamily(_integer_family(b), _asymmetry)
+    plus, minus = (_subfamily(integer_family(b), _asymmetry)
                    for b in space.blocks)
     failures = [(w, "stress is not squarefree")
                 for w in plus + minus if not _squarefree(w[1])]
+    # a squarefree symmetric stress is a polynomial in the y_k exactly
+    # when negating one vertex keeps every coefficient; in degree 1 its
+    # symmetry says so, and above, a zero y-obstruction does
     failures += [(w, "symmetric stress has no y-representation")
-                 for w in plus
-                 if _squarefree(w[1]) and not _is_y_polynomial(w[1])]
+                 for w in plus if _squarefree(w[1]) and _y_obstruction(w[1])]
     # forced symmetry needs degree >= 2: a linear polynomial has
     # constant derivatives, which say nothing about its symmetry
     if i >= 2:
@@ -579,7 +552,7 @@ def verify_lemma32_34(cx, table, i, instance="") -> VerificationReport:
         FAIL if failures else PASS if checked else UNMET,
         computed={"degree": i, "checked": checked,
                   "skipped": space.dim - checked},
-        witness=[{"stress": _reduced(w).text(), "reason": r}
+        witness=[{"stress": reduced_polynomial(w).text(), "reason": r}
                  for w, r in failures]
         or None,
         note="" if checked else "no stresses with all-symmetric derivatives",
@@ -698,7 +671,7 @@ def _thm35_step(cx, forms, spaces, j):
             )
     transported = 0
     for block in spaces[j].blocks:
-        for member in _integer_family(block):
+        for member in integer_family(block):
             terms = member[1]
             edges = sorted({e for exps in terms for e in itertools.combinations(
                 sorted(v for v, _ in exps), 2)})
@@ -708,8 +681,8 @@ def _thm35_step(cx, forms, spaces, j):
                                          _transported(terms, u1, u2)):
                     failures.append(
                         {"degree": j, "edge": [u1, u2],
-                         "witness": derived_stress(_reduced(member), u1,
-                                                   u2).text(),
+                         "witness": derived_stress(
+                             reduced_polynomial(member), u1, u2).text(),
                          "reason": "derived polynomial is not a stress"}
                     )
     return hits, transported, failures
@@ -930,19 +903,13 @@ def _expect_report(inst: CorpusInstance, table) -> VerificationReport:
 def _supported_count(vectors, on) -> int:
     """The dimension of the w in the span of `vectors`, pairs (pivot,
     {column: int}) of a reduced basis, that vanish on every column where
-    on(column) is false: the off columns.
-
-    A vector whose pivot is off is the only one nonzero at its pivot, so
-    it stays independent of the others on the off columns.  The count is
-    therefore the number of the other vectors less their rank on the off
-    columns.  That rank is taken mod PRIMES[0] when that is full, which
-    makes it exact, and exactly otherwise."""
+    on(column) is false: the off columns.  A vector whose pivot is off is
+    the only one nonzero there, so it is independent of the others on the
+    off columns, and the count is the number of the others less their
+    rank on the off columns."""
     kept = [vec for p, vec in vectors if on(p)]
-    rows = [r for r in ({j: x for j, x in vec.items() if not on(j)}
-                        for vec in kept) if r]
-    if rows and rank_mod(rows, PRIMES[0]) < len(rows):
-        return len(kept) - int_rank(rows)
-    return len(kept) - len(rows)
+    return len(kept) - int_rank(
+        [{j: x for j, x in vec.items() if not on(j)} for vec in kept])
 
 
 def _lemma31_suite(cx, table, instance) -> VerificationReport:

@@ -10,10 +10,11 @@ kernels are the stress spaces, which is much sparser than with the forms
 as drawn.  For a centrally symmetric complex and forms of definite parity,
 the involution x_v -> x_{-v} splits that matrix into a symmetric (plus)
 and an antisymmetric (minus) block; their dimensions carry the
-face-number content.  A block is solved as an exact nullspace, into
-primitive integer vectors, only when its kernel or dimension is read, and `certify_dims` fixes the dimensions
-of a whole table from ranks mod a prime when a lower bound proves them
-exact, so a caller that needs only dimensions may solve nothing.
+face-number content.  A block is solved, into primitive integer kernel
+vectors, only when its kernel or dimension is read, and `certify_dims`
+fixes the dimensions of a whole table from ranks mod a prime when a
+lower bound proves them exact, so a caller that needs only dimensions
+may solve nothing.
 Stresses are local, so the stresses of a subcomplex are computed on the
 subcomplex itself.
 """
@@ -36,6 +37,7 @@ from .errors import (
 from .exactla import Basis, int_nullspace, int_rank, int_rref, rank_mod
 from .polynomials import (
     LinearForm,
+    Monomial,
     Polynomial,
     delta_monomials,
     exps_partials,
@@ -178,11 +180,24 @@ class _Block:
         """The reduced basis as polynomials, in a new list on every call."""
         if self._polynomials is None:
             self._polynomials = tuple(
-                Polynomial._of({self.columns[j]: Fraction(vec[j], vec[p])
-                                for j in sorted(vec)})
-                for p, vec in self.vectors
-            )
+                map(reduced_polynomial, integer_family(self)))
         return list(self._polynomials)
+
+
+def integer_family(block) -> list:
+    """The kernel of a stress block as pairs (pivot exps, {exps: int})."""
+    cols = block.columns
+    return [(cols[p].exps, {cols[j].exps: x for j, x in vec.items()})
+            for p, vec in block.vectors]
+
+
+def reduced_polynomial(member) -> Polynomial:
+    """The pair (pivot exps, {exps: int}) of a kernel vector as the reduced
+    basis polynomial: divided by its coefficient at the pivot."""
+    pivot, terms = member
+    degree = sum(e for _, e in pivot)
+    return Polynomial._of({Monomial._canonical(exps, degree): Fraction(
+        c, terms[pivot]) for exps, c in terms.items()})
 
 
 class StressSpace:

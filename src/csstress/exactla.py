@@ -7,11 +7,9 @@ finds the rows holding each column, and the pivot is the sparsest of them
 
 Over Q the update is fraction-free: each row is scaled to coprime
 integers, and updates cross-multiply and remove the common factor, so no
-rational division happens.  `int_rank`, `int_rref` and `int_nullspace`
-take integer rows, dicts {column: value}, directly, and `int_nullspace`
-gives its kernel as primitive integer vectors; `rank` and `nullspace`
-split a `SparseMatrix` into such rows, and `nullspace` divides each
-kernel vector down to the reduced basis.
+rational division happens until basis extraction.  `int_rank`, `int_rref`
+and `int_nullspace` take integer rows, dicts {column: value}, directly;
+`rank` and `nullspace` split a `SparseMatrix` into such rows.
 `rank_mod` updates rows in place over GF(p).  Its entries stay below p,
 so it costs a fraction of the exact path, and for an integer matrix
 rank mod p <= rank over Q: every minor that is nonzero mod p is a nonzero
@@ -221,13 +219,10 @@ def int_rref(rows) -> list[dict[int, int]]:
 def int_nullspace(rows, ncols: int) -> list[tuple[int, dict[int, int]]]:
     """Kernel of integer rows, each a dict {column: value}, over the
     columns 0..ncols-1: one pair (f, vector) per free column f, in
-    ascending order.  The vector is a primitive integer dict {column:
-    value}, positive at f, and a multiple of the reduced kernel vector,
-    which is 1 at f, 0 at every other free column and -row[f] / row[c]
-    at the pivot column c of each row, scaled by the lcm of those
-    denominators.  That is primitive: the lcm's full power of a prime
-    divides some denominator, and the entry there loses it all.  `rows`
-    is not modified."""
+    ascending order.  The vector is the reduced one, 1 at f, 0 at the
+    other free columns and -row[f] / row[c] at the pivot c of each row,
+    times the lcm of its denominators: primitive, as some denominator
+    holds each prime's full power in the lcm.  `rows` is not modified."""
     pivots = _back_substitute(
         _forward_eliminate(_integer_rows(rows), _eliminate))
     taken = {c for c, _ in pivots}

@@ -22,9 +22,8 @@ from .complexes import (
     facets_from_json,
     load_json,
 )
-from .engine import PRIMES
 from .errors import InputError, NotCs, NotSimplicial
-from .exactla import int_rank, rank_mod
+from .exactla import int_rank
 
 
 class Polytope:
@@ -103,9 +102,7 @@ class Polytope:
 
 def _affinely_independent(points) -> bool:
     """Are the difference rows p - points[0] independent?  They are
-    scaled to integers by one common denominator.  Full rank mod
-    PRIMES[0] proves independence, since a rank mod p is at most the
-    rank; otherwise the exact rank decides."""
+    scaled to integers by one common denominator."""
     if len(points) <= 1:
         return True
     scale = lcm(*(x.denominator for p in points for x in p))
@@ -114,8 +111,7 @@ def _affinely_independent(points) -> bool:
     base = scaled[0]
     rows = [{j: x - b for j, (x, b) in enumerate(zip(p, base)) if x != b}
             for p in scaled[1:]]
-    full = len(rows)
-    return rank_mod(rows, PRIMES[0]) == full or int_rank(rows) == full
+    return int_rank(rows) == len(rows)
 
 
 # -- built-in families -----------------------------------------------------

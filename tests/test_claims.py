@@ -47,7 +47,7 @@ from csstress import (
     verify_thm36,
 )
 import csstress.claims as claims_module
-from csstress.engine import is_integer_stress
+from csstress.engine import integer_family, is_integer_stress
 from csstress.claims import (
     affine_table,
     instance_reports,
@@ -359,7 +359,7 @@ def test_lemma32_34_checks_all_of_w_i(half, seed):
         # parity, each positive at its own pivot and 0 at the others'
         for sign, block in zip((1, -1), table[1][i].blocks):
             family = claims_module._subfamily(
-                claims_module._integer_family(block), claims_module._asymmetry)
+                integer_family(block), claims_module._asymmetry)
             pivots = {p for p, _ in family}
             for pivot, terms in family:
                 assert terms[pivot] > 0
