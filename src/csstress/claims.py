@@ -44,6 +44,7 @@ from .polynomials import (
     LinearForm,
     Monomial,
     Polynomial,
+    check_monomial_count,
     exps_divide,
     exps_partials,
     exps_times,
@@ -247,8 +248,11 @@ def linear_table(cx: SimplicialComplex, seed: int):
     when K[cx] is free, that is, when cx is CM (Stanley, Combinatorics and
     Commutative Algebra, I.5 and III.2).  So f_{d-1} is a lower bound that
     `certify_dims` may use, and on a non-CM complex it always falls back
-    to exact dimensions.
+    to exact dimensions.  The face-supported monomials grow in number
+    with the degree, so a table too large is refused at its top degree
+    before any form is sampled.
     """
+    check_monomial_count(cx, cx.dim + 1)
     seq = special_lsop(cx, seed) if cx.cs else generic_lsop(cx, seed)
     table = stress_table(cx, seq, cx.dim + 1)
     certify_dims(table[1], cx.fhg_vectors().f[-1])
@@ -256,7 +260,9 @@ def linear_table(cx: SimplicialComplex, seed: int):
 
 
 def affine_table(p: Polytope):
-    """Table of the canonical forms, degrees 0..floor(d/2)+1."""
+    """Table of the canonical forms, degrees 0..floor(d/2)+1, refused up
+    front like `linear_table`."""
+    check_monomial_count(p.boundary, p.d // 2 + 1)
     return stress_table(p.boundary, canonical_forms(p), p.d // 2 + 1)
 
 
@@ -520,10 +526,13 @@ def verify_lemma32_34(cx, table, i, instance="") -> VerificationReport:
     derivatives all admit y-representations are symmetric.  The forms
     have definite parity, so W_i and that subspace are stable under the
     involution and split into their symmetric and antisymmetric parts,
-    each computed inside the matching part of Stress_i.  Every system and
-    check runs on integer multiples of the basis vectors, which changes
-    no conclusion, as each is linear and homogeneous; a witness is
-    printed as the reduced vector.  `checked` is dim W_i.
+    each computed inside the matching part of Stress_i.  The second
+    conclusion needs no check: a symmetric w of W_i has d/dx_{-v} w =
+    sigma(d/dx_v w) = d/dx_v w for every v, the criterion of
+    `y_representation`, so a squarefree w is a y-polynomial.  Every
+    system and check runs on integer multiples of the basis vectors,
+    which changes no conclusion, as each is linear and homogeneous; a
+    witness is printed as the reduced vector.  `checked` is dim W_i.
     """
     space = table[1][i]
     if len(space.blocks) != 2:
@@ -534,11 +543,6 @@ def verify_lemma32_34(cx, table, i, instance="") -> VerificationReport:
                    for b in space.blocks)
     failures = [(w, "stress is not squarefree")
                 for w in plus + minus if not _squarefree(w[1])]
-    # a squarefree symmetric stress is a polynomial in the y_k exactly
-    # when negating one vertex keeps every coefficient; in degree 1 its
-    # symmetry says so, and above, a zero y-obstruction does
-    failures += [(w, "symmetric stress has no y-representation")
-                 for w in plus if _squarefree(w[1]) and _y_obstruction(w[1])]
     # forced symmetry needs degree >= 2: a linear polynomial has
     # constant derivatives, which say nothing about its symmetry
     if i >= 2:

@@ -57,11 +57,11 @@ PRIMES = (32749, 32719)
 
 class FormSequence:
     """Ordered linear forms with a kind tag and sampling provenance, and
-    their echelon rows once `echelon_rows` has read them."""
+    their echelon rows and row index once read."""
 
     KINDS = ("special_lsop", "canonical_polytope", "custom")
 
-    __slots__ = ("forms", "kind", "seed", "attempts", "_echelon")
+    __slots__ = ("forms", "kind", "seed", "attempts", "_echelon", "_weights")
 
     def __init__(self, forms, kind, seed=None, attempts=None):
         forms = tuple(forms)
@@ -85,7 +85,7 @@ class FormSequence:
         self.kind = kind
         self.seed = seed
         self.attempts = attempts
-        self._echelon = None  # filled by `echelon_rows`
+        self._echelon = self._weights = None
 
     def __len__(self):
         return len(self.forms)
@@ -582,11 +582,15 @@ def is_integer_stress(cx: SimplicialComplex, forms, terms) -> bool:
     if not all(cx.contains(v for v, _ in exps) for exps in terms):
         return False
     # vertex -> (k, coefficient) of the rows holding it; an echelon row
-    # holds few vertices
-    weights: dict = {}
-    for k, (_, row) in enumerate(echelon_rows(forms)):
-        for v, x in row.items():
-            weights.setdefault(v, []).append((k, x))
+    # holds few vertices, and a FormSequence keeps the index
+    weights = getattr(forms, "_weights", None)
+    if weights is None:
+        weights = {}
+        for k, (_, row) in enumerate(echelon_rows(forms)):
+            for v, x in row.items():
+                weights.setdefault(v, []).append((k, x))
+        if isinstance(forms, FormSequence):
+            forms._weights = weights
     # the term c m puts c e x m / x_v into the derivative along a row
     # with coefficient x at v
     derivative: dict = {}

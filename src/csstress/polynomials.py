@@ -8,7 +8,6 @@ files are reproducible.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -356,17 +355,6 @@ class LinearForm:
 # -- Delta-supported monomial bases ---------------------------------------
 
 
-def _compositions(total: int, parts: int):
-    """Positive integer tuples of given length summing to total."""
-    for cuts in itertools.combinations(range(1, total), parts - 1):
-        prev = 0
-        out = []
-        for c in cuts + (total,):
-            out.append(c - prev)
-            prev = c
-        yield tuple(out)
-
-
 def monomial_count(cx: SimplicialComplex, i: int) -> int:
     """Number of degree-i monomials on faces of cx, from its face counts."""
     if i == 0:
@@ -377,26 +365,45 @@ def monomial_count(cx: SimplicialComplex, i: int) -> int:
     )
 
 
-def delta_monomials(cx: SimplicialComplex, i: int) -> list[Monomial]:
-    """Degree-i monomials supported on a face of cx, in canonical order."""
-    if i < 0:
-        raise ValueError("degree must be >= 0")
-    if i == 0:
-        return [ONE]
+def check_monomial_count(cx: SimplicialComplex, i: int) -> None:
+    """Refuse a degree with more than MAX_FACE_SUBSETS such monomials."""
     count = monomial_count(cx, i)
     if count > MAX_FACE_SUBSETS:
         raise InputError(
             f"degree {i} has {count} face-supported monomials, more than "
             f"the limit of {MAX_FACE_SUBSETS}"
         )
+
+
+def delta_monomials(cx: SimplicialComplex, i: int) -> list[Monomial]:
+    """Degree-i monomials supported on a face of cx, in canonical order:
+    a depth-first walk takes each vertex in that order, then its exponent
+    from high to low, and recurses on the later vertices that extend the
+    face so far, with the degree left."""
+    if i < 0:
+        raise ValueError("degree must be >= 0")
+    if i == 0:
+        return [ONE]
+    check_monomial_count(cx, i)
+    bit, faces = cx.face_masks()
     out = []
-    for tau in sorted(cx.all_faces()):
-        s = len(tau)
-        if 1 <= s <= i:
-            ordered = sorted(tau, key=_vkey)
-            for comp in _compositions(i, s):
-                out.append(Monomial(zip(ordered, comp)))
-    out.sort(key=Monomial.sort_key)
+    emit = out.append
+    canonical = Monomial._canonical
+
+    def walk(prefix, face, left, later):
+        # later: (bit, ((v, 0), ..., (v, i))) per later vertex v whose
+        # bit extends `face` to a face
+        for n, (b, powers) in enumerate(later):
+            emit(canonical(prefix + (powers[left],), i))
+            if left > 1:
+                grown = face | b
+                rest = [u for u in later[n + 1:] if grown | u[0] in faces]
+                if rest:
+                    for e in range(left - 1, 0, -1):
+                        walk(prefix + (powers[e],), grown, left - e, rest)
+
+    walk((), 0, i, [(b, tuple((v, e) for e in range(i + 1)))
+                    for v, b in bit.items()])
     return out
 
 

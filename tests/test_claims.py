@@ -1,8 +1,9 @@
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from types import SimpleNamespace
 
 import pytest
@@ -23,6 +24,7 @@ from csstress import (
     bipyramid,
     canonical_forms,
     cross_polytope,
+    cross_polytope_boundary,
     derived_stress,
     instance_from_json,
     involution_action,
@@ -48,6 +50,7 @@ from csstress import (
 )
 import csstress.claims as claims_module
 from csstress.engine import integer_family, is_integer_stress
+from csstress.polynomials import negated_exps
 from csstress.claims import (
     affine_table,
     instance_reports,
@@ -369,6 +372,30 @@ def test_lemma32_34_checks_all_of_w_i(half, seed):
                 assert involution_action(w) == w.scale(sign)
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), i=st.integers(1, 4), data=st.data())
+def test_squarefree_symmetric_members_of_w_i_are_y_polynomials(n, i, data):
+    # the members of W_i^+ that Lem3.2-3.4 computes, inside the span of
+    # symmetric squarefree orbit sums m + sigma m, are squarefree and
+    # symmetric with symmetric vertex derivatives, which makes each a
+    # y-polynomial: the y-obstruction vanishes on every one of them
+    labels = [v for k in range(1, n + 1) for v in (k, -k)]
+    reps = {min(exps, negated_exps(exps)) for exps in (
+        tuple((v, 1) for v in combo)
+        for combo in itertools.combinations(labels, i))}
+    sums = [(m, {m: 1, negated_exps(m): 1}) for m in sorted(reps)]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(sums),
+                              max_size=len(sums)))
+    for family in (sums, [m for m, k in zip(sums, keep) if k]):
+        w_plus = claims_module._subfamily(family, claims_module._asymmetry)
+        for _, terms in w_plus:
+            assert terms and claims_module._squarefree(terms)
+            assert claims_module._y_obstruction(terms) == {}
+        if family is sums:
+            # the products of i distinct pair sums y_k
+            assert len(w_plus) == comb(n, i)
+
+
 NOT_SQUAREFREE = "stress is not squarefree"
 NOT_FORCED = ("derivative y-representations did not force a symmetric "
               "y-polynomial")
@@ -647,3 +674,16 @@ def test_non_cs_instances_only_get_generic_claims(corpus_by_name):
     inst = corpus_by_name["simplex2"]
     reports = run_claims([inst], seed=1)
     assert {r.claim_id for r in reports} == {"Expect", "CM"}
+
+
+def test_linear_table_refuses_an_oversized_table_up_front(monkeypatch):
+    # degree 10 of the 10-cross-polytope has 4 780 008 face-supported
+    # monomials, past the limit; the face counts say so before any form
+    # is sampled or any degree built
+    def no_work(*args):
+        raise AssertionError("work started before the size check")
+
+    monkeypatch.setattr(claims_module, "special_lsop", no_work)
+    monkeypatch.setattr(claims_module, "stress_space", no_work)
+    with pytest.raises(InputError, match="degree 10 has 4780008 "):
+        linear_table(cross_polytope_boundary(10), 1)

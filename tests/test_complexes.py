@@ -263,7 +263,7 @@ def test_pure_complex_builds_no_face_set_to_construct():
     cx = SimplicialComplex.from_facets(
         [(1, 2), (2, -1), (-1, -2), (-2, 1)], expect_cs=True
     )
-    assert cx._faces is None
+    assert cx._faces is None and cx._masks is None
     faces = cx.all_faces()
     assert cx.contains((2, 1)) and cx.all_faces() is faces
 
@@ -293,7 +293,7 @@ def test_face_numbers_build_no_face_set():
     )
     counts = [monomial_count(cx, i) for i in range(11)]
     assert counts[:3] == [1, 20, 20 + 180]
-    assert cx._faces is None
+    assert cx._faces is None and cx._masks is None
 
 
 def test_fhg_vectors_are_read_only_values():

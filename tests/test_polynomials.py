@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from csstress import (
@@ -14,6 +14,7 @@ from csstress import (
     NotSquarefree,
     ONE,
     Polynomial,
+    SimplicialComplex,
     ZeroPolynomial,
     apply_derivative,
     cross_polytope_boundary,
@@ -28,6 +29,9 @@ from csstress import (
     stress_support,
     y_representation,
 )
+from csstress.polynomials import monomial_count
+from oracles import _face_monomials, brute_faces, brute_has_redundant_facet
+from strategies import near_cs_facets, pure_facets
 
 LABELS = [1, -1, 2, -2, 3, -3]
 
@@ -266,6 +270,23 @@ def test_monomial_basis_counts_on_crosspoly_d5(i, count):
     assert count == expected
     assert ms == sorted(ms, key=lambda m: m.sort_key())
     assert all(m.degree == i for m in ms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(facets=st.one_of(pure_facets(), near_cs_facets()))
+def test_delta_monomials_match_the_face_oracle_in_order(facets):
+    # the depth-first walk against every multiset of vertices filtered by
+    # face membership and sorted by key; faces may hold {v, -v}
+    assume(not brute_has_redundant_facet(facets))
+    cx = SimplicialComplex(facets)
+    faces = brute_faces([set(f) for f in facets])
+    for i in range(5):
+        expected = sorted(map(Monomial, _face_monomials(faces, i)),
+                          key=Monomial.sort_key)
+        ms = delta_monomials(cx, i)
+        assert [m.exps for m in ms] == [m.exps for m in expected], i
+        assert all(m.degree == i for m in ms)
+        assert len(ms) == monomial_count(cx, i)
 
 
 def test_monomial_basis_respects_missing_faces(noncm):
