@@ -30,6 +30,7 @@ from .engine import (
     reduced_polynomial,
     restrict_stress_space,
     special_lsop,
+    stress_dims,
     stress_space,
 )
 from .errors import (
@@ -252,11 +253,21 @@ def linear_table(cx: SimplicialComplex, seed: int):
     with the degree, so a table too large is refused at its top degree
     before any form is sampled.
     """
-    check_monomial_count(cx, cx.dim + 1)
-    seq = special_lsop(cx, seed) if cx.cs else generic_lsop(cx, seed)
+    seq = _sampled_lsop(cx, seed)
     table = stress_table(cx, seq, cx.dim + 1)
     certify_dims(table[1], cx.fhg_vectors().f[-1])
     return table
+
+
+def linear_dims(cx: SimplicialComplex, seed: int):
+    """`linear_table` for dimensions only, one degree held at a time."""
+    seq = _sampled_lsop(cx, seed)
+    return seq, stress_dims(cx, seq, cx.dim + 1, cx.fhg_vectors().f[-1])
+
+
+def _sampled_lsop(cx, seed):
+    check_monomial_count(cx, cx.dim + 1)
+    return special_lsop(cx, seed) if cx.cs else generic_lsop(cx, seed)
 
 
 def affine_table(p: Polytope):

@@ -16,6 +16,7 @@ from .claims import (
     CorpusInstance,
     affine_table,
     instance_from_json,
+    linear_dims,
     linear_table,
     run_claims,
 )
@@ -93,7 +94,8 @@ def cmd_stress(path: str, seed: int, affine: bool, degree, max_degree,
         default_top = inst.polytope.d // 2 + 1
     else:
         cx = inst.complex
-        seq, table = linear_table(cx, seed)
+        # without bases only dimensions are read: no table is held
+        seq, table = (linear_table if show_basis else linear_dims)(cx, seed)
         default_top = cx.dim + 1
     top = max_degree if max_degree is not None else default_top
     degrees = [degree] if degree is not None else range(top + 1)
@@ -200,23 +202,14 @@ def cmd_verify(inputs, seed: int, claims_filter, output_format: str) -> int:
 
 
 def cmd_generate(family: str, d, m, out) -> int:
-    if family == "crosspoly":
-        if d is None or d < 1:
-            raise InputError("crosspoly needs --d at least 1")
-        p = cross_polytope(d)
-        name = f"crosspoly_d{d}"
-    elif family == "polygon":
-        if m is None or m < 2:
-            raise InputError("polygon needs --m at least 2")
-        p = polygon(m)
-        name = f"polygon_m{m}"
-    elif family == "bipyramid":
-        if m is None or m < 2:
-            raise InputError("bipyramid needs --m at least 2")
-        p = bipyramid(m)
-        name = f"bipyramid_m{m}"
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown family {family!r}")
+    flag, least, build = {"crosspoly": ("d", 1, cross_polytope),
+                          "polygon": ("m", 2, polygon),
+                          "bipyramid": ("m", 2, bipyramid)}[family]
+    n = d if flag == "d" else m
+    if n is None or n < least:
+        raise InputError(f"{family} needs --{flag} at least {least}")
+    p = build(n)
+    name = f"{family}_{flag}{n}"
     obj = {"name": name}
     obj.update(polytope_to_json_obj(p))
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"

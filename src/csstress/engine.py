@@ -3,18 +3,16 @@
 A degree-i stress is a homogeneous polynomial whose monomials are each
 supported on a face and which is annihilated by the derivative operator of
 every form in the chosen sequence.  The stresses depend only on the span
-of the forms, so the forms are read through the reduced row echelon basis
-of that span, in integers (`echelon_rows`): by the facet-rank check, by
-`is_stress`, the one membership test, and by the constraint matrix whose
-kernels are the stress spaces, which is much sparser than with the forms
-as drawn.  For a centrally symmetric complex and forms of definite parity,
-the involution x_v -> x_{-v} splits that matrix into a symmetric (plus)
-and an antisymmetric (minus) block; their dimensions carry the
-face-number content.  A block is solved, into primitive integer kernel
-vectors, only when its kernel or dimension is read, and `certify_dims`
-fixes the dimensions of a whole table from ranks mod a prime when a
-lower bound proves them exact, so a caller that needs only dimensions
-may solve nothing.
+of the forms, so every check reads the forms through the integer reduced
+row echelon basis of that span (`echelon_rows`), which makes the
+constraint matrix much sparser.  For a centrally symmetric complex and
+forms of definite parity, the involution x_v -> x_{-v} splits that
+matrix into a symmetric (plus) and an antisymmetric (minus) block; their
+dimensions carry the face-number content.  A block is solved, into
+primitive integer kernel vectors, only when its kernel or dimension is
+read; `certify_dims` and `stress_dims` take a table's dimensions from
+ranks mod a prime when a lower bound proves them exact, so a caller
+that needs only dimensions may solve nothing.
 Stresses are local, so the stresses of a subcomplex are computed on the
 subcomplex itself.
 """
@@ -34,14 +32,14 @@ from .errors import (
     NotSimplicial,
     NotSubcomplex,
 )
-from .exactla import Basis, int_nullspace, int_rank, int_rref, rank_mod
+from .exactla import (Basis, _rank_mod, int_nullspace, int_rank, int_rref,
+                      rank_mod)
 from .polynomials import (
     LinearForm,
     Monomial,
     Polynomial,
     delta_monomials,
     exps_partials,
-    negated_exps,
 )
 
 COEFF_BOUND = 10**6
@@ -106,8 +104,9 @@ class _Block:
     `matrix` holds the block's columns, one integer vector {row: value}
     per representative; block column b stands for the full column
     reps[b] plus `sign` times its mirror (the column itself when the
-    space does not split).  `known` is the exact kernel dimension once
-    it is known, from the kernel, certified by the caller of
+    space does not split).  Ranks mod p are taken over these columns,
+    as rank A = rank A^T and the blocks are taller than wide.  `known` is
+    the exact kernel dimension once it is known, from the kernel, from
     `certify_dims` or by theorem; the matrix is dropped once the kernel
     exists.  A block known to be 0 has the empty kernel, so it is never
     solved.
@@ -131,17 +130,6 @@ class _Block:
         if self.known is None:
             self.known = len(self.vectors)
         return self.known
-
-    def dim_mod(self, p: int) -> int:
-        """Kernel dimension mod p: at least `dim`, the matrix being integer.
-
-        The rank is taken over the columns, since rank A = rank A^T: the
-        blocks are taller than wide, and eliminating columns wastes work
-        only on the `dim` of them that reduce to zero.
-        """
-        if self.matrix is None:
-            return self.dim
-        return len(self.reps) - rank_mod(self.matrix, p)
 
     @property
     def vectors(self) -> tuple:
@@ -207,10 +195,9 @@ class StressSpace:
     complex); basis vectors are coordinates over `columns`.  `blocks` holds
     one block for the whole space, or, when the involution splits it, the
     pair (symmetric, antisymmetric).  `plus_*`/`minus_*` read the pair and
-    are None without a split.  Reading a basis solves the blocks it needs
-    exactly; a dimension is exact too, certified without solving when
-    `certify_dims` has accepted it.  `contains` reads no block: it tests
-    the stress equations themselves, with `is_stress`.
+    are None without a split.  Reading a basis or a dimension solves the
+    blocks it needs exactly, unless the dimension is already known.
+    `contains` reads no block: it tests the equations, with `is_stress`.
     """
 
     __slots__ = ("complex", "forms", "degree", "columns", "blocks")
@@ -270,10 +257,6 @@ class StressSpace:
 # -- form construction -----------------------------------------------------
 
 
-def _positive_pairs(cx: SimplicialComplex) -> list[int]:
-    return sorted({abs(v) for v in cx.ground_set})
-
-
 def special_lsop(cx: SimplicialComplex, seed: int) -> FormSequence:
     """Sample an antisymmetric l.s.o.p. for a cs complex, with retries.
 
@@ -283,50 +266,34 @@ def special_lsop(cx: SimplicialComplex, seed: int) -> FormSequence:
     """
     if not cx.cs:
         raise NotCs("a special l.s.o.p. needs a centrally symmetric complex")
-    if not cx.is_pure():
-        raise NotPure("l.s.o.p. sampling needs a pure complex")
-    d = cx.dim + 1
-    pairs = _positive_pairs(cx)
-    rng = random.Random(seed)
-    for attempt in range(1, MAX_ATTEMPTS + 1):
-        forms = [
-            LinearForm.minus_combination(
-                {k: rng.randint(-COEFF_BOUND, COEFF_BOUND) for k in pairs}
-            )
-            for _ in range(d)
-        ]
-        try:
-            seq = FormSequence(
-                forms, "special_lsop", seed=seed, attempts=attempt
-            )
-        except ValueError:
-            continue  # a form sampled to zero; try again
-        if lsop_check(cx, seq):
-            return seq
-    raise LsopNotFound(
-        f"no special l.s.o.p. found with seed {seed}", MAX_ATTEMPTS
-    )
+    pairs = sorted({abs(v) for v in cx.ground_set})
+    return _sample(cx, seed, "special_lsop", lambda rng: (
+        LinearForm.minus_combination(
+            {k: rng.randint(-COEFF_BOUND, COEFF_BOUND) for k in pairs})))
 
 
 def generic_lsop(cx: SimplicialComplex, seed: int) -> FormSequence:
     """Sample an unconstrained l.s.o.p. (for complexes that are not cs)."""
+    labels = sorted(cx.ground_set)
+    return _sample(cx, seed, "custom", lambda rng: LinearForm(
+        {v: rng.randint(-COEFF_BOUND, COEFF_BOUND) for v in labels}))
+
+
+def _sample(cx, seed, kind, draw) -> FormSequence:
     if not cx.is_pure():
         raise NotPure("l.s.o.p. sampling needs a pure complex")
-    d = cx.dim + 1
-    labels = sorted(cx.ground_set)
     rng = random.Random(seed)
     for attempt in range(1, MAX_ATTEMPTS + 1):
-        forms = [
-            LinearForm(
-                {v: rng.randint(-COEFF_BOUND, COEFF_BOUND) for v in labels}
-            )
-            for _ in range(d)
-        ]
-        seq = FormSequence(forms, "custom", seed=seed, attempts=attempt)
+        forms = [draw(rng) for _ in range(cx.dim + 1)]
+        try:
+            seq = FormSequence(forms, kind, seed=seed, attempts=attempt)
+        except ValueError:
+            continue  # a form sampled to zero; try again
         if lsop_check(cx, seq):
             return seq
+    special = "special " if kind == "special_lsop" else ""
     raise LsopNotFound(
-        f"no l.s.o.p. found with seed {seed}", MAX_ATTEMPTS
+        f"no {special}l.s.o.p. found with seed {seed}", MAX_ATTEMPTS
     )
 
 
@@ -379,9 +346,7 @@ def echelon_rows(forms) -> tuple:
     """The reduced row echelon basis of span(forms), one parity class at
     a time, as pairs (parity, {vertex: integer coefficient}).
 
-    Every matrix built here has one row per form and vertex data, and
-    its ranks and kernels depend only on the span of the forms.  A
-    combination of forms of one parity keeps that parity, so the rows
+    A combination of forms of one parity keeps that parity, so the rows
     are reduced within each class and the parity split survives.  Each
     row is scaled to coprime integers.  A FormSequence reduces its forms
     on first use and keeps the rows; any other sequence is reduced on
@@ -418,16 +383,14 @@ def stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:
     monomial and one row per (form k, degree-(i-1) monomial mu) pair; its
     entry is the coefficient of mu in the k-th derivative of the column
     monomial.  The forms k are the integer echelon rows of `echelon_rows`,
-    not the given forms: both span one space, so the rows of D for one
-    span the row space of D for the other, and the kernel, its reduced
-    basis and every dimension are the same.  Within a parity class an
-    echelon row vanishes on the pivot vertices of the others, so a pivot
-    vertex v of supp m, or its mirror, puts one entry per class into the
-    column of m, where dense forms put d.  With an antisymmetric
-    l.s.o.p. of a cross-polytope every vertex is one of the two, so each
-    column has |supp m| entries.  Without a parity split the kernel is
-    one block, D itself.  With one, it splits into a symmetric and an
-    antisymmetric block, built in the same pass.
+    not the given forms: both span one space, so D has the same kernel.
+    Within a parity class an echelon row vanishes on the pivot vertices
+    of the others, so a pivot vertex v of supp m, or its mirror, puts one
+    entry per class into the column of m, where dense forms put d.  With
+    an antisymmetric l.s.o.p. of a cross-polytope every vertex is one of
+    the two, so each column has |supp m| entries.  Without a parity
+    split the kernel is one block, D itself.  With one, it splits into a
+    symmetric and an antisymmetric block, built in the same pass.
 
     The involution sigma permutes the columns of a cs complex, freely
     except for the degree-0 monomial 1, and the rows likewise.  A form
@@ -439,8 +402,7 @@ def stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:
     lands on the representative row of its orbit with the factor 1 when
     mu is that representative, s e_k when sigma mu is, and 1 + s e_k
     when mu = sigma mu.  The fixed monomial 1 is a symmetric column only,
-    and it has no entries.  Nothing is solved here: each block is solved
-    exactly when its basis or dimension is first read.
+    and it has no entries.  Nothing is solved here.
     """
     if i < 0:
         raise ValueError("degree must be nonnegative")
@@ -449,8 +411,11 @@ def stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:
     form_list = forms if isinstance(forms, FormSequence) else list(forms)
     split = _has_parity_split(cx, form_list)
     if split:
+        # no face of a cs complex holds both x_k and x_-k, so negating
+        # every vertex of a monomial keeps its canonical order
         col_of = {m.exps: j for j, m in enumerate(columns)}
-        mirror = [col_of[negated_exps(m.exps)] for m in columns]
+        mirror = [col_of[tuple([(-v, e) for v, e in m.exps])]
+                  for m in columns]
     else:
         mirror = range(len(columns))
     echelon = echelon_rows(form_list)
@@ -483,7 +448,8 @@ def stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:
         for v, e, lower in exps_partials(exps):
             orbit = orbits.get(lower)
             if orbit is None:
-                negated = negated_exps(lower) if split else lower
+                negated = (tuple([(-u, x) for u, x in lower]) if split
+                           else lower)
                 if negated == lower:
                     orbit = orbits[lower] = (row_count, fixed_weights)
                 else:
@@ -523,26 +489,52 @@ def _entry_weights(cx, scaled, factors) -> dict:
     return table
 
 
-def certify_dims(spaces, floor: int) -> bool:
-    """Fix every block dimension of `spaces` from its rank mod a prime of
-    PRIMES when those dimensions sum to `floor`; return whether they did.
+def _certified(dims_mod, floor: int):
+    """The first dims_mod(p), p in PRIMES, the block dimensions mod p
+    per degree, that sums to `floor`, or None.
 
-    Each block is an integer matrix, so its kernel dimension mod any
-    prime is at least the exact one.  The caller proves that `floor` is
-    at most the sum of the exact dimensions.  When the dimensions mod p
-    sum to `floor`, every inequality is therefore an equality and each
-    of them is exact.  A prime that lowers some rank is tried no
-    further, and the next one is; when every prime fails nothing
-    changes, and each dimension is solved exactly when it is read.
+    A block's kernel dimension mod p is at least the exact one, the
+    matrix being integer, and the caller proves `floor` at most the sum
+    of the exact ones, so a sum equal to `floor` makes each of them
+    exact.  A prime that lowers some rank gives way to the next.
     """
-    blocks = [b for s in spaces for b in s.blocks]
     for p in PRIMES:
-        dims = [b.dim_mod(p) for b in blocks]
-        if sum(dims) == floor:
-            for b, k in zip(blocks, dims):
-                b.known = k
-            return True
-    return False
+        dims = dims_mod(p)
+        if sum(map(sum, dims)) == floor:
+            return dims
+    return None
+
+
+def certify_dims(spaces, floor: int) -> bool:
+    """Fix the block dimensions of `spaces` from ranks mod p that
+    `_certified` accepts; return whether it did."""
+    dims = _certified(lambda p: [[len(b.reps) - rank_mod(b.matrix, p)
+                                  for b in s.blocks] for s in spaces], floor)
+    for s, known in zip(spaces, dims or ()):
+        for b, k in zip(s.blocks, known):
+            b.known = k
+    return dims is not None
+
+
+def stress_dims(cx: SimplicialComplex, forms, top: int, floor: int):
+    """The spaces of degrees 0..top with only their exact block
+    dimensions.  For each prime `_certified` tries, each degree is
+    assembled, ranked in place and dropped before the next; when none
+    certifies, each is solved exactly the same way."""
+    def ranks(p):
+        return [_ranks(stress_space(cx, forms, i).blocks, p)
+                for i in range(top + 1)]
+
+    dims = _certified(ranks, floor) or [
+        [b.dim for b in stress_space(cx, forms, i).blocks]
+        for i in range(top + 1)]
+    return tuple(_known_space(cx, forms, i, k) for i, k in enumerate(dims))
+
+
+def _ranks(blocks, p) -> list:
+    for b in blocks:  # drop the scaffolding before any rank
+        b.columns = b.mirror = None
+    return [len(b.reps) - _rank_mod(b.matrix, p) for b in blocks]
 
 
 def vanishing_stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:
@@ -555,9 +547,14 @@ def vanishing_stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:
     """
     if i <= cx.dim + 1:
         raise ValueError("stresses vanish by theorem only above degree d")
-    count = 2 if _has_parity_split(cx, forms) else 1
-    blocks = [_Block((), [], [], [], 1, known=0) for _ in range(count)]
-    return StressSpace(cx, forms, i, (), blocks)
+    return _known_space(cx, forms, i,
+                        [0] * (1 + _has_parity_split(cx, forms)))
+
+
+def _known_space(cx, forms, i, dims) -> StressSpace:
+    # no columns and no matrix: nothing is left to solve
+    return StressSpace(cx, forms, i, (),
+                       [_Block((), None, (), (), 1, known=k) for k in dims])
 
 
 def _has_parity_split(cx: SimplicialComplex, forms) -> bool:

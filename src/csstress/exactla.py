@@ -10,9 +10,10 @@ integers, and updates cross-multiply and remove the common factor, so no
 rational division happens until basis extraction.  `int_rank`, `int_rref`
 and `int_nullspace` take integer rows, dicts {column: value}, directly;
 `rank` and `nullspace` split a `SparseMatrix` into such rows.
-`rank_mod` updates rows in place over GF(p).  Its entries stay below p,
-so it costs a fraction of the exact path, and for an integer matrix
-rank mod p <= rank over Q: every minor that is nonzero mod p is a nonzero
+`rank_mod` works over GF(p) on residue copies of the rows, `_rank_mod`
+on the rows of a list it takes over.  Entries stay below p, so this
+costs a fraction of the exact path, and for an integer matrix rank mod
+p <= rank over Q: every minor that is nonzero mod p is a nonzero
 integer.  Callers use it where that inequality certifies the answer and
 fall back to the exact path where it does not.
 """
@@ -183,9 +184,15 @@ def _back_substitute(pivots):
 def rank_mod(rows, p: int) -> int:
     """Rank over GF(p) of integer rows, each a dict {column: value}.
     `rows` is not modified."""
+    return _rank_mod(list(rows), p)
+
+
+def _rank_mod(rows: list, p: int) -> int:
+    """`rank_mod` of a list it takes over: each row is replaced by its
+    residues, one at a time, and reduced in place; the list is emptied."""
 
     def update(row, pivot, c):
-        if pivot[c] != 1:  # scale this copy of the pivot once, in place
+        if pivot[c] != 1:  # scale the pivot once, in place
             inv = pow(pivot[c], -1, p)
             for col in pivot:
                 pivot[col] = pivot[col] * inv % p
@@ -198,8 +205,11 @@ def rank_mod(rows, p: int) -> int:
                 del row[col]
         return row
 
-    reduced = [{c: v % p for c, v in row.items() if v % p} for row in rows]
-    return len(_forward_eliminate(reduced, update))
+    for n, row in enumerate(rows):
+        rows[n] = {c: v % p for c, v in row.items() if v % p}
+    rank = len(_forward_eliminate(rows, update))
+    rows.clear()
+    return rank
 
 
 def int_rank(rows) -> int:

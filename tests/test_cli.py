@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from math import comb
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 import csstress.claims as claims_module
 import csstress.cli as cli_module
 import csstress.engine as engine_module
+import csstress.exactla as exactla_module
 from csstress import LsopNotFound
 from csstress.cli import main
 from conftest import CORPUS_DIR
@@ -342,6 +344,33 @@ def test_second_prime_certifies_when_the_first_fails(capsys, monkeypatch,
     assert code == 0
     assert out == golden_stress_json("crosspoly_d4")
     assert bool(calls) == solved
+
+
+@pytest.mark.parametrize("primes", [engine_module.PRIMES, (3,)])
+def test_dims_only_stress_holds_one_degree_at_a_time(capsys, monkeypatch,
+                                                     primes):
+    # every block assembled with a matrix is tracked while it lives; each
+    # elimination, mod p or exact, may see the two blocks of one degree
+    live = weakref.WeakSet()
+    seen = []
+
+    class Tracked(engine_module._Block):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if self.matrix is not None:
+                live.add(self)
+
+    real = exactla_module._forward_eliminate
+    monkeypatch.setattr(exactla_module, "_forward_eliminate",
+                        lambda rows, update: seen.append(len(live))
+                        or real(rows, update))
+    monkeypatch.setattr(engine_module, "_Block", Tracked)
+    monkeypatch.setattr(engine_module, "PRIMES", primes)
+    path = str(CORPUS_DIR / "crosspoly_d4.json")
+    code, out, _ = run(capsys, "stress", path, "--format", "json")
+    assert code == 0
+    assert out == golden_stress_json("crosspoly_d4")
+    assert max(seen) == 2
 
 
 def test_stress_dims_of_the_6_cross_polytope(tmp_path, capsys, monkeypatch):

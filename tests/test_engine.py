@@ -41,7 +41,7 @@ from csstress import (
     vanishing_stress_space,
 )
 from csstress.claims import linear_table, stress_table
-from csstress.engine import certify_dims, echelon_rows
+from csstress.engine import certify_dims, echelon_rows, stress_dims
 from oracles import (
     brute_contains,
     brute_is_stress,
@@ -360,6 +360,37 @@ def test_certified_dims_are_exact(cx, seed):
     for i, s in enumerate(exact):
         assert fast[i] == (s.dim, s.plus_dim, s.minus_dim), i
         assert s.dim == brute_stress_dim(cx.facets, rows, i), i
+
+
+def streamed_and_exact_dims(cx, seq, primes):
+    """Per degree 0..d, the block dims of `stress_dims` with PRIMES
+    patched to `primes`, and those of fresh spaces solved exactly."""
+    d = cx.dim + 1
+    with mock.patch.object(engine_module, "PRIMES", primes):
+        streamed = stress_dims(cx, seq, d, cx.fhg_vectors().f[-1])
+    exact = [[b.dim for b in stress_space(cx, seq, i).blocks]
+             for i in range(d + 1)]
+    return [[b.dim for b in s.blocks] for s in streamed], exact
+
+
+@settings(max_examples=40, deadline=None)
+@given(cx=st.one_of(CS_COMPLEXES, PURE_COMPLEXES), seed=st.integers(0, 99),
+       primes=st.sampled_from([(3,), (3, engine_module.PRIMES[0])]))
+def test_streamed_dims_are_the_exact_block_dims(cx, seed, primes):
+    # mod 3 ranks often drop, so both the second prime and the exact
+    # fallback are taken; a non-CM complex always falls back
+    streamed, exact = streamed_and_exact_dims(cx, sampled_lsop(cx, seed),
+                                              primes)
+    assert streamed == exact
+
+
+@pytest.mark.parametrize("primes", [(3,), (3, engine_module.PRIMES[0])])
+@pytest.mark.parametrize("name", ["noncm_edges", "crosspoly_d4"])
+def test_streamed_dims_of_corpus_complexes(corpus_by_name, name, primes):
+    cx = corpus_by_name[name].complex
+    streamed, exact = streamed_and_exact_dims(cx, sampled_lsop(cx, 1),
+                                              primes)
+    assert streamed == exact
 
 
 def test_certified_zero_blocks_are_never_solved(corpus_by_name, monkeypatch):
