@@ -240,17 +240,12 @@ def stress_table(cx: SimplicialComplex, seq, top: int):
 def linear_table(cx: SimplicialComplex, seed: int):
     """Table of a sampled l.s.o.p., special when cx is cs, degrees 0..d.
 
-    Its dimensions are certified mod a prime when cx is Cohen-Macaulay.
-    K[cx] is a finitely generated module of rank f_{d-1} over the
-    polynomial ring of an l.s.o.p. Theta, and dim Stress_i is the
-    dimension of degree i of K[cx]/(Theta), which vanishes above d.  By
-    graded Nakayama the sum of these dimensions is the least number of
-    module generators, so it is at least f_{d-1}, with equality exactly
-    when K[cx] is free, that is, when cx is CM (Stanley, Combinatorics and
-    Commutative Algebra, I.5 and III.2).  So f_{d-1} is a lower bound that
-    `certify_dims` may use, and on a non-CM complex it always falls back
-    to exact dimensions.  The face-supported monomials grow in number
-    with the degree, so a table too large is refused at its top degree
+    Its dimensions are certified mod a prime when cx is Cohen-Macaulay:
+    dim Stress_i is the dimension of degree i of K[cx]/(Theta), and by
+    graded Nakayama these sum to at least the rank f_{d-1} of K[cx] over
+    the ring of Theta, with equality exactly when cx is CM (Stanley,
+    Combinatorics and Commutative Algebra, I.5 and III.2).  A table too
+    large is refused at its top degree, which has the most monomials,
     before any form is sampled.
     """
     seq = _sampled_lsop(cx, seed)
