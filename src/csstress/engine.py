@@ -521,20 +521,21 @@ def stress_dims(cx: SimplicialComplex, forms, top: int, floor: int):
     dimensions.  For each prime `_certified` tries, each degree is
     assembled, ranked in place and dropped before the next; when none
     certifies, each is solved exactly the same way."""
-    def ranks(p):
-        return [_ranks(stress_space(cx, forms, i).blocks, p)
+    def dims_mod(p):
+        return [_dims_mod(stress_space(cx, forms, i).blocks, p)
                 for i in range(top + 1)]
 
-    dims = _certified(ranks, floor) or [
+    dims = _certified(dims_mod, floor) or [
         [b.dim for b in stress_space(cx, forms, i).blocks]
         for i in range(top + 1)]
     return tuple(_known_space(cx, forms, i, k) for i, k in enumerate(dims))
 
 
-def _ranks(blocks, p) -> list:
-    for b in blocks:  # drop the scaffolding before any rank
-        b.columns = b.mirror = None
-    return [len(b.reps) - _rank_mod(b.matrix, p) for b in blocks]
+def _dims_mod(blocks, p) -> list:
+    for b in blocks:  # only the matrices are read: drop the rest first
+        b.columns = b.mirror = b.reps = None
+    # a column per representative, counted before the rank empties them
+    return [len(b.matrix) - _rank_mod(b.matrix, p) for b in blocks]
 
 
 def vanishing_stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:
