@@ -42,16 +42,14 @@ _EXPORTS = {
     "errors": (
         "CsStressError", "CsViolation", "GroundSetOverlap",
         "HypothesisUnmet", "InputError", "LengthMismatch", "LsopNotFound",
-        "NotAFace", "NotCs", "NotPure", "NotSimplicial", "NotSquarefree",
-        "NotSubcomplex", "PreconditionUnmet", "RedundantFacet",
-        "ZeroPolynomial",
+        "NotAFace", "NotCs", "NotPure", "NotSimplicial", "NotSubcomplex",
+        "PreconditionUnmet", "RedundantFacet",
     ),
-    "exactla": ("Basis", "SparseMatrix", "nullspace", "rank"),
+    "exactla": (),  # no public names; csstress.exactla is the module
     "polynomials": (
         "LinearForm", "Monomial", "ONE", "Polynomial", "apply_derivative",
-        "delta_monomials", "expand_y_representation", "involution_action",
-        "is_squarefree", "is_symmetric", "pair_sum", "partial_derivative",
-        "pm_split", "stress_support", "y_representation",
+        "delta_monomials", "involution_action", "is_symmetric", "pair_sum",
+        "partial_derivative",
     ),
     "polytopes": (
         "Polytope", "bipyramid", "cross_polytope", "polygon",

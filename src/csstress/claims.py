@@ -505,8 +505,9 @@ def _asymmetry(terms) -> dict:
 
 
 def _y_obstruction(terms) -> dict:
-    # zero exactly when each vertex derivative is squarefree and has
-    # equal derivatives at k and -k, the criterion of y_representation
+    # zero exactly when each vertex derivative u is squarefree and has
+    # d/dx_k u = d/dx_{-k} u for every k > 0: then u is a polynomial in
+    # the pair sums y_k
     def pairs():
         for exps, c in terms.items():
             for v, e, lower in exps_partials(exps):
@@ -534,8 +535,8 @@ def verify_lemma32_34(cx, table, i, instance="") -> VerificationReport:
     involution and split into their symmetric and antisymmetric parts,
     each computed inside the matching part of Stress_i.  The second
     conclusion needs no check: a symmetric w of W_i has d/dx_{-v} w =
-    sigma(d/dx_v w) = d/dx_v w for every v, the criterion of
-    `y_representation`, so a squarefree w is a y-polynomial.  Every
+    sigma(d/dx_v w) = d/dx_v w for every v, and a squarefree w with
+    d/dx_k w = d/dx_{-k} w for every k > 0 is a y-polynomial.  Every
     system and check runs on integer multiples of the basis vectors,
     which changes no conclusion, as each is linear and homogeneous; a
     witness is printed as the reduced vector.  `checked` is dim W_i.

@@ -109,8 +109,7 @@ class FHGVectors:
 class SimplicialComplex:
     """Immutable simplicial complex given by an inclusion-free facet list."""
 
-    __slots__ = ("facets", "ground_set", "cs", "_faces", "_masks", "_counts",
-                 "_fhg")
+    __slots__ = ("facets", "ground_set", "cs", "_masks", "_counts", "_fhg")
 
     def __init__(self, facets, ground_set=None, _cs=None):
         fs = sorted({face(f) for f in facets})
@@ -118,7 +117,6 @@ class SimplicialComplex:
             raise InputError("at least one facet is required")
         check_face_subsets(sum(1 << len(f) for f in fs))
         self.facets = tuple(fs)
-        self._faces = None
         self._masks = None
         self._counts = None
         self._fhg = None
@@ -213,23 +211,6 @@ class SimplicialComplex:
                     m = (m - 1) & top
             self._masks = bit, masks
         return self._masks
-
-    def all_faces(self) -> frozenset:
-        """Every face, including the empty face."""
-        if self._faces is None:
-            # filled in place: no set copy is ever alive beside it
-            self._faces = frozenset(itertools.chain.from_iterable(
-                itertools.combinations(f, s)
-                for f in self.facets
-                for s in range(len(f) + 1)
-            ))
-        return self._faces
-
-    def faces_of_dim(self, i) -> list[Face]:
-        """Faces of dimension i in lexicographic order; [( )] for i = -1."""
-        if i < -1 or i > self.dim:
-            return []
-        return sorted(t for t in self.all_faces() if len(t) == i + 1)
 
     def __eq__(self, other):
         return (

@@ -32,8 +32,7 @@ from .errors import (
     NotSimplicial,
     NotSubcomplex,
 )
-from .exactla import (Basis, _rank_mod, int_nullspace, int_rank, int_rref,
-                      rank_mod)
+from .exactla import _rank_mod, int_nullspace, int_rank, int_rref, rank_mod
 from .polynomials import (
     LinearForm,
     Monomial,
@@ -158,11 +157,6 @@ class _Block:
                 vec[self.mirror[j]] = self.sign * x
             vectors.append((self.reps[f], vec))
         return tuple(vectors)
-
-    @property
-    def basis(self) -> Basis:
-        """Reduced exact basis in full coordinates."""
-        return Basis.from_integer(self.columns, self.vectors)
 
     def polynomials(self) -> list[Polynomial]:
         """The reduced basis as polynomials, in a new list on every call."""

@@ -37,14 +37,6 @@ class NotSimplicial(InputError):
     """Polytope facet is not a simplex with affinely independent vertices."""
 
 
-class ZeroPolynomial(CsStressError):
-    """Operation requires a nonzero polynomial."""
-
-
-class NotSquarefree(CsStressError):
-    """Operation requires a squarefree polynomial."""
-
-
 class LengthMismatch(CsStressError):
     """Form sequence has the wrong number of forms for the complex."""
 

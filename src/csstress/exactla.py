@@ -1,15 +1,17 @@
 """Exact sparse linear algebra over the rationals, and rank mod a prime.
 
-Every rank and kernel goes through one forward elimination with one pivot
-rule: columns are resolved in ascending order, a column -> rows index
-finds the rows holding each column, and the pivot is the sparsest of them
-(ties by row index).  Only the row update differs between the two fields.
+Rows are dicts {column: value}.  Every rank and kernel goes through one
+forward elimination with one pivot rule: columns are resolved in
+ascending order, a column -> rows index finds the rows holding each
+column, and the pivot is the sparsest of them (ties by row index).  Only
+the row update differs between the two fields.
 
-Over Q the update is fraction-free: each row is scaled to coprime
-integers, and updates cross-multiply and remove the common factor, so no
-rational division happens until basis extraction.  `int_rank`, `int_rref`
-and `int_nullspace` take integer rows, dicts {column: value}, directly;
-`rank` and `nullspace` split a `SparseMatrix` into such rows.
+Over Q the update is fraction-free.  `int_rank`, `int_rref` and
+`int_nullspace` take rows with integer or rational values and scale
+copies of them to coprime integers; updates cross-multiply and remove the
+common factor, so no rational division happens at all, and a kernel comes
+back as primitive integer vectors.
+
 `rank_mod` works over GF(p) on residue copies of the rows, `_rank_mod`
 on the rows of a list it takes over.  Entries stay below p, so this
 costs a fraction of the exact path, and for an integer matrix rank mod
@@ -20,77 +22,7 @@ fall back to the exact path where it does not.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
-
-
-class SparseMatrix:
-    """Immutable sparse rational matrix."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows, cols, entries):
-        self.rows = rows
-        self.cols = cols
-        clean = {}
-        for (r, c), v in entries.items():
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ValueError(f"entry ({r},{c}) out of range")
-            v = Fraction(v)
-            if v:
-                clean[(r, c)] = v
-        self.entries = clean
-
-    @classmethod
-    def from_dense(cls, rows) -> "SparseMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        entries = {}
-        for r, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            for c, v in enumerate(row):
-                if v:
-                    entries[(r, c)] = Fraction(v)
-        return cls(nrows, ncols, entries)
-
-
-class Basis:
-    """Reduced basis of a subspace of Q^columns: each vector has value 1
-    at its own pivot coordinate and value 0 at the pivot coordinates of
-    all other vectors."""
-
-    __slots__ = ("columns", "vectors", "pivots")
-
-    def __init__(self, columns, vectors, pivots):
-        self.columns = tuple(columns)
-        self.vectors = tuple(
-            tuple(x if isinstance(x, Fraction) else Fraction(x) for x in v)
-            for v in vectors
-        )
-        self.pivots = tuple(pivots)
-        for v in self.vectors:
-            if len(v) != len(self.columns):
-                raise ValueError("vector length differs from column count")
-        if len(self.pivots) != len(self.vectors):
-            raise ValueError("one pivot per vector required")
-
-    @classmethod
-    def from_integer(cls, columns, kernel) -> "Basis":
-        """The reduced basis of the pairs (f, vector) of `int_nullspace`,
-        vectors over the positions of `columns`: each divided by its
-        entry at f."""
-        vectors = []
-        for f, vec in kernel:
-            dense = [Fraction(0)] * len(columns)
-            for c, x in vec.items():
-                dense[c] = Fraction(x, vec[f])
-            vectors.append(dense)
-        return cls(columns, vectors, [f for f, _ in kernel])
-
-    @property
-    def dim(self) -> int:
-        return len(self.vectors)
 
 
 # -- integer row helpers ---------------------------------------------------
@@ -213,7 +145,8 @@ def _rank_mod(rows: list, p: int) -> int:
 
 
 def int_rank(rows) -> int:
-    """Exact rank of integer rows, each a dict {column: value}."""
+    """Exact rank of rows, each a dict {column: integer or rational},
+    scaled to coprime integers first.  `rows` is not modified."""
     return len(_forward_eliminate(_integer_rows(rows), _eliminate))
 
 
@@ -227,12 +160,13 @@ def int_rref(rows) -> list[dict[int, int]]:
 
 
 def int_nullspace(rows, ncols: int) -> list[tuple[int, dict[int, int]]]:
-    """Kernel of integer rows, each a dict {column: value}, over the
-    columns 0..ncols-1: one pair (f, vector) per free column f, in
-    ascending order.  The vector is the reduced one, 1 at f, 0 at the
-    other free columns and -row[f] / row[c] at the pivot c of each row,
-    times the lcm of its denominators: primitive, as some denominator
-    holds each prime's full power in the lcm.  `rows` is not modified."""
+    """Kernel of rows, each a dict {column: integer or rational}, scaled to
+    coprime integers first, over the columns 0..ncols-1: one pair (f,
+    vector) per free column f, in ascending order.  The vector is the
+    reduced one, 1 at f, 0 at the other free columns and -row[f] / row[c]
+    at the pivot c of each row, times the lcm of its denominators:
+    primitive, as some denominator holds each prime's full power in the
+    lcm.  `rows` is not modified."""
     pivots = _back_substitute(
         _forward_eliminate(_integer_rows(rows), _eliminate))
     taken = {c for c, _ in pivots}
@@ -250,20 +184,3 @@ def int_nullspace(rows, ncols: int) -> list[tuple[int, dict[int, int]]]:
             vec[c] = -row[f] * scale // row[c]
         kernel.append((f, vec))
     return kernel
-
-
-def _matrix_rows(matrix: SparseMatrix) -> list[dict[int, Fraction]]:
-    rows = [{} for _ in range(matrix.rows)]
-    for (r, c), v in matrix.entries.items():
-        rows[r][c] = v
-    return rows
-
-
-def rank(matrix: SparseMatrix) -> int:
-    return int_rank(_matrix_rows(matrix))
-
-
-def nullspace(matrix: SparseMatrix) -> Basis:
-    """Reduced basis of the right kernel, one vector per free column."""
-    return Basis.from_integer(
-        range(matrix.cols), int_nullspace(_matrix_rows(matrix), matrix.cols))

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 from .complexes import MAX_FACE_SUBSETS, SimplicialComplex
-from .errors import InputError, NotSquarefree, ZeroPolynomial
+from .errors import InputError
 
 
 def _vkey(v: int):
@@ -49,9 +49,6 @@ class Monomial:
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(v for v, _ in self.exps))
-
-    def is_squarefree(self) -> bool:
-        return all(e == 1 for _, e in self.exps)
 
     def divide(self, v: int) -> "Monomial":
         """Divide by x_v; requires x_v | self."""
@@ -444,82 +441,8 @@ def is_symmetric(w: Polynomial) -> bool:
     return involution_action(w) == w
 
 
-def pm_split(w: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Decompose w into symmetric and antisymmetric parts."""
-    half = Fraction(1, 2)
-    terms = w.terms
-    plus = {}
-    minus = {}
-    for m, c in terms.items():
-        if m in plus or m in minus:
-            continue  # set with its mirror
-        n = m.negate()
-        # the parts hold (c_m +- c_n) / 2 at m and +-(c_m +- c_n) / 2 at n
-        cn = terms.get(n, 0)
-        p = (c + cn) * half
-        q = (c - cn) * half
-        if p:
-            plus[m] = plus[n] = p
-        if q:
-            minus[m] = q
-            minus[n] = -q
-    return Polynomial._of(plus), Polynomial._of(minus)
-
-
-# -- Support, squarefreeness, pair-sum structure ---------------------------
-
-
-def stress_support(w: Polynomial) -> SimplicialComplex:
-    """Complex generated by the supports of the terms of w."""
-    if w.is_zero():
-        raise ZeroPolynomial("zero polynomial has no support complex")
-    supports = {m.support for m in w.terms}
-    maximal = [
-        s for s in supports
-        if not any(s != t and set(s) <= set(t) for t in supports)
-    ]
-    return SimplicialComplex(maximal)
-
-
-def is_squarefree(w: Polynomial) -> bool:
-    return all(m.is_squarefree() for m in w.terms)
-
-
 def pair_sum(k: int) -> Polynomial:
     """The symmetric linear polynomial x_k + x_{-k} for a positive label."""
     if k <= 0:
         raise ValueError("pair label must be positive")
     return Polynomial.variable(k) + Polynomial.variable(-k)
-
-
-def y_representation(w: Polynomial):
-    """Write squarefree w as sum c_tau prod_{k in tau} (x_k + x_{-k}).
-
-    Returns {tau: coefficient} with tau a sorted tuple of positive labels,
-    or None when no such representation exists.  The decision uses the
-    derivative criterion: representable iff d/dx_k w = d/dx_{-k} w for
-    every positive label k.
-    """
-    if not is_squarefree(w):
-        raise NotSquarefree("pair-sum representation needs squarefree input")
-    labels = sorted({abs(v) for m in w.terms for v in m.support})
-    for k in labels:
-        if partial_derivative(w, k) != partial_derivative(w, -k):
-            return None
-    rep = {}
-    for m, c in w.items():
-        sup = m.support
-        if all(v > 0 for v in sup):
-            rep[sup] = c
-    return rep
-
-
-def expand_y_representation(rep) -> Polynomial:
-    """Inverse of y_representation: expand sum c_tau prod y_k."""
-    out = Polynomial.zero()
-    for tau, c in sorted(rep.items()):
-        term = Polynomial.constant(c)
-        for k in tau:
-            term = term * pair_sum(k)
-        out = out + term
-    return out

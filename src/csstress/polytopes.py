@@ -33,10 +33,15 @@ class Polytope:
 
     def __init__(self, coordinates, facets):
         coords = {}
-        for v, vec in coordinates.items():
-            v = int(v)
+        keys = {}  # label -> the key that named it
+        for key, vec in coordinates.items():
+            v = int(key)
             if v == 0:
                 raise InputError("vertex labels must be nonzero")
+            if v in keys:
+                raise InputError(f"vertex {v} is named twice, by "
+                                 f"{keys[v]!r} and {key!r}")
+            keys[v] = key
             coords[v] = tuple(Fraction(x) for x in vec)
         if not coords:
             raise InputError("a polytope needs at least one vertex pair")
@@ -198,16 +203,16 @@ def polytope_from_json_obj(obj: dict) -> Polytope:
     if not isinstance(coords, dict) or not coords:
         raise InputError('missing or empty "coordinates" field')
     facets = facets_from_json(obj.get("facets"))
-    parsed = {}
+    parsed = {}  # keyed by the file's own keys: `Polytope` reads the labels
     for key, vec in coords.items():
         try:
-            v = int(key)
+            int(key)
         except ValueError:
             raise InputError(f"bad vertex label {key!r}") from None
         if not isinstance(vec, list):
             raise InputError(f"coordinates of {key} must be a list")
         try:
-            parsed[v] = tuple(_rational(str(x), key) for x in vec)
+            parsed[key] = tuple(_rational(str(x), key) for x in vec)
         except (ValueError, ZeroDivisionError):
             raise InputError(
                 f"coordinates of {key} are not rationals"

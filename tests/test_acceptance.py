@@ -180,7 +180,7 @@ def test_08_lsop_certification(corpus):
 
 
 def test_09_linear_algebra_against_dense_oracle():
-    from csstress import SparseMatrix, nullspace, rank
+    from csstress.exactla import int_nullspace, int_rank
 
     rng = random.Random(424242)
     seen_shapes = set()
@@ -196,21 +196,17 @@ def test_09_linear_algebra_against_dense_oracle():
             ]
             for _ in range(nrows)
         ]
-        entries = {
-            (r, c): x
-            for r, row in enumerate(dense)
-            for c, x in enumerate(row)
-            if x
-        }
-        m1 = SparseMatrix(nrows, ncols, entries)
-        m2 = SparseMatrix(nrows, ncols, dict(entries))
-        r1, ns1 = rank(m1), nullspace(m1)
-        r2, ns2 = rank(m2), nullspace(m2)
-        assert (r1, ns1.vectors) == (r2, ns2.vectors), "not reproducible"
+        rows = [{c: x for c, x in enumerate(row) if x} for row in dense]
+        copy = [dict(row) for row in rows]
+        r1, ns1 = int_rank(rows), int_nullspace(rows, ncols)
+        r2, ns2 = int_rank(copy), int_nullspace(copy, ncols)
+        assert (r1, ns1) == (r2, ns2), "not reproducible"
         assert r1 == dense_rank(dense), trial
         oracle = dense_nullspace(dense, ncols)
-        assert ns1.dim == len(oracle) == ncols - r1, trial
-        # both sides are the reduced basis, one vector per free column in
-        # ascending order, so they agree entry for entry
-        assert [list(v) for v in ns1.vectors] == oracle, trial
+        assert len(ns1) == len(oracle) == ncols - r1, trial
+        # each kernel vector divided by its entry at its free column is
+        # the reduced basis vector, one per free column in ascending
+        # order, so the two sides agree entry for entry
+        assert [[Fraction(vec.get(c, 0), vec[f]) for c in range(ncols)]
+                for f, vec in ns1] == oracle, trial
     assert len(seen_shapes) > 25

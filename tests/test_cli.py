@@ -405,6 +405,23 @@ def test_info_rejects_boolean_and_repeated_labels(tmp_path, capsys, text):
     assert err.startswith("input error:")
 
 
+@pytest.mark.parametrize("command", ["info", "stress", "verify"])
+def test_vertex_named_by_two_keys_is_input_error(tmp_path, capsys, command):
+    # "01" and "-01" read as 1 and -1, and once moved the square's vertex
+    # 1 to (3, 1) with exit 0
+    p = tmp_path / "square.json"
+    p.write_text(json.dumps({
+        "coordinates": {"1": ["1", "0"], "-1": ["-1", "0"],
+                        "2": ["0", "1"], "-2": ["0", "-1"],
+                        "01": ["3", "1"], "-01": ["-3", "-1"]},
+        "facets": [[1, 2], [2, -1], [-1, -2], [-2, 1]],
+    }))
+    code, out, err = run(capsys, command, str(p))
+    assert code == 2
+    assert out == ""
+    assert err == "input error: vertex 1 is named twice, by '1' and '01'\n"
+
+
 @pytest.mark.parametrize("command", ["info", "verify"])
 @pytest.mark.parametrize("text", [
     '{"facets": [[1, 2], [-1, -2]], "junk": %s}' % ("9" * 5000),

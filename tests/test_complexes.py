@@ -67,8 +67,6 @@ def test_octahedron_counts(octahedron):
     assert vec.f == (1, 6, 12, 8)
     assert vec.h == (1, 3, 3, 1)
     assert vec.g == (1, 2)
-    assert len(octahedron.faces_of_dim(1)) == 12
-    assert octahedron.faces_of_dim(-1) == [()]
     assert octahedron.cs
 
 
@@ -263,9 +261,9 @@ def test_pure_complex_builds_no_face_set_to_construct():
     cx = SimplicialComplex.from_facets(
         [(1, 2), (2, -1), (-1, -2), (-2, 1)], expect_cs=True
     )
-    assert cx._faces is None and cx._masks is None
-    faces = cx.all_faces()
-    assert cx.contains((2, 1)) and cx.all_faces() is faces
+    assert cx._masks is None
+    masks = cx.face_masks()
+    assert cx.contains((2, 1)) and cx.face_masks() is masks
 
 
 def test_ten_cross_polytope_loads_with_closed_form_f_vector():
@@ -293,7 +291,7 @@ def test_face_numbers_build_no_face_set():
     )
     counts = [monomial_count(cx, i) for i in range(11)]
     assert counts[:3] == [1, 20, 20 + 180]
-    assert cx._faces is None and cx._masks is None
+    assert cx._masks is None
 
 
 def test_fhg_vectors_are_read_only_values():

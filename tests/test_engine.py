@@ -477,8 +477,11 @@ def test_echelon_assembly_matches_dense_oracle_on_original_forms(cx, data):
         assert split == (cx.cs and all(f.parity != "none" for f in forms))
         bases = brute_stress_bases(cx.facets, rows, i,
                                    [m.exps for m in space.columns], split)
-        assert [[list(v) for v in b.basis.vectors] for b in space.blocks] \
-            == bases, i
+        # each kernel vector divided by its entry at its pivot column is
+        # the reduced basis vector
+        assert [[[Fraction(vec.get(c, 0), vec[p])
+                  for c in range(len(space.columns))]
+                 for p, vec in b.vectors] for b in space.blocks] == bases, i
         if split:
             # the whole kernel, a system the split bases do not solve
             assert space.dim == brute_stress_dim(cx.facets, rows, i), i

@@ -4,11 +4,9 @@ import random
 from fractions import Fraction
 from math import gcd
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csstress import Basis, SparseMatrix, nullspace, rank
 from csstress.exactla import int_nullspace, int_rank, int_rref, rank_mod
 from oracles import dense_nullspace, dense_rank, dense_rank_mod, same_span
 
@@ -24,33 +22,27 @@ def random_dense(rng, nrows, ncols, density=0.5):
     ]
 
 
-def to_sparse(dense, ncols):
-    entries = {
-        (r, c): x
-        for r, row in enumerate(dense)
-        for c, x in enumerate(row)
-        if x
-    }
-    return SparseMatrix(len(dense), ncols, entries)
+def to_rows(dense):
+    return [{c: x for c, x in enumerate(row) if x} for row in dense]
 
 
-def test_sparse_matrix_validates_entries():
-    with pytest.raises(ValueError):
-        SparseMatrix(1, 1, {(2, 0): Fraction(1)})
-    with pytest.raises(ValueError):
-        SparseMatrix.from_dense([[1, 2], [3]])
+def reduced_kernel(rows, ncols):
+    """The reduced kernel basis from `int_nullspace`: each vector divided
+    by its entry at its free column, as a dense list of Fractions."""
+    return [[Fraction(vec.get(c, 0), vec[f]) for c in range(ncols)]
+            for f, vec in int_nullspace(rows, ncols)]
 
 
 def test_rank_and_nullspace_of_small_example():
-    m = SparseMatrix.from_dense([
+    rows = to_rows([
         [1, 2, 3],
         [2, 4, 6],
         [0, 1, 1],
     ])
-    assert rank(m) == 2
-    ns = nullspace(m)
-    assert ns.dim == 1
-    (vec,) = ns.vectors
+    assert int_rank(rows) == 2
+    ns = reduced_kernel(rows, 3)
+    assert len(ns) == 1
+    (vec,) = ns
     # A v = 0, exactly
     assert all(
         sum(row[c] * vec[c] for c in range(3)) == 0
@@ -59,21 +51,20 @@ def test_rank_and_nullspace_of_small_example():
 
 
 def test_nullspace_vector_has_unit_free_coordinate():
-    m = SparseMatrix.from_dense([[1, 1, 0], [0, 0, 1]])
-    ns = nullspace(m)
-    assert ns.dim == 1
-    (vec,) = ns.vectors
-    assert vec == (Fraction(-1), Fraction(1), Fraction(0))
+    ns = reduced_kernel(to_rows([[1, 1, 0], [0, 0, 1]]), 3)
+    assert len(ns) == 1
+    (vec,) = ns
+    assert vec == [Fraction(-1), Fraction(1), Fraction(0)]
 
 
 def test_zero_matrix_nullspace_is_identity_like():
-    m = SparseMatrix(2, 3, {})
-    assert rank(m) == 0
-    ns = nullspace(m)
-    assert ns.dim == 3
-    assert ns.vectors == tuple(
-        tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3)
-    )
+    rows = [{}, {}]
+    assert int_rank(rows) == 0
+    ns = reduced_kernel(rows, 3)
+    assert len(ns) == 3
+    assert ns == [
+        [Fraction(int(i == j)) for j in range(3)] for i in range(3)
+    ]
 
 
 def test_rank_nullspace_match_dense_oracle_randomized():
@@ -82,9 +73,9 @@ def test_rank_nullspace_match_dense_oracle_randomized():
         nrows = rng.randint(0, 12)
         ncols = rng.randint(1, 12)
         dense = random_dense(rng, nrows, ncols)
-        m = to_sparse(dense, ncols)
-        assert rank(m) == dense_rank(dense)
-        ours = [list(v) for v in nullspace(m).vectors]
+        rows = to_rows(dense)
+        assert int_rank(rows) == dense_rank(dense)
+        ours = reduced_kernel(rows, ncols)
         theirs = dense_nullspace(dense, ncols)
         assert len(ours) == len(theirs)
         assert same_span(ours, theirs)
@@ -97,8 +88,8 @@ def test_rank_nullspace_match_dense_oracle_randomized():
 @settings(max_examples=40, deadline=None)
 def test_rank_nullity_theorem(nrows, ncols, seed):
     dense = random_dense(random.Random(seed), nrows, ncols)
-    m = to_sparse(dense, ncols)
-    assert rank(m) + nullspace(m).dim == ncols
+    rows = to_rows(dense)
+    assert int_rank(rows) + len(int_nullspace(rows, ncols)) == ncols
 
 
 @given(st.integers(0, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
@@ -113,15 +104,17 @@ def test_integer_row_entry_points_match_the_matrix_path(nrows, ncols, seed):
     rows = [{c: v for c, v in row.items() if v} for row in rows]
     before = [dict(row) for row in rows]
     dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
-    m = to_sparse(dense, ncols)
-    assert int_rank(rows) == rank(m) == dense_rank(dense)
-    ours = Basis.from_integer(range(ncols), int_nullspace(rows, ncols))
-    theirs = nullspace(m)
-    assert ours.vectors == theirs.vectors
-    assert ours.pivots == theirs.pivots
-    assert ours.columns == tuple(range(ncols))
+    # the matrix path is the dense oracle on the same rows
+    assert int_rank(rows) == dense_rank(dense)
+    assert reduced_kernel(rows, ncols) == dense_nullspace(dense, ncols)
+    # one vector per free column, in ascending order: a column is free
+    # when it adds nothing to the rank of the columns before it
+    free = [c for c in range(ncols)
+            if dense_rank([r[:c + 1] for r in dense])
+            == dense_rank([r[:c] for r in dense])]
+    assert [f for f, _ in int_nullspace(rows, ncols)] == free
     # a rank mod p never exceeds the rank over Q
-    assert rank_mod(rows, 5) <= rank(m)
+    assert rank_mod(rows, 5) <= int_rank(rows)
     assert rows == before
 
 
@@ -174,38 +167,24 @@ def test_rank_mod_is_the_same_on_rows_and_columns(matrix, p):
 def test_results_are_deterministic():
     rng = random.Random(7)
     dense = random_dense(rng, 8, 10)
-    a = nullspace(SparseMatrix.from_dense(dense))
-    b = nullspace(SparseMatrix.from_dense(dense))
-    assert a.vectors == b.vectors
-    assert a.pivots == b.pivots
-
-
-def test_basis_dimension_and_validation():
-    vectors = [
-        (Fraction(1), Fraction(0), Fraction(2)),
-        (Fraction(0), Fraction(1), Fraction(-1)),
-    ]
-    b = Basis((0, 1, 2), vectors, pivots=(0, 1))
-    assert b.dim == 2
-    with pytest.raises(ValueError):
-        Basis((0, 1, 2), [(Fraction(1),)], pivots=(0,))
-    with pytest.raises(ValueError):
-        Basis((0, 1, 2), vectors, pivots=(0,))
+    a = int_nullspace(to_rows(dense), 10)
+    b = int_nullspace(to_rows(dense), 10)
+    assert a == b
 
 
 def test_large_sparse_system_stays_fast():
     # tall sparse system comparable to the heaviest in-package use
     rng = random.Random(5)
-    entries = {}
+    rows = [{} for _ in range(400)]
     for r in range(400):
         for _ in range(4):
-            entries[(r, rng.randrange(150))] = Fraction(
+            rows[r][rng.randrange(150)] = Fraction(
                 rng.randint(-1000, 1000)
             )
-    m = SparseMatrix(400, 150, entries)
-    r1 = rank(m)
-    ns = nullspace(m)
-    assert r1 + ns.dim == 150
+    rows = [{c: x for c, x in row.items() if x} for row in rows]
+    r1 = int_rank(rows)
+    ns = int_nullspace(rows, 150)
+    assert r1 + len(ns) == 150
 
 
 @given(integer_matrices())
@@ -225,8 +204,7 @@ def test_int_rref_is_the_reduced_echelon_form_in_coprime_integers(matrix):
     as_dense = [[row.get(c, 0) for c in range(ncols)] for row in reduced]
     assert same_span(as_dense, dense)
     # the kernel basis reduced on the free columns is unique too
-    kernel = Basis.from_integer(range(ncols), int_nullspace(rows, ncols))
-    assert [list(v) for v in kernel.vectors] == dense_nullspace(dense, ncols)
+    assert reduced_kernel(rows, ncols) == dense_nullspace(dense, ncols)
     assert rows == before
 
 

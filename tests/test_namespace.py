@@ -6,6 +6,7 @@ long since imported every submodule."""
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -13,7 +14,8 @@ from pathlib import Path
 
 from conftest import CORPUS_DIR
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 
 def fresh(*args) -> str:
@@ -51,7 +53,7 @@ def test_public_names_are_the_submodules_objects():
                 print(name)
         print(len(csstress.__all__))
     """)
-    assert out.split() == ["94"]
+    assert out.split() == ["83"]
 
 
 def test_star_import_binds_all_public_names():
@@ -95,3 +97,26 @@ def test_cli_import_loads_no_dataclasses():
         print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
     """)
     assert out == "[]\n"
+
+
+def test_readme_library_example_runs():
+    # the fenced block under "## Library" names only public entry points;
+    # each bare expression in it prints its repr, which must be the
+    # result its comment gives
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## Library\n", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    tree = ast.parse(block)
+    comments = []
+    for n, node in enumerate(tree.body):
+        if isinstance(node, ast.Expr):
+            line = lines[node.end_lineno - 1]
+            comments.append(line.rsplit("#", 1)[1].strip())
+            tree.body[n] = ast.Expr(ast.Call(
+                ast.Name("print", ast.Load()),
+                [ast.Call(ast.Name("repr", ast.Load()), [node.value], [])],
+                []))
+    out = fresh("-c", ast.unparse(ast.fix_missing_locations(tree)))
+    assert comments == ["(3, 3, 0)", "'pass'"]
+    assert out.splitlines() == comments

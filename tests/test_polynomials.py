@@ -11,23 +11,16 @@ from hypothesis import strategies as st
 from csstress import (
     LinearForm,
     Monomial,
-    NotSquarefree,
     ONE,
     Polynomial,
     SimplicialComplex,
-    ZeroPolynomial,
     apply_derivative,
     cross_polytope_boundary,
     delta_monomials,
-    expand_y_representation,
     involution_action,
-    is_squarefree,
     is_symmetric,
     pair_sum,
     partial_derivative,
-    pm_split,
-    stress_support,
-    y_representation,
 )
 from csstress.polynomials import monomial_count
 from oracles import _face_monomials, brute_faces, brute_has_redundant_facet
@@ -62,8 +55,6 @@ def test_monomial_text_and_degree():
     assert m.degree == 3
     assert m.support == (-2, 1)
     assert m.text() == "x_1 x_-2^2"
-    assert not m.is_squarefree()
-    assert mono(1, 2).is_squarefree()
 
 
 def test_monomial_canonical_order_interleaves_signs():
@@ -190,13 +181,6 @@ def test_fast_paths_match_the_normalising_constructor(pair, k, v):
                                  for m2, c2 in others))
     assert_normal(involution_action(w),
                   rebuilt((slow_negate(m), c) for m, c in items))
-    half = Fraction(1, 2)
-    mirrored = [(slow_negate(m), c * half) for m, c in items]
-    plus, minus = pm_split(w)
-    assert_normal(plus, rebuilt([(m, c * half) for m, c in items]
-                                + mirrored))
-    assert_normal(minus, rebuilt([(m, c * half) for m, c in items]
-                                 + [(m, -c) for m, c in mirrored]))
     assert_normal(partial_derivative(w, v), rebuilt(
         (slow_divide(m, v), c * m.exponent(v))
         for m, c in items if m.exponent(v)
@@ -334,7 +318,7 @@ def test_involution_swaps_derivative_signs(w, k):
     assert lhs == rhs
 
 
-# -- involution and the split -----------------------------------------------------
+# -- the involution --------------------------------------------------------------
 
 
 @given(polynomials())
@@ -343,83 +327,8 @@ def test_involution_is_an_involution(w):
     assert involution_action(involution_action(w)) == w
 
 
-@given(polynomials())
-@settings(max_examples=80, deadline=None)
-def test_pm_split_is_exact(w):
-    plus, minus = pm_split(w)
-    assert involution_action(plus) == plus
-    assert involution_action(minus) == -minus
-    assert plus + minus == w
-
-
 def test_is_symmetric_examples():
     assert is_symmetric(pair_sum(1))
     assert not is_symmetric(Polynomial.variable(1))
     assert is_symmetric(Polynomial.zero())
     assert is_symmetric(Polynomial.constant(7))
-
-
-# -- supports --------------------------------------------------------------------
-
-
-def test_stress_support_of_pair_sum_product():
-    w = pair_sum(1) * pair_sum(2) * pair_sum(3)
-    assert len(w.terms) == 8
-    assert stress_support(w) == cross_polytope_boundary(3)
-
-
-def test_stress_support_of_mixed_terms():
-    w = Polynomial([(mono(1, 1), 1), (mono(1, 2), 1)])
-    support = stress_support(w)
-    assert support.facets == ((1, 2),)
-    with pytest.raises(ZeroPolynomial):
-        stress_support(Polynomial.zero())
-
-
-# -- pair-sum representation -------------------------------------------------------
-
-
-def test_y_representation_recovers_coefficients():
-    w = (pair_sum(1) * pair_sum(3)).scale(2) - (
-        pair_sum(2) * pair_sum(3)
-    ).scale(5)
-    rep = y_representation(w)
-    assert rep == {(1, 3): Fraction(2), (2, 3): Fraction(-5)}
-    assert expand_y_representation(rep) == w
-
-
-def test_y_representation_rejects_asymmetric_input():
-    w = Polynomial([(mono(1, 2), 1)])
-    assert y_representation(w) is None
-
-
-def test_y_representation_requires_squarefree():
-    with pytest.raises(NotSquarefree):
-        y_representation(Polynomial([(mono(1, 1), 1)]))
-    assert not is_squarefree(Polynomial([(mono(1, 1), 1)]))
-    assert is_squarefree(Polynomial.zero())
-
-
-@given(st.lists(
-    st.tuples(
-        st.lists(st.integers(1, 3), min_size=2, max_size=2, unique=True),
-        st.integers(-4, 4),
-    ),
-    max_size=4,
-))
-@settings(max_examples=60, deadline=None)
-def test_y_representation_round_trip(entries):
-    rep = {}
-    for labels, c in entries:
-        if c:
-            rep[tuple(sorted(labels))] = (
-                rep.get(tuple(sorted(labels)), 0) + Fraction(c)
-            )
-    rep = {k: c for k, c in rep.items() if c}
-    w = expand_y_representation(rep)
-    assert y_representation(w) == rep
-    criterion = all(
-        partial_derivative(w, k) == partial_derivative(w, -k)
-        for k in (1, 2, 3)
-    )
-    assert criterion

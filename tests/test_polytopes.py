@@ -158,6 +158,29 @@ def test_json_rejects_malformed_polytopes():
         polytope_from_json('[]')
 
 
+@pytest.mark.parametrize("first,second", [
+    ("1", "01"), ("1", "+1"), ("1", " 1"), ("10", "1_0"),
+])
+def test_json_refuses_a_vertex_named_by_two_keys(first, second):
+    # int() reads both keys as one label; the later one would silently
+    # replace the earlier one's coordinates
+    v = int(first)
+    coords = {first: ["1"], str(-v): ["-1"], second: ["3"]}
+    facets = [[v], [-v]]
+    with pytest.raises(InputError) as exc:
+        polytope_from_json(json.dumps({"coordinates": coords,
+                                       "facets": facets}))
+    assert str(exc.value) == (
+        f"vertex {v} is named twice, by {first!r} and {second!r}")
+
+
+def test_library_refuses_a_vertex_named_by_two_keys():
+    coords = {1: (1, 0), -1: (-1, 0), 2: (0, 1), -2: (0, -1), "1": (3, 1)}
+    with pytest.raises(InputError, match="vertex 1 is named twice, by 1 "
+                                         "and '1'"):
+        Polytope(coords, [(1, 2), (2, -1), (-1, -2), (-2, 1)])
+
+
 def test_generated_polygon_matches_golden_coordinates():
     p = polygon(3)
     assert p.coordinates[1] == (1, 0)
