@@ -366,14 +366,25 @@ def detect_cross_polytope_subcomplexes(cx: SimplicialComplex, j) -> list:
 
 
 def load_json(text: str):
-    """json.loads with every parse failure raised as InputError."""
+    """json.loads with every parse failure raised as InputError, and an
+    object that repeats a key refused, where json.loads keeps the last."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise InputError(f"invalid JSON at line {e.lineno}: {e.msg}") from e
     except ValueError as e:
         # an integer beyond Python's digit limit for int(str)
         raise InputError(f"invalid JSON: {e}") from e
+
+
+def _unique_keys(pairs) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InputError(f"invalid JSON: key {key!r} is repeated in "
+                             "one object")
+        obj[key] = value
+    return obj
 
 
 def complex_from_json(text: str) -> SimplicialComplex:

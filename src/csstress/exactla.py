@@ -1,10 +1,12 @@
 """Exact sparse linear algebra over the rationals, and rank mod a prime.
 
-Rows are dicts {column: value}.  Every rank and kernel goes through one
-forward elimination with one pivot rule: columns are resolved in
-ascending order, a column -> rows index finds the rows holding each
-column, and the pivot is the sparsest of them (ties by row index).  Only
-the row update differs between the two fields.
+Rows are dicts {column: value}, columns nonnegative integers.  Every
+rank and kernel goes through one forward elimination with one pivot
+rule: columns are resolved in ascending order, and the pivot is the
+sparsest row holding the column (ties by row index).  Each row is filed
+under its lowest column alone: once every column below c is resolved,
+the rows holding c are exactly those filed under c.  Only the row update
+differs between the two fields.
 
 Over Q the update is fraction-free.  `int_rank`, `int_rref` and
 `int_nullspace` take rows with integer or rational values and scale
@@ -65,30 +67,31 @@ def _eliminate(row, pivot, c):
 def _forward_eliminate(rows, update):
     """Echelonize `rows` in place; returns [(pivot col, row)] in column
     order.  `update(row, pivot, c)` returns row with column c cleared
-    against pivot.  It changes the row's support only on the pivot's
-    columns, so the column -> rows index is repaired over those alone."""
-    ncols = 1 + max((c for row in rows for c in row), default=-1)
-    holding = [set() for _ in range(ncols)]
+    against pivot, and so with no column <= c.
+
+    Each nonzero row is filed once, under its lowest column.  Columns come
+    up in ascending order, and when c does, every row not yet a pivot has
+    had each column below c cleared, so the rows holding c are exactly
+    those filed under c.  An updated row is refiled under its new lowest
+    column, which is above c; a row that cancels to zero is dropped."""
+    leading = {}
     for r, row in enumerate(rows):
-        for c in row:
-            holding[c].add(r)
+        if row:
+            leading.setdefault(min(row), []).append(r)
     pivots = []
-    for c in range(ncols):
-        if not holding[c]:
-            continue
-        at = min(holding[c], key=lambda r: (len(rows[r]), r))
-        pivot = rows[at]
-        for col in pivot:
-            holding[col].discard(at)
-        targets, holding[c] = holding[c], set()
-        for r in targets:
-            rows[r] = row = update(rows[r], pivot, c)
-            for col in pivot:
-                if col in row:
-                    holding[col].add(r)
-                else:
-                    holding[col].discard(r)
-        pivots.append((c, pivot))
+    c = 0
+    while leading:
+        held = leading.pop(c, None)
+        if held is not None:
+            at = min(held, key=lambda r: (len(rows[r]), r))
+            pivot = rows[at]
+            for r in held:
+                if r != at:
+                    rows[r] = row = update(rows[r], pivot, c)
+                    if row:
+                        leading.setdefault(min(row), []).append(r)
+            pivots.append((c, pivot))
+        c += 1
     return pivots
 
 

@@ -109,6 +109,38 @@ def same_span(vecs_a, vecs_b) -> bool:
     return ra == rb == dense_rank(a + b)
 
 
+def column_index_eliminate(rows, update):
+    """Sparse forward elimination with a column -> rows index: one set per
+    column, repaired over the pivot's columns after each update.  Columns
+    are resolved in ascending order and the pivot is the sparsest row
+    holding the column, ties by row index.  Echelonizes rows in place and
+    returns [(pivot col, row)]; `update(row, pivot, c)` returns row with
+    column c cleared against pivot."""
+    ncols = 1 + max((c for row in rows for c in row), default=-1)
+    holding = [set() for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for c in row:
+            holding[c].add(r)
+    pivots = []
+    for c in range(ncols):
+        if not holding[c]:
+            continue
+        at = min(holding[c], key=lambda r: (len(rows[r]), r))
+        pivot = rows[at]
+        for col in pivot:
+            holding[col].discard(at)
+        targets, holding[c] = holding[c], set()
+        for r in targets:
+            rows[r] = row = update(rows[r], pivot, c)
+            for col in pivot:
+                if col in row:
+                    holding[col].add(r)
+                else:
+                    holding[col].discard(r)
+        pivots.append((c, pivot))
+    return pivots
+
+
 # -- face enumeration ----------------------------------------------------------
 
 

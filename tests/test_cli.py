@@ -440,6 +440,27 @@ def test_oversized_json_integer_is_input_error(tmp_path, capsys, command,
     assert err.startswith("input error:")
 
 
+@pytest.mark.parametrize("command", ["info", "stress", "verify"])
+@pytest.mark.parametrize("text,key", [
+    # json.loads keeps the last of two equal keys: this square once ran
+    # with exit 0 and vertex 1 at (3, 1)
+    ('{"coordinates": {"1": ["1", "0"], "-1": ["-1", "0"], "2": ["0", "1"],'
+     ' "-2": ["0", "-1"], "1": ["3", "1"], "-1": ["-3", "-1"]},'
+     ' "facets": [[1, 2], [2, -1], [-1, -2], [-2, 1]]}', "1"),
+    ('{"facets": [[1, 2], [-1, -2]], "facets": [[1], [-1]]}', "facets"),
+    ('{"name": "a", "facets": [[1], [-1]], "name": "b"}', "name"),
+])
+def test_json_object_with_a_repeated_key_is_input_error(tmp_path, capsys,
+                                                        command, text, key):
+    p = tmp_path / "repeated.json"
+    p.write_text(text)
+    code, out, err = run(capsys, command, str(p))
+    assert code == 2
+    assert out == ""
+    assert err == (f"input error: invalid JSON: key {key!r} is repeated in "
+                   "one object\n")
+
+
 @pytest.mark.parametrize("value", ['"false"', '"true"', "0", "1", "null"])
 def test_cs_flag_must_be_a_json_boolean(tmp_path, capsys, value):
     p = tmp_path / "flag.json"

@@ -1,14 +1,23 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csstress import exactla
 from csstress.exactla import int_nullspace, int_rank, int_rref, rank_mod
-from oracles import dense_nullspace, dense_rank, dense_rank_mod, same_span
+from oracles import (
+    column_index_eliminate,
+    dense_nullspace,
+    dense_rank,
+    dense_rank_mod,
+    same_span,
+)
 
 
 def random_dense(rng, nrows, ncols, density=0.5):
@@ -247,3 +256,63 @@ def test_int_nullspace_keeps_heights_past_200_bits():
     rng = random.Random(7)
     dense = [[rng.randint(-2**48, 2**48) for _ in range(8)] for _ in range(6)]
     assert check_integer_kernel(dense, 8) > 200
+
+
+@st.composite
+def sparse_integer_rows(draw):
+    """Sparse integer rows over columns with gaps between them, some rows
+    empty, some sums or multiples of others so that updates cancel
+    columns, and whole rows, to zero."""
+    columns = draw(st.lists(st.integers(0, 40), min_size=1, max_size=12,
+                            unique=True))
+    entries = st.integers(-3, 3)
+    rows = [{c: x for c, x in draw(st.dictionaries(st.sampled_from(columns),
+                                                   entries, max_size=6)
+                                   ).items() if x}
+            for _ in range(draw(st.integers(0, 8)))]
+    for _ in range(draw(st.integers(0, 4))):
+        if not rows:
+            break
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        k = draw(st.sampled_from([-2, -1, 1, 3]))
+        combo = {c: a.get(c, 0) + k * b.get(c, 0) for c in a.keys() | b}
+        rows.insert(draw(st.integers(0, len(rows))),
+                    {c: x for c, x in combo.items() if x})
+    return rows
+
+
+def rank_mod_update(p):
+    """The GF(p) update that `_rank_mod` passes to `_forward_eliminate`."""
+    seen = []
+    with mock.patch.object(exactla, "_forward_eliminate",
+                           lambda rows, update: seen.append(update) or []):
+        exactla._rank_mod([], p)
+    return seen[0]
+
+
+@given(sparse_integer_rows(), st.sampled_from([None, 2, 3, 32749]))
+@settings(max_examples=200, deadline=None)
+def test_forward_elimination_matches_the_column_index_reference(rows, p):
+    # None: the exact fraction-free update; otherwise the update mod p,
+    # which takes rows of residues
+    if p is None:
+        update = exactla._eliminate
+    else:
+        update = rank_mod_update(p)
+        rows = [{c: x % p for c, x in row.items() if x % p} for row in rows]
+    ours, theirs = ([dict(row) for row in rows] for _ in range(2))
+    assert (exactla._forward_eliminate(ours, update)
+            == column_index_eliminate(theirs, update))
+    assert ours == theirs
+
+
+def test_forward_elimination_of_one_wide_row_allocates_no_column_index():
+    # a set per column cost about 21 MiB here
+    rows = [{c: 1 for c in range(100_000)}]
+    tracemalloc.start()
+    try:
+        exactla._forward_eliminate(rows, exactla._eliminate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
