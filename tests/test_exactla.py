@@ -265,10 +265,9 @@ def sparse_integer_rows(draw):
     columns, and whole rows, to zero."""
     columns = draw(st.lists(st.integers(0, 40), min_size=1, max_size=12,
                             unique=True))
-    entries = st.integers(-3, 3)
-    rows = [{c: x for c, x in draw(st.dictionaries(st.sampled_from(columns),
-                                                   entries, max_size=6)
-                                   ).items() if x}
+    nonzero = st.integers(-3, 3).filter(bool)
+    rows = [draw(st.dictionaries(st.sampled_from(columns), nonzero,
+                                 max_size=6))
             for _ in range(draw(st.integers(0, 8)))]
     for _ in range(draw(st.integers(0, 4))):
         if not rows:
