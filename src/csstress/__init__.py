@@ -24,14 +24,14 @@ _EXPORTS = {
         "VerificationReport", "affine_table", "cm_certificate",
         "derived_stress", "instance_from_json", "linear_table",
         "merge_reports", "run_claims", "stress_table", "verify_cor37",
-        "verify_cor_equivalence", "verify_lbt", "verify_lemma31",
-        "verify_lemma32_34", "verify_polytope_cor37",
+        "verify_cor_equivalence", "verify_lbt", "verify_lemma32_34",
+        "verify_polytope_cor37",
         "verify_polytope_cor_equivalence", "verify_polytope_lbt",
         "verify_polytope_thm36", "verify_thm35", "verify_thm36",
     ),
     "complexes": (
         "FHGVectors", "SimplicialComplex", "complex_from_json",
-        "complex_to_json_obj", "cross_polytope_boundary",
+        "cross_polytope_boundary",
         "detect_cross_polytope_subcomplexes", "face", "join", "negate",
     ),
     "engine": (
@@ -47,9 +47,8 @@ _EXPORTS = {
     ),
     "exactla": (),  # no public names; csstress.exactla is the module
     "polynomials": (
-        "LinearForm", "Monomial", "ONE", "Polynomial", "apply_derivative",
-        "delta_monomials", "involution_action", "is_symmetric", "pair_sum",
-        "partial_derivative",
+        "LinearForm", "Monomial", "ONE", "Polynomial", "delta_monomials",
+        "pair_sum", "partial_derivative",
     ),
     "polytopes": (
         "Polytope", "bipyramid", "cross_polytope", "polygon",

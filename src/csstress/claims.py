@@ -23,10 +23,11 @@ from .complexes import (
 from .engine import (
     canonical_forms,
     certify_dims,
+    certify_zero,
+    full_terms,
     generic_lsop,
-    integer_family,
     is_integer_stress,
-    is_stress,
+    orbit_family,
     reduced_polynomial,
     restrict_stress_space,
     special_lsop,
@@ -38,7 +39,6 @@ from .errors import (
     InputError,
     NotCs,
     NotPure,
-    PreconditionUnmet,
 )
 from .exactla import int_nullspace, int_rank
 from .polynomials import (
@@ -49,7 +49,6 @@ from .polynomials import (
     exps_divide,
     exps_partials,
     exps_times,
-    is_symmetric,
     negated_exps,
     pair_sum,
     partial_derivative,
@@ -238,19 +237,24 @@ def stress_table(cx: SimplicialComplex, seq, top: int):
 
 
 def linear_table(cx: SimplicialComplex, seed: int):
-    """Table of a sampled l.s.o.p., special when cx is cs, degrees 0..d.
+    """Table of a sampled l.s.o.p., special when cx is cs, degrees 0..d,
+    refused before any form is sampled when its top degree is too large.
 
-    Its dimensions are certified mod a prime when cx is Cohen-Macaulay:
-    dim Stress_i is the dimension of degree i of K[cx]/(Theta), and by
-    graded Nakayama these sum to at least the rank f_{d-1} of K[cx] over
-    the ring of Theta, with equality exactly when cx is CM (Stanley,
-    Combinatorics and Commutative Algebra, I.5 and III.2).  A table too
-    large is refused at its top degree, which has the most monomials,
-    before any form is sampled.
+    On a cs complex the readers (Lem3.2-3.4, `--basis`) solve every block
+    of degrees 1..d, so only a minus block 0 mod p is fixed, at 0
+    (`certify_zero`).  Otherwise the dimensions are certified mod a prime
+    when cx is Cohen-Macaulay: by graded Nakayama the dim Stress_i, those
+    of K[cx]/(Theta), sum to at least the rank f_{d-1} of K[cx] over the
+    ring of Theta, with equality exactly when cx is CM (Stanley,
+    Combinatorics and Commutative Algebra, I.5, III.2).
     """
     seq = _sampled_lsop(cx, seed)
     table = stress_table(cx, seq, cx.dim + 1)
-    certify_dims(table[1], cx.fhg_vectors().f[-1])
+    if cx.cs:
+        for s in table[1]:
+            certify_zero(s.blocks[1])
+    else:
+        certify_dims(table[1], cx.fhg_vectors().f[-1])
     return table
 
 
@@ -445,35 +449,6 @@ def verify_polytope_cor_equivalence(
     )
 
 
-def verify_lemma31(cx, forms, w: Polynomial, v: int, instance="") -> VerificationReport:
-    """A symmetric stress supported on st(v) lives on lk(v) ∩ lk(-v)."""
-    if w.is_zero():
-        return VerificationReport(
-            CLAIM_STAR_SUPPORT, instance, PASS, note="zero stress; vacuous"
-        )
-    star = cx.star((v,))
-    if not is_symmetric(w):
-        raise PreconditionUnmet("the stress is not symmetric")
-    if not all(star.contains(m.support) for m in w.terms):
-        raise PreconditionUnmet(f"the stress is not supported on st({v})")
-    if not is_stress(cx, forms, w):
-        raise PreconditionUnmet("the polynomial is not a stress")
-    link_v = cx.link((v,))
-    link_mv = cx.link((-v,))
-    bad = sorted(
-        m.support
-        for m in w.terms
-        if not (link_mv.contains(m.support) and link_v.contains(m.support))
-    )
-    return VerificationReport(
-        CLAIM_STAR_SUPPORT,
-        instance,
-        FAIL if bad else PASS,
-        computed={"vertex": v, "terms": len(w.terms)},
-        witness=[list(f) for f in bad] or None,
-    )
-
-
 def _accumulate(pairs) -> dict:
     out: dict = {}
     for key, x in pairs:
@@ -481,40 +456,51 @@ def _accumulate(pairs) -> dict:
     return {key: x for key, x in out.items() if x}
 
 
-def _subfamily(family, conditions) -> list:
-    """The members of span(family) on which the linear map `conditions`,
-    from terms to {condition: value}, vanishes, from one integer system
-    over the family.  Like the family, they are positive at their own
-    pivots and 0 at the others'."""
+def _subfamily(family, conditions, sign) -> list:
+    """The members of span(family), on a block's columns, on which the
+    linear map `conditions(terms, sign)`, to {condition: value},
+    vanishes, from one integer system over the family.  Like the family,
+    they are positive at their own pivots and 0 at the others'."""
     rows: dict = {}
     for b, (_, terms) in enumerate(family):
-        for key, x in conditions(terms).items():
+        for key, x in conditions(terms, sign).items():
             rows.setdefault(key, {})[b] = x
     return [(family[f][0], _accumulate((exps, x * c) for b, x in y.items()
                                        for exps, c in family[b][1].items()))
             for f, y in int_nullspace(list(rows.values()), len(family))]
 
 
-def _asymmetry(terms) -> dict:
-    # d/dx_v w - sigma(d/dx_v w): the term c m adds e c at (v, m / x_v)
-    # and takes it at (v, sigma(m / x_v))
+def _vertex_partials(terms, sign):
+    """(v, c e, exps of m / x_v) per term c m and factor x_v^e of the
+    vector w with the terms {exps: c} on a block's columns.  With sign s
+    != 0 only v > 0 are listed: as d/dx_{-v} w = s sigma(d/dx_v w), the
+    conditions below hold at -v exactly when at v."""
+    for exps, c in terms.items():
+        for v, e, lower in exps_partials(exps):
+            if v > 0 or not sign:
+                yield v, c * e, lower
+            else:
+                yield -v, sign * c * e, negated_exps(lower)
+
+
+def _asymmetry(terms, sign) -> dict:
+    # d/dx_v w - sigma(d/dx_v w): the derivative term c mu adds c at
+    # (v, mu) and takes it at (v, sigma mu)
     return _accumulate(
-        pair for exps, c in terms.items()
-        for v, e, lower in exps_partials(exps)
-        for pair in (((v, lower), e * c), ((v, negated_exps(lower)), -e * c)))
+        pair for v, c, lower in _vertex_partials(terms, sign)
+        for pair in (((v, lower), c), ((v, negated_exps(lower)), -c)))
 
 
-def _y_obstruction(terms) -> dict:
+def _y_obstruction(terms, sign) -> dict:
     # zero exactly when each vertex derivative u is squarefree and has
     # d/dx_k u = d/dx_{-k} u for every k > 0: then u is a polynomial in
     # the pair sums y_k
     def pairs():
-        for exps, c in terms.items():
-            for v, e, lower in exps_partials(exps):
-                if any(f > 1 for _, f in lower):
-                    yield (None, v, lower), e * c
-                for u, f, lowest in exps_partials(lower):
-                    yield (v, abs(u), lowest), (e if u > 0 else -e) * c * f
+        for v, c, lower in _vertex_partials(terms, sign):
+            if any(f > 1 for _, f in lower):
+                yield (None, v, lower), c
+            for u, f, lowest in exps_partials(lower):
+                yield (v, abs(u), lowest), (c if u > 0 else -c) * f
     return _accumulate(pairs())
 
 
@@ -526,36 +512,37 @@ def verify_lemma32_34(cx, table, i, instance="") -> VerificationReport:
     """Squarefreeness, y-representation, and forced symmetry of stresses.
 
     The lemmas range over W_i, the degree-i stresses whose vertex
-    derivatives are all symmetric, and their conclusions are linear, so a
-    basis of W_i decides them for every stress: each stress of W_i is
-    squarefree; each symmetric one is a polynomial in the pair sums y_k;
-    and, in degrees two and up, the stresses of W_i whose vertex
-    derivatives all admit y-representations are symmetric.  The forms
-    have definite parity, so W_i and that subspace are stable under the
-    involution and split into their symmetric and antisymmetric parts,
-    each computed inside the matching part of Stress_i.  The second
-    conclusion needs no check: a symmetric w of W_i has d/dx_{-v} w =
-    sigma(d/dx_v w) = d/dx_v w for every v, and a squarefree w with
-    d/dx_k w = d/dx_{-k} w for every k > 0 is a y-polynomial.  Every
-    system and check runs on integer multiples of the basis vectors,
-    which changes no conclusion, as each is linear and homogeneous; a
-    witness is printed as the reduced vector.  `checked` is dim W_i.
+    derivatives are all symmetric.  Their conclusions are linear, so a
+    basis of W_i decides them: each w of W_i is squarefree; each
+    symmetric one is a polynomial in the pair sums y_k; and for i >= 2
+    those whose vertex derivatives all admit y-representations are
+    symmetric.  The forms have definite parity, so W_i and that subspace
+    are sigma-stable and are computed inside each part of Stress_i.  The
+    second conclusion needs no check: a symmetric w of W_i has
+    d/dx_{-v} w = sigma(d/dx_v w) = d/dx_v w, and a squarefree w with
+    d/dx_k w = d/dx_{-k} w for every k > 0 is a y-polynomial.  The
+    systems run on integer multiples of the basis vectors, which changes
+    no linear conclusion; a witness is printed reduced.  `checked` is
+    dim W_i.
     """
     space = table[1][i]
     if len(space.blocks) != 2:
         raise HypothesisUnmet(
             "the lemmas need a cs complex and forms of definite parity"
         )
-    plus, minus = (_subfamily(integer_family(b), _asymmetry)
-                   for b in space.blocks)
-    failures = [(w, "stress is not squarefree")
-                for w in plus + minus if not _squarefree(w[1])]
+    blocks = space.blocks
+    plus, minus = (_subfamily(orbit_family(b), _asymmetry, b.sign)
+                   for b in blocks)
+    failures = [(w, b.sign, "stress is not squarefree")
+                for b, family in zip(blocks, (plus, minus))
+                for w in family if not _squarefree(w[1])]
     # forced symmetry needs degree >= 2: a linear polynomial has
     # constant derivatives, which say nothing about its symmetry
     if i >= 2:
-        failures += [(w, "derivative y-representations did not force a "
-                         "symmetric y-polynomial")
-                     for w in _subfamily(minus, _y_obstruction)]
+        sign = blocks[1].sign
+        failures += [(w, sign, "derivative y-representations did not "
+                               "force a symmetric y-polynomial")
+                     for w in _subfamily(minus, _y_obstruction, sign)]
     checked = len(plus) + len(minus)
     return VerificationReport(
         CLAIM_SQUAREFREE,
@@ -563,8 +550,9 @@ def verify_lemma32_34(cx, table, i, instance="") -> VerificationReport:
         FAIL if failures else PASS if checked else UNMET,
         computed={"degree": i, "checked": checked,
                   "skipped": space.dim - checked},
-        witness=[{"stress": reduced_polynomial(w).text(), "reason": r}
-                 for w, r in failures]
+        witness=[{"stress": reduced_polynomial(
+            (pivot, full_terms(terms, sign))).text(), "reason": r}
+                 for (pivot, terms), sign, r in failures]
         or None,
         note="" if checked else "no stresses with all-symmetric derivatives",
     )
@@ -597,14 +585,13 @@ def verify_thm35(cx, table, i, instance="", steps=None) -> VerificationReport:
 
     If every degree-i stress is symmetric then so is every stress of
     degree j >= i; whenever such a degree j > i carries nonzero stresses
-    the complex contains the boundary of the j-cross-polytope.  The
-    degree-lowering construction `derived_stress` must map every stress of
-    degree j to a stress of degree j - 1.  It is linear in the stress and
-    vanishes on an edge outside the stress's support, so it is checked on
-    each basis stress and each edge of that stress's support, and
-    `transported` counts those pairs.  What degree j shows does not depend
-    on i, so calls on one table may share a dict `steps`, from j to
-    `_thm35_step`, and each degree is then checked once.
+    the complex contains the boundary of the j-cross-polytope.
+    `derived_stress` must map every stress of degree j to one of degree
+    j - 1.  It is linear and vanishes on an edge off the stress's
+    support, so it is checked on each basis stress and edge of its
+    support; `transported` counts those pairs.  Degree j's step does not
+    depend on i, so calls on one table may share a dict `steps`, j to
+    `_thm35_step`, and check each degree once.
     """
     if i <= 1:
         raise ValueError("the propagation check applies to degrees above 1")
@@ -650,17 +637,21 @@ def verify_thm35(cx, table, i, instance="", steps=None) -> VerificationReport:
     )
 
 
-def _transported(terms, u1, u2) -> dict:
-    """`derived_stress` on the integer terms {exps: coefficient}."""
+def _transported(terms, sign, u1, u2) -> dict:
+    """`derived_stress` of the vector with the integer terms {exps: c}
+    on a block's columns, c m also standing for sign * c sigma m."""
     a, b = abs(u1), abs(u2)
     pairs = []
     for exps, c in terms.items():
-        e1, lower = exps_divide(exps, u1)
-        e2, lower = exps_divide(lower, u2)
-        if e1 and e2:
-            c *= e1 * e2
-            pairs += [(exps_times(lower, v), x)
-                      for v, x in ((a, c), (-a, c), (b, -c), (-b, -c))]
+        for w1, w2, x in ((u1, u2, c), (-u1, -u2, sign * c)):
+            e1, lower = exps_divide(exps, w1)
+            e2, lower = exps_divide(lower, w2)
+            if x and e1 and e2:
+                if w1 != u1:
+                    lower = negated_exps(lower)
+                x *= e1 * e2
+                pairs += [(exps_times(lower, v), y)
+                          for v, y in ((a, x), (-a, x), (b, -x), (-b, -x))]
     return _accumulate(pairs)
 
 
@@ -669,7 +660,9 @@ def _thm35_step(cx, forms, spaces, j):
     transported pairs; failures) of degree j, one above an all-symmetric
     degree.  The transport is linear, so it runs on the integer multiples
     of the basis vectors and feeds `is_integer_stress`; a failure's
-    witness is `derived_stress` of the reduced vector."""
+    witness is `derived_stress` of the reduced vector.  For w of parity
+    s the transport along sigma e is s sigma that along e, and sigma
+    keeps stresses: one test serves both edges."""
     failures = []
     hits = None
     if spaces[j].dim > 0:
@@ -682,18 +675,24 @@ def _thm35_step(cx, forms, spaces, j):
             )
     transported = 0
     for block in spaces[j].blocks:
-        for member in integer_family(block):
-            terms = member[1]
-            edges = sorted({e for exps in terms for e in itertools.combinations(
-                sorted(v for v, _ in exps), 2)})
-            for u1, u2 in edges:
+        sign = block.sign
+        for pivot, terms in orbit_family(block):
+            edges = {e for exps in terms for e in itertools.combinations(
+                sorted(v for v, _ in exps), 2)}
+            if sign:
+                edges |= {(-u2, -u1) for u1, u2 in edges}
+            tested = {}
+            for u1, u2 in sorted(edges):
                 transported += 1
-                if not is_integer_stress(cx, forms,
-                                         _transported(terms, u1, u2)):
+                held = tested.get((-u2, -u1)) if sign else None
+                if held is None:
+                    held = tested[u1, u2] = is_integer_stress(
+                        cx, forms, _transported(terms, sign, u1, u2))
+                if not held:
                     failures.append(
                         {"degree": j, "edge": [u1, u2],
-                         "witness": derived_stress(
-                             reduced_polynomial(member), u1, u2).text(),
+                         "witness": derived_stress(reduced_polynomial(
+                             (pivot, full_terms(terms, sign))), u1, u2).text(),
                          "reason": "derived polynomial is not a stress"}
                     )
     return hits, transported, failures
@@ -926,11 +925,15 @@ def _supported_count(vectors, on) -> int:
 def _lemma31_suite(cx, table, instance) -> VerificationReport:
     # Lem3.1: a symmetric stress supported on st(v) is supported on
     # Γ_|v| = lk(v) ∩ lk(-v).  Stresses are local, so the symmetric
-    # stresses supported on a subcomplex are the plus-block stresses of
-    # cx that vanish off it, and their dimension is `_supported_count`.
-    # A support σ lies on st(v) when σ ∪ {v} is a face, and on Γ_k when
-    # σ ∪ {k} and σ ∪ {-k} both are.  For each (v, i) the two counts
-    # must agree; `checked` sums the Γ counts over the (v, i).
+    # stresses on a subcomplex are the plus-block stresses of cx that
+    # vanish off it, counted by `_supported_count`.  A support σ lies on
+    # st(v) when σ ∪ {v} is a face, and on Γ_k when σ ∪ {k} and σ ∪ {-k}
+    # both are; `checked` sums the Γ counts.  On a table that
+    # `stress_space` builds, a plus column m stands for m + σm, and σm
+    # lies on st(v) exactly when m lies on st(-v).  So the star count
+    # tests v and -v for each representative, as the Γ count does, and
+    # they agree by construction: the record can fail only on a stand-in
+    # table, whose block of sign 0 has no mirror columns.
     seq, spaces = table
     d = cx.dim + 1
     vertices = cx.vertices
@@ -941,9 +944,10 @@ def _lemma31_suite(cx, table, instance) -> VerificationReport:
     for i in range(1, d + 1):
         if not spaces[i].dim:
             continue
-        vectors = spaces[i].blocks[0].vectors
+        block = spaces[i].blocks[0]
+        vectors, sign = block.vectors, block.sign
         near = []
-        for m in spaces[i].columns:
+        for m in block.columns:
             sigma = m.support
             if sigma not in reach:
                 reach[sigma] = {v for v in vertices
@@ -953,7 +957,8 @@ def _lemma31_suite(cx, table, instance) -> VerificationReport:
             gamma = _supported_count(
                 vectors, lambda j: k in near[j] and -k in near[j])
             for v in (k, -k):
-                star = _supported_count(vectors, lambda j: v in near[j])
+                star = _supported_count(vectors, lambda j: v in near[j] and (
+                    -v in near[j] or not sign))
                 checked += gamma
                 if star != gamma:
                     failures.append({"vertex": v, "degree": i,

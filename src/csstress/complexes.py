@@ -425,10 +425,3 @@ def complex_from_json_obj(obj) -> SimplicialComplex:
     return SimplicialComplex.from_facets(
         facets, expect_cs=expect_cs, ground_set=ground
     )
-
-
-def complex_to_json_obj(cx: SimplicialComplex) -> dict:
-    obj = {"facets": [list(f) for f in sorted(cx.facets)], "cs": cx.cs}
-    if set(cx.ground_set) != set(cx.vertices):
-        obj["ground_set"] = list(cx.ground_set)
-    return obj

@@ -8,11 +8,12 @@ row echelon basis of that span (`echelon_rows`), which makes the
 constraint matrix much sparser.  For a centrally symmetric complex and
 forms of definite parity, the involution x_v -> x_{-v} splits that
 matrix into a symmetric (plus) and an antisymmetric (minus) block; their
-dimensions carry the face-number content.  A block is solved, into
-primitive integer kernel vectors, only when its kernel or dimension is
-read; `certify_dims` and `stress_dims` take a table's dimensions from
-ranks mod a prime when a lower bound proves them exact, so a caller
-that needs only dimensions may solve nothing.
+dimensions carry the face-number content.  Both are assembled, and their
+kernels held, on one monomial of each orbit {m, sigma m}.  A block is
+solved, into primitive integer kernel vectors, only when its kernel or
+dimension is read; `certify_dims` and `stress_dims` take a table's
+dimensions from ranks mod a prime when a lower bound proves them exact,
+so a caller that needs only dimensions may solve nothing.
 Stresses are local, so the stresses of a subcomplex are computed on the
 subcomplex itself.
 """
@@ -39,6 +40,7 @@ from .polynomials import (
     Polynomial,
     delta_monomials,
     exps_partials,
+    negated_exps,
 )
 
 COEFF_BOUND = 10**6
@@ -100,25 +102,21 @@ class FormSequence:
 class _Block:
     """One kernel block of the constraint matrix, solved on first read.
 
-    `matrix` holds the block's columns, one integer vector {row: value}
-    per representative; block column b stands for the full column
-    reps[b] plus `sign` times its mirror (the column itself when the
-    space does not split).  Ranks mod p are taken over these columns,
-    as rank A = rank A^T and the blocks are taller than wide.  `known` is
-    the exact kernel dimension once it is known, from the kernel, from
-    `certify_dims` or by theorem; the matrix is dropped once the kernel
-    exists.  A block known to be 0 has the empty kernel, so it is never
+    `matrix` holds one integer vector {row: value} per monomial m of
+    `columns`, which with `sign` s = +1 or -1 is an orbit representative
+    standing for m + s sigma m.  Ranks mod p are taken over these
+    columns, as rank A = rank A^T and the blocks are taller than wide.
+    `known` is the exact kernel dimension once known; the matrix is
+    dropped once the kernel exists, and a block known to be 0 is never
     solved.
     """
 
-    __slots__ = ("columns", "matrix", "reps", "mirror", "sign", "known",
-                 "_vectors", "_polynomials")
+    __slots__ = ("columns", "matrix", "sign", "known", "_vectors",
+                 "_polynomials")
 
-    def __init__(self, columns, matrix, reps, mirror, sign, known=None):
+    def __init__(self, columns, matrix, sign, known=None):
         self.columns = columns
         self.matrix = matrix
-        self.reps = reps
-        self.mirror = mirror
         self.sign = sign
         self.known = known
         self._vectors = None
@@ -132,9 +130,9 @@ class _Block:
 
     @property
     def vectors(self) -> tuple:
-        """The kernel as pairs (pivot, {column: int}) in full coordinates:
-        each vector a positive multiple of the reduced basis vector that
-        is 1 at its pivot column and 0 at the pivot of every other."""
+        """The kernel as pairs (pivot, {column: int}) over `columns`:
+        each a positive multiple of the reduced basis vector, 1 at its
+        pivot column and 0 at every other pivot."""
         if self._vectors is None:
             self._vectors = self._solve()
             self.matrix = None
@@ -148,15 +146,7 @@ class _Block:
         for b, column in enumerate(self.matrix):
             for r, x in column.items():
                 rows.setdefault(r, {})[b] = x
-        vectors = []
-        for f, u in int_nullspace(list(rows.values()), len(self.reps)):
-            vec = {}
-            for b, x in u.items():
-                j = self.reps[b]
-                vec[j] = x
-                vec[self.mirror[j]] = self.sign * x
-            vectors.append((self.reps[f], vec))
-        return tuple(vectors)
+        return tuple(int_nullspace(list(rows.values()), len(self.columns)))
 
     def polynomials(self) -> list[Polynomial]:
         """The reduced basis as polynomials, in a new list on every call."""
@@ -166,11 +156,30 @@ class _Block:
         return list(self._polynomials)
 
 
-def integer_family(block) -> list:
-    """The kernel of a stress block as pairs (pivot exps, {exps: int})."""
+def orbit_family(block) -> list:
+    """The kernel of a stress block as pairs (pivot exps, {exps: int})
+    over its columns."""
     cols = block.columns
     return [(cols[p].exps, {cols[j].exps: x for j, x in vec.items()})
             for p, vec in block.vectors]
+
+
+def integer_family(block) -> list:
+    """`orbit_family` over every monomial."""
+    return [(p, full_terms(terms, block.sign))
+            for p, terms in orbit_family(block)]
+
+
+def full_terms(terms, sign) -> dict:
+    """`terms` {exps: x} of a vector on the columns of a block of this
+    sign, over every monomial: x at m puts sign * x at sigma m."""
+    if not sign:
+        return terms
+    full = {}
+    for exps, x in terms.items():
+        full[exps] = x
+        full[negated_exps(exps)] = sign * x
+    return full
 
 
 def reduced_polynomial(member) -> Polynomial:
@@ -194,14 +203,20 @@ class StressSpace:
     `contains` reads no block: it tests the equations, with `is_stress`.
     """
 
-    __slots__ = ("complex", "forms", "degree", "columns", "blocks")
+    __slots__ = ("complex", "forms", "degree", "blocks")
 
-    def __init__(self, complex, forms, degree, columns, blocks):
+    def __init__(self, complex, forms, degree, blocks):
         self.complex = complex
         self.forms = forms
         self.degree = degree
-        self.columns = tuple(columns)
         self.blocks = tuple(blocks)
+
+    @property
+    def columns(self) -> tuple:
+        # a split space holds representatives only: walk again
+        if self.blocks[0].sign:
+            return tuple(delta_monomials(self.complex, self.degree))
+        return self.blocks[0].columns
 
     def _part(self, k):
         return self.blocks[k] if len(self.blocks) == 2 else None
@@ -374,44 +389,35 @@ def stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:
     """The degree-i stress equations, assembled as integer column blocks.
 
     The constraint matrix D has one column per face-supported degree-i
-    monomial and one row per (form k, degree-(i-1) monomial mu) pair; its
-    entry is the coefficient of mu in the k-th derivative of the column
-    monomial.  The forms k are the integer echelon rows of `echelon_rows`,
-    not the given forms: both span one space, so D has the same kernel.
-    Within a parity class an echelon row vanishes on the pivot vertices
-    of the others, so a pivot vertex v of supp m, or its mirror, puts one
-    entry per class into the column of m, where dense forms put d.  With
-    an antisymmetric l.s.o.p. of a cross-polytope every vertex is one of
-    the two, so each column has |supp m| entries.  Without a parity
-    split the kernel is one block, D itself.  With one, it splits into a
-    symmetric and an antisymmetric block, built in the same pass.
+    monomial and one row per (form k, degree-(i-1) monomial mu); its entry
+    is the coefficient of mu in the k-th derivative of the column.  The
+    forms k are the integer rows of `echelon_rows`, which span the forms,
+    so D has the same kernel.  Within a parity class an echelon row
+    vanishes on the pivot vertices of the others, so a pivot vertex of
+    supp m, or its mirror, puts one entry per class into column m, where
+    dense forms put d: |supp m| entries in all with an antisymmetric
+    l.s.o.p. of a cross-polytope.  Without a parity split the kernel is
+    one block, D itself.
 
-    The involution sigma permutes the columns of a cs complex, freely
-    except for the degree-0 monomial 1, and the rows likewise.  A form
-    of parity e_k (+1 or -1) has D[(k, sigma mu), sigma m] =
-    e_k D[(k, mu), m].  So on a vector of parity s, row (k, sigma mu) is
-    s e_k times row (k, mu), and the block of parity s has one column
-    m + s sigma m per orbit representative m and one row per orbit of
-    rows.  An entry D[(k, mu), m] of a representative column therefore
-    lands on the representative row of its orbit with the factor 1 when
-    mu is that representative, s e_k when sigma mu is, and 1 + s e_k
-    when mu = sigma mu.  The fixed monomial 1 is a symmetric column only,
-    and it has no entries.  Nothing is solved here.
+    With one, sigma permutes the columns, freely but for the degree-0
+    monomial 1, and the rows likewise; an orbit's representative is its
+    monomial whose first vertex is positive (`delta_monomials`).  A form of
+    parity e_k (+1 or -1) has D[(k, sigma mu), sigma m] = e_k D[(k, mu),
+    m], so on a vector of parity s row (k, sigma mu) is s e_k times row
+    (k, mu).  The block of parity s thus has one column m + s sigma m per
+    representative m and one row per row orbit, and an entry D[(k, mu),
+    m] lands on its orbit's representative row with the factor 1 when mu
+    is that representative, s e_k when sigma mu is, and 1 + s e_k when
+    mu = sigma mu.  The fixed monomial 1 is a symmetric column only, with
+    no entries.  Both blocks are built in one pass, and their kernels are
+    held over the representatives.  Nothing is solved here.
     """
     if i < 0:
         raise ValueError("degree must be nonnegative")
-    columns = tuple(delta_monomials(cx, i))
     # a FormSequence keeps its echelon rows
     form_list = forms if isinstance(forms, FormSequence) else list(forms)
     split = _has_parity_split(cx, form_list)
-    if split:
-        # no face of a cs complex holds both x_k and x_-k, so negating
-        # every vertex of a monomial keeps its canonical order
-        col_of = {m.exps: j for j, m in enumerate(columns)}
-        mirror = [col_of[tuple([(-v, e) for v, e in m.exps])]
-                  for m in columns]
-    else:
-        mirror = range(len(columns))
+    columns = tuple(delta_monomials(cx, i, split))
     echelon = echelon_rows(form_list)
     nforms = len(echelon)
     scaled = [coeffs for _, coeffs in echelon]
@@ -425,46 +431,41 @@ def stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:
     else:
         # every row is its own orbit, a fixed one, and no entry reaches
         # a second block
-        rep_weights = mirror_weights = None
         fixed_weights = _entry_weights(cx, scaled, [(1, 0)] * nforms)
-    # lower monomial exps -> (first of its orbit's nforms rows, weights)
+    # representative lower monomial exps -> first of its orbit's rows
     orbits: dict = {}
     row_count = 0
-    plus_reps, plus_matrix, minus_reps, minus_matrix = [], [], [], []
-    for j, m in enumerate(columns):
-        if mirror[j] < j:
-            continue
+    plus_matrix, minus_matrix = [], []
+    for m in columns:
         exps = m.exps
         plus, minus = {}, {}
         # the m / x_v for distinct v lie in distinct row orbits, their
         # supports being faces of supp m, which meets its mirror in no
         # vertex; so each entry of a block has one term
         for v, e, lower in exps_partials(exps):
-            orbit = orbits.get(lower)
-            if orbit is None:
-                negated = (tuple([(-u, x) for u, x in lower]) if split
-                           else lower)
-                if negated == lower:
-                    orbit = orbits[lower] = (row_count, fixed_weights)
-                else:
-                    orbit = orbits[lower] = (row_count, rep_weights)
-                    orbits[negated] = (row_count, mirror_weights)
+            if not split or not lower:
+                weights = fixed_weights
+            elif lower[0][0] > 0:
+                weights = rep_weights
+            else:  # a face holds no x_k beside x_-k: the order stays
+                lower = tuple([(-u, x) for u, x in lower])
+                weights = mirror_weights
+            first = orbits.get(lower)
+            if first is None:
+                first = orbits[lower] = row_count
                 row_count += nforms
-            first, weights = orbit
             to_plus, to_minus = weights[v]
             for k, w in to_plus:
                 plus[first + k] = e * w
             for k, w in to_minus:
                 minus[first + k] = e * w
-        plus_reps.append(j)
         plus_matrix.append(plus)
-        if mirror[j] != j:
-            minus_reps.append(j)
+        if split and exps:
             minus_matrix.append(minus)
-    blocks = [_Block(columns, plus_matrix, plus_reps, mirror, 1)]
-    if split:
-        blocks.append(_Block(columns, minus_matrix, minus_reps, mirror, -1))
-    return StressSpace(cx, forms, i, columns, blocks)
+    blocks = [_Block(columns, plus_matrix, int(split))]
+    if split:  # 1 has no antisymmetric column
+        blocks.append(_Block(columns if i else (), minus_matrix, -1))
+    return StressSpace(cx, forms, i, blocks)
 
 
 def _entry_weights(cx, scaled, factors) -> dict:
@@ -502,12 +503,19 @@ def _certified(dims_mod, floor: int):
 def certify_dims(spaces, floor: int) -> bool:
     """Fix the block dimensions of `spaces` from ranks mod p that
     `_certified` accepts; return whether it did."""
-    dims = _certified(lambda p: [[len(b.reps) - rank_mod(b.matrix, p)
+    dims = _certified(lambda p: [[len(b.columns) - rank_mod(b.matrix, p)
                                   for b in s.blocks] for s in spaces], floor)
     for s, known in zip(spaces, dims or ()):
         for b, k in zip(s.blocks, known):
             b.known = k
     return dims is not None
+
+
+def certify_zero(block) -> None:
+    """Fix a new `block` at 0 if its rank mod PRIMES[0] leaves no kernel,
+    the exact kernel being no larger."""
+    if rank_mod(block.matrix, PRIMES[0]) == len(block.columns):
+        block.known = 0
 
 
 def stress_dims(cx: SimplicialComplex, forms, top: int, floor: int):
@@ -527,8 +535,8 @@ def stress_dims(cx: SimplicialComplex, forms, top: int, floor: int):
 
 def _dims_mod(blocks, p) -> list:
     for b in blocks:  # only the matrices are read: drop the rest first
-        b.columns = b.mirror = b.reps = None
-    # a column per representative, counted before the rank empties them
+        b.columns = None
+    # the columns are counted before the rank empties the matrix
     return [len(b.matrix) - _rank_mod(b.matrix, p) for b in blocks]
 
 
@@ -548,8 +556,8 @@ def vanishing_stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:
 
 def _known_space(cx, forms, i, dims) -> StressSpace:
     # no columns and no matrix: nothing is left to solve
-    return StressSpace(cx, forms, i, (),
-                       [_Block((), None, (), (), 1, known=k) for k in dims])
+    return StressSpace(cx, forms, i,
+                       [_Block((), None, 0, known=k) for k in dims])
 
 
 def _has_parity_split(cx: SimplicialComplex, forms) -> bool:

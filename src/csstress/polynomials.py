@@ -372,11 +372,15 @@ def check_monomial_count(cx: SimplicialComplex, i: int) -> None:
         )
 
 
-def delta_monomials(cx: SimplicialComplex, i: int) -> list[Monomial]:
+def delta_monomials(cx: SimplicialComplex, i: int,
+                    representatives=False) -> list[Monomial]:
     """Degree-i monomials supported on a face of cx, in canonical order:
     a depth-first walk takes each vertex in that order, then its exponent
     from high to low, and recurses on the later vertices that extend the
-    face so far, with the degree left."""
+    face so far, with the degree left.  With `representatives` it starts
+    only at positive vertices, which on a cs complex lists the first of
+    each orbit {m, sigma m}, no face holding x_k and x_{-k}.  The size
+    check counts every monomial."""
     if i < 0:
         raise ValueError("degree must be >= 0")
     if i == 0:
@@ -387,20 +391,25 @@ def delta_monomials(cx: SimplicialComplex, i: int) -> list[Monomial]:
     emit = out.append
     canonical = Monomial._canonical
 
-    def walk(prefix, face, left, later):
+    def walk(prefix, face, left, later, heads):
         # later: (bit, ((v, 0), ..., (v, i))) per later vertex v whose
-        # bit extends `face` to a face
-        for n, (b, powers) in enumerate(later):
+        # bit extends `face` to a face; heads: the indices of those to
+        # start at
+        for n in heads:
+            b, powers = later[n]
             emit(canonical(prefix + (powers[left],), i))
             if left > 1:
                 grown = face | b
                 rest = [u for u in later[n + 1:] if grown | u[0] in faces]
                 if rest:
+                    heads = range(len(rest))
                     for e in range(left - 1, 0, -1):
-                        walk(prefix + (powers[e],), grown, left - e, rest)
+                        walk(prefix + (powers[e],), grown, left - e, rest,
+                             heads)
 
     walk((), 0, i, [(b, tuple((v, e) for e in range(i + 1)))
-                    for v, b in bit.items()])
+                    for v, b in bit.items()],
+         [n for n, v in enumerate(bit) if v > 0 or not representatives])
     return out
 
 
@@ -418,27 +427,6 @@ def partial_derivative(w: Polynomial, v: int) -> Polynomial:
         if e:
             out[Monomial._canonical(lower, m.degree - 1)] = c * e
     return Polynomial._of(out)
-
-
-def apply_derivative(c: LinearForm, w: Polynomial) -> Polynomial:
-    """The operator sending w to sum_v c_v * d/dx_v (w)."""
-    out = []
-    for m, coef in w.terms.items():
-        for v, e in m.exps:
-            cv = c.coeffs.get(v)
-            if cv:
-                out.append((m.divide(v), coef * e * cv))
-    return Polynomial(out)
-
-
-def involution_action(w: Polynomial) -> Polynomial:
-    """Substitute x_{-v} for x_v throughout."""
-    # negation permutes the monomials of each degree
-    return Polynomial._of({m.negate(): c for m, c in w.terms.items()})
-
-
-def is_symmetric(w: Polynomial) -> bool:
-    return involution_action(w) == w
 
 
 def pair_sum(k: int) -> Polynomial:

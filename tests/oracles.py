@@ -350,6 +350,38 @@ def brute_cross_polytope_pairs(facets, j) -> list[tuple[int, ...]]:
     return hits
 
 
+# -- polynomials as plain dicts {exps: coefficient} -----------------------------
+
+
+def mirror_terms(terms) -> dict:
+    """The image of {exps: c} under x_v -> x_{-v}, each exps put back in
+    the canonical order 1, -1, 2, -2, ..."""
+    return {tuple(sorted(((-v, e) for v, e in exps),
+                         key=lambda p: (abs(p[0]), p[0] < 0))): c
+            for exps, c in terms.items()}
+
+
+def form_derivative(coeffs, terms) -> dict:
+    """sum_v coeffs[v] d/dx_v of {exps: c}, with no zero term."""
+    out = {}
+    for exps, c in terms.items():
+        for n, (v, e) in enumerate(exps):
+            if coeffs.get(v):
+                kept = ((v, e - 1),) if e > 1 else ()
+                lower = exps[:n] + kept + exps[n + 1:]
+                out[lower] = out.get(lower, 0) + c * e * coeffs[v]
+    return {exps: c for exps, c in out.items() if c}
+
+
+def brute_lemma31(facets, terms, v) -> bool:
+    """Lemma 3.1's conclusion at v for {exps: c} on st(v): every term's
+    support lies on lk(v) and on lk(-v)."""
+    supports = [{u for u, _ in exps} for exps in terms]
+    assert all(brute_contains(facets, s | {v}) for s in supports)
+    return all(v not in s and -v not in s and brute_contains(facets, s | {-v})
+               for s in supports)
+
+
 # -- complex-layer checks by facet scans ---------------------------------------
 
 

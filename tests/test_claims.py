@@ -16,9 +16,7 @@ from csstress import (
     HypothesisUnmet,
     InputError,
     LinearForm,
-    Monomial,
     Polynomial,
-    PreconditionUnmet,
     SimplicialComplex,
     VerificationReport,
     bipyramid,
@@ -27,9 +25,7 @@ from csstress import (
     cross_polytope_boundary,
     derived_stress,
     instance_from_json,
-    involution_action,
     is_stress,
-    is_symmetric,
     merge_reports,
     pair_sum,
     polygon,
@@ -39,7 +35,6 @@ from csstress import (
     verify_cor37,
     verify_cor_equivalence,
     verify_lbt,
-    verify_lemma31,
     verify_lemma32_34,
     verify_polytope_cor37,
     verify_polytope_cor_equivalence,
@@ -49,10 +44,19 @@ from csstress import (
     verify_thm36,
 )
 import csstress.claims as claims_module
-from csstress.engine import integer_family, is_integer_stress
+import csstress.engine as engine_module
+from csstress.engine import (
+    PRIMES,
+    full_terms,
+    integer_family,
+    is_integer_stress,
+    orbit_family,
+)
+from csstress.exactla import rank_mod
 from csstress.polynomials import negated_exps
 from csstress.claims import (
     affine_table,
+    cm_certificate,
     instance_reports,
     linear_table,
     stress_table,
@@ -60,8 +64,10 @@ from csstress.claims import (
 from oracles import (
     antipodal_link,
     brute_is_stress,
+    brute_lemma31,
     brute_symmetric_derivative_dim,
     brute_symmetric_star_dim,
+    mirror_terms,
 )
 from strategies import cs_facet_halves
 
@@ -201,34 +207,6 @@ def test_polytope_equivalence(hexagon):
 # -- star-supported symmetric stresses ----------------------------------------------
 
 
-def test_lemma31_on_a_star_supported_stress(octahedron):
-    seq = special_lsop(octahedron, seed=1)
-    w = pair_sum(2) * pair_sum(3)  # lives on st(1), away from +-1
-    r = verify_lemma31(octahedron, seq, w, 1, instance="oct")
-    assert r.verdict == "pass"
-    assert r.computed["terms"] == 4
-
-
-def test_lemma31_zero_stress_is_vacuous(octahedron):
-    seq = special_lsop(octahedron, seed=1)
-    r = verify_lemma31(octahedron, seq, Polynomial.zero(), 1)
-    assert r.verdict == "pass"
-
-
-def test_lemma31_rejects_out_of_scope_inputs(octahedron):
-    seq = special_lsop(octahedron, seed=1)
-    asym = Polynomial.variable(2) * Polynomial.variable(3)
-    with pytest.raises(PreconditionUnmet):
-        verify_lemma31(octahedron, seq, asym, 1)
-    not_stress = pair_sum(1) * pair_sum(1)
-    with pytest.raises(PreconditionUnmet):
-        verify_lemma31(octahedron, seq, not_stress, 1)
-    off_star = pair_sum(2) * pair_sum(3)
-    with pytest.raises(PreconditionUnmet):
-        # w does not live on st(2): terms contain -2
-        verify_lemma31(octahedron, seq, off_star, 2)
-
-
 @pytest.mark.parametrize("name", ["crosspoly_d3", "bipyramid_m3"])
 def test_lemma31_checks_every_symmetric_star_stress(corpus_by_name, name):
     # one check per basis vector of the symmetric stresses on each st(v)
@@ -270,10 +248,11 @@ def test_lemma31_holds_for_every_counted_vector(corpus_by_name, name):
             if i > link.dim + 1:
                 continue
             for w in stress_space(link, seq, i).plus_basis:
-                assert is_symmetric(w)
+                terms = {m.exps: c for m, c in w.terms.items()}
+                assert mirror_terms(terms) == terms
                 assert is_stress(cx, seq, w)
                 for v in (k, -k):
-                    assert verify_lemma31(cx, seq, w, v).verdict == "pass"
+                    assert brute_lemma31(cx.facets, terms, v)
                     counted += 1
     record = next(r for r in instance_reports(inst, 1)
                   if r.claim_id == "Lem3.1")
@@ -281,34 +260,48 @@ def test_lemma31_holds_for_every_counted_vector(corpus_by_name, name):
     assert record.computed == {"checked": counted}
 
 
-def test_lemma31_suite_does_not_rederive_the_lemma(corpus_by_name,
-                                                   monkeypatch):
-    inst = corpus_by_name["crosspoly_d3"]
-    want = next(r for r in instance_reports(inst, 1)
-                if r.claim_id == "Lem3.1")
+@pytest.mark.parametrize("name", ["bipyramid_m3", "crosspoly_d3"])
+def test_lemma31_star_counts_on_representatives_are_the_full_ones(
+        corpus_by_name, name):
+    # a plus column m stands for m + sigma m, so it lies on st(v) when m
+    # lies on st(v) and st(-v): the count on representatives is the
+    # count on the symmetric vectors over every monomial
+    cx = corpus_by_name[name].complex
+    seq, spaces = linear_table(cx, 1)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("verify_lemma31 called by the suite")
+    def near(columns):
+        return [{v for v in cx.vertices if cx.contains(m.support + (v,))}
+                for m in columns]
 
-    monkeypatch.setattr(claims_module, "verify_lemma31", refuse)
-    got = next(r for r in instance_reports(inst, 1)
-               if r.claim_id == "Lem3.1")
-    assert got.to_json_obj() == want.to_json_obj()
+    for i in range(1, cx.dim + 2):
+        block = spaces[i].blocks[0]
+        columns = spaces[i].columns
+        index = {m.exps: j for j, m in enumerate(columns)}
+        full = [(index[p], {index[e]: x for e, x in terms.items()})
+                for p, terms in integer_family(block)]
+        on_full, on_reps = near(columns), near(block.columns)
+        for v in cx.vertices:
+            want = claims_module._supported_count(
+                full, lambda j: v in on_full[j])
+            assert claims_module._supported_count(
+                block.vectors,
+                lambda j: v in on_reps[j] and -v in on_reps[j]) == want
 
 
 def test_lemma31_fails_on_a_stand_in_table(octahedron):
     # a stand-in degree-1 plus block that is not symmetric: x_2 + x_1
-    # and x_3 + x_1, pivoted at x_2 and x_3.  No face holds both k and
-    # -k.  Both vectors lie on st(k); on Γ_1 only their difference,
-    # which only the rank finds; on Γ_2 only x_3 + x_1, and on Γ_3 only
+    # and x_3 + x_1, pivoted at x_2 and x_3, over every monomial, with
+    # sign 0 and so no mirror columns.  No face holds both k and -k.
+    # Both vectors lie on st(k); on Γ_1 only their difference, which
+    # only the rank finds; on Γ_2 only x_3 + x_1, and on Γ_3 only
     # x_2 + x_1.  The counts on st(-k) agree with those on Γ_k
     seq, spaces = linear_table(octahedron, 1)
     columns = spaces[1].columns
     x1, x2, x3 = ([j for j, m in enumerate(columns) if m.support == (v,)][0]
                   for v in (1, 2, 3))
     vectors = ((x2, {x2: 1, x1: 1}), (x3, {x3: 1, x1: 1}))
-    stand_in = SimpleNamespace(dim=2, columns=columns,
-                               blocks=(SimpleNamespace(vectors=vectors),))
+    block = SimpleNamespace(columns=columns, sign=0, vectors=vectors)
+    stand_in = SimpleNamespace(dim=2, blocks=(block,))
     table = (seq, (spaces[0], stand_in, *spaces[2:]))
     r = claims_module._lemma31_suite(octahedron, table, "oct")
     assert r.verdict == "fail"
@@ -358,18 +351,23 @@ def test_lemma32_34_checks_all_of_w_i(half, seed):
         assert r.computed["checked"] == dense, i
         assert r.computed["skipped"] == table[1][i].dim - dense, i
         assert r.verdict == ("pass" if dense else "hypothesis_unmet"), i
-        # the integer members of W_i are stresses of their block's
-        # parity, each positive at its own pivot and 0 at the others'
+        # the integer members of W_i, on orbit representatives, are
+        # stresses of their block's parity, each positive at its own
+        # pivot and 0 at the others'; over every monomial they solve the
+        # conditions at every vertex, not only the positive ones
         for sign, block in zip((1, -1), table[1][i].blocks):
+            assert block.sign == sign
             family = claims_module._subfamily(
-                integer_family(block), claims_module._asymmetry)
+                orbit_family(block), claims_module._asymmetry, sign)
             pivots = {p for p, _ in family}
             for pivot, terms in family:
                 assert terms[pivot] > 0
                 assert not set(terms) & (pivots - {pivot})
-                assert brute_is_stress(cx.facets, rows, terms)
-                w = Polynomial((Monomial(e), c) for e, c in terms.items())
-                assert involution_action(w) == w.scale(sign)
+                full = full_terms(terms, sign)
+                assert brute_is_stress(cx.facets, rows, full)
+                assert mirror_terms(full) == {e: sign * c
+                                              for e, c in full.items()}
+                assert claims_module._asymmetry(full, 0) == {}
 
 
 @settings(max_examples=60, deadline=None)
@@ -387,10 +385,11 @@ def test_squarefree_symmetric_members_of_w_i_are_y_polynomials(n, i, data):
     keep = data.draw(st.lists(st.booleans(), min_size=len(sums),
                               max_size=len(sums)))
     for family in (sums, [m for m, k in zip(sums, keep) if k]):
-        w_plus = claims_module._subfamily(family, claims_module._asymmetry)
+        w_plus = claims_module._subfamily(family, claims_module._asymmetry,
+                                          0)
         for _, terms in w_plus:
             assert terms and claims_module._squarefree(terms)
-            assert claims_module._y_obstruction(terms) == {}
+            assert claims_module._y_obstruction(terms, 0) == {}
         if family is sums:
             # the products of i distinct pair sums y_k
             assert len(w_plus) == comb(n, i)
@@ -416,14 +415,15 @@ NOT_FORCED = ("derivative y-representations did not force a symmetric "
 ])
 def test_lemma32_34_fails_with_a_witness(octahedron, part, w, reasons):
     # a stand-in block whose one kernel vector is w, with its pivot at a
-    # monomial of coefficient 1, so the reduced vector is w itself
+    # monomial of coefficient 1, so the reduced vector is w itself; its
+    # sign 0 says that its columns are every monomial, with no mirror
     items = w.items()
     pivot = next(j for j, (_, c) in enumerate(items) if c == 1)
     block = SimpleNamespace(
-        columns=[m for m, _ in items],
+        columns=[m for m, _ in items], sign=0,
         vectors=((pivot, {j: int(c) for j, (_, c) in enumerate(items)}),),
     )
-    blocks = [SimpleNamespace(columns=(), vectors=())] * 2
+    blocks = [SimpleNamespace(columns=(), sign=0, vectors=())] * 2
     blocks[("plus_basis", "minus_basis").index(part)] = block
     space = SimpleNamespace(blocks=blocks, dim=1)
     table = (None, [None] * w.degree + [space])
@@ -484,9 +484,10 @@ def test_thm35_transports_each_degree_once(corpus_by_name, monkeypatch):
                         lambda *a: calls.append(a) or real(*a))
     reports = instance_reports(corpus_by_name["crosspoly_d4"], 1)
     (thm35,) = [r for r in reports if r.claim_id == "Thm3.5"]
-    # degree 2 reports the pairs of degrees 3 and 4, degree 3 those of 4
+    # degree 2 reports the pairs of degrees 3 and 4, degree 3 those of 4;
+    # one edge of each pair {e, sigma e} is carried, for both
     assert [c["transported"] for c in thm35.computed] == [72, 24, 0]
-    assert len(calls) == 72
+    assert len(calls) == 72 // 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -512,13 +513,67 @@ def test_fused_transport_agrees_with_derived_stress(half, seed, data):
                                 max_size=2, unique=True))
     mult = lcm(*(c.denominator for c in w.terms.values()))
     terms = {m.exps: int(c * mult) for m, c in w.terms.items()}
-    fused = claims_module._transported(terms, u1, u2)
+    fused = claims_module._transported(terms, 0, u1, u2)
     derived = derived_stress(w, u1, u2)
     assert fused == {m.exps: c * mult for m, c in derived.terms.items()}
     rows = [{v: f.coefficient(v) for v in cx.ground_set} for f in seq]
     want = brute_is_stress(cx.facets, rows, fused)
     assert is_integer_stress(cx, seq, fused) == want
     assert is_stress(cx, seq, derived) == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(half=cs_facet_halves(), seed=st.integers(0, 99), data=st.data())
+def test_representative_coordinates_give_the_full_results(half, seed, data):
+    # on orbit representatives, with the derivative conditions at
+    # positive vertices only, W_i and its y-subspace are those computed
+    # over every monomial with the conditions at every vertex, and a
+    # transport is the one of the full vector
+    cx = SimplicialComplex.from_facets(
+        half + [[-v for v in f] for f in half], expect_cs=True
+    )
+    seq, spaces = linear_table(cx, seed)
+    sub = claims_module._subfamily
+    for i in range(1, cx.dim + 2):
+        for block in spaces[i].blocks:
+            sign = block.sign
+            for conditions in (claims_module._asymmetry,
+                               claims_module._y_obstruction):
+                ours = sub(orbit_family(block), conditions, sign)
+                full = sub(integer_family(block), conditions, 0)
+                assert [(p, full_terms(terms, sign))
+                        for p, terms in ours] == full, i
+            for _, terms in orbit_family(block):
+                u1, u2 = data.draw(st.lists(
+                    st.sampled_from(cx.vertices), min_size=2, max_size=2,
+                    unique=True))
+                assert claims_module._transported(terms, sign, u1, u2) == \
+                    claims_module._transported(full_terms(terms, sign), 0,
+                                               u1, u2)
+
+
+@pytest.mark.parametrize("name", ["bipyramid_m4", "crosspoly_d4"])
+def test_verify_solves_no_minus_block_that_is_zero_mod_p(corpus_by_name,
+                                                         monkeypatch, name):
+    # every block of degrees 0..d that verify reads is solved exactly,
+    # except a minus block whose rank mod p leaves no kernel
+    cx = corpus_by_name[name].complex
+    table = linear_table(cx, 1)
+    fresh = [stress_space(cx, table[0], i) for i in range(cx.dim + 2)]
+    zero = [rank_mod(s.blocks[1].matrix, PRIMES[0])
+            == len(s.blocks[1].columns) for s in fresh]
+    solved = []
+    real = engine_module.int_nullspace
+    monkeypatch.setattr(engine_module, "int_nullspace",
+                        lambda rows, ncols: solved.append(ncols)
+                        or real(rows, ncols))
+    cm_certificate(cx, table)
+    for i in range(1, cx.dim + 2):
+        verify_lemma32_34(cx, table, i)
+    assert all(s.blocks[1].known == 0 for s, z in zip(table[1], zero) if z)
+    assert len(solved) == 2 * len(fresh) - sum(zero)
+    # the bipyramid has antisymmetric stresses, so both kinds occur
+    assert any(zero) and (name == "crosspoly_d4" or not all(zero))
 
 
 def test_thm35_unmet_when_asymmetric_stresses_exist():

@@ -22,15 +22,13 @@ from csstress import (
     NotSubcomplex,
     Polynomial,
     SimplicialComplex,
-    apply_derivative,
     canonical_forms,
     cm_certificate,
     cross_polytope,
     cross_polytope_boundary,
+    delta_monomials,
     generic_lsop,
-    involution_action,
     is_stress,
-    is_symmetric,
     lsop_check,
     negate,
     pair_sum,
@@ -41,16 +39,32 @@ from csstress import (
     vanishing_stress_space,
 )
 from csstress.claims import linear_table, stress_table
-from csstress.engine import certify_dims, echelon_rows, stress_dims
+from csstress.engine import (
+    certify_dims,
+    echelon_rows,
+    full_terms,
+    integer_family,
+    orbit_family,
+    stress_dims,
+)
 from oracles import (
     brute_contains,
     brute_is_stress,
     brute_stress_bases,
     brute_stress_dim,
     dense_rank,
+    form_derivative,
+    mirror_terms,
     same_span,
 )
 from strategies import cs_facet_halves, form_coefficient_lists, pure_facets
+
+
+def has_parity(w, sign) -> bool:
+    """Is sigma(w) = sign * w, read off the terms by the oracle?"""
+    terms = {m.exps: c for m, c in w.terms.items()}
+    return mirror_terms(terms) == {e: sign * c for e, c in terms.items()}
+
 
 CS_COMPLEXES = cs_facet_halves().map(
     lambda half: SimplicialComplex.from_facets(
@@ -249,7 +263,7 @@ def test_noncm_dimensions_exceed_h(noncm):
     # every degree-1 stress is symmetric here
     s1 = stress_space(noncm, seq, 1)
     assert s1.minus_dim == 0
-    assert all(is_symmetric(w) for w in s1.basis)
+    assert all(has_parity(w, 1) for w in s1.basis)
 
 
 def test_hexagon_affine_dimensions(hexagon):
@@ -298,7 +312,7 @@ def test_top_stress_of_octahedron_is_the_pair_sum_product(octahedron):
     assert space.dim == 1
     assert is_stress(octahedron, seq, w)
     assert space.contains(w)
-    assert is_symmetric(w)
+    assert has_parity(w, 1)
 
 
 def test_is_stress_rejects_off_complex_support(octahedron):
@@ -312,7 +326,8 @@ def test_is_stress_requires_annihilation(octahedron):
     seq = special_lsop(octahedron, seed=1)
     w = Polynomial.variable(1)
     assert any(
-        not apply_derivative(f, w).is_zero() for f in seq
+        form_derivative(f.coeffs, {m.exps: c for m, c in w.terms.items()})
+        for f in seq
     )
     assert not is_stress(octahedron, seq, w)
 
@@ -325,8 +340,8 @@ def test_parity_blocks_match_dense_oracle(cx, seed):
     for i in range(cx.dim + 3):
         space = stress_space(cx, seq, i)
         assert space.dim == brute_stress_dim(cx.facets, rows, i), i
-        assert all(is_symmetric(w) for w in space.plus_basis)
-        assert all(involution_action(w) == -w for w in space.minus_basis)
+        assert all(has_parity(w, 1) for w in space.plus_basis)
+        assert all(has_parity(w, -1) for w in space.minus_basis)
         for w in space.basis:
             assert is_stress(cx, seq, w)
             assert space.contains(w)
@@ -481,7 +496,8 @@ def test_echelon_assembly_matches_dense_oracle_on_original_forms(cx, data):
         # the reduced basis vector
         assert [[[Fraction(vec.get(c, 0), vec[p])
                   for c in range(len(space.columns))]
-                 for p, vec in b.vectors] for b in space.blocks] == bases, i
+                 for p, vec in full_vectors(space, b)]
+                for b in space.blocks] == bases, i
         if split:
             # the whole kernel, a system the split bases do not solve
             assert space.dim == brute_stress_dim(cx.facets, rows, i), i
@@ -524,6 +540,48 @@ def test_echelon_assembly_matches_dense_oracle_on_original_forms(cx, data):
     assert echelon_rows(seq) is echelon_rows(seq)
 
 
+def full_vectors(space, block):
+    """The kernel of `block` as pairs (pivot, {column: int}) over
+    `space.columns`, read through the public `integer_family`."""
+    index = {m.exps: c for c, m in enumerate(space.columns)}
+    return [(index[p], {index[exps]: x for exps, x in terms.items()})
+            for p, terms in integer_family(block)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(cx=st.one_of(CS_COMPLEXES, PURE_COMPLEXES), data=st.data())
+def test_split_blocks_hold_orbit_representatives_only(cx, data):
+    # a split space assembles and solves on the monomials whose first
+    # vertex is positive, and `integer_family` writes the mirror entries;
+    # a space without a split, on a complex that is not cs or with forms
+    # of no definite parity, keeps every column
+    d = cx.dim + 1
+    coeffs = data.draw(form_coefficient_lists(sorted(cx.ground_set), d))
+    forms = [LinearForm(c) for c in coeffs]
+    for i in range(d + 2):
+        space = stress_space(cx, forms, i)
+        full = tuple(delta_monomials(cx, i))
+        assert space.columns == full, i
+        if len(space.blocks) == 2:
+            reps = tuple(m for m in full if not m.exps or m.exps[0][0] > 0)
+            assert [b.sign for b in space.blocks] == [1, -1]
+            assert space.blocks[0].columns == reps, i
+            assert space.blocks[1].columns == (reps if i else ()), i
+        else:
+            assert space.blocks[0].sign == 0
+            assert space.blocks[0].columns == full, i
+        for b in space.blocks:
+            family = orbit_family(b)
+            assert all(p in terms for p, terms in family)
+            whole = integer_family(b)
+            assert whole == [(p, full_terms(terms, b.sign))
+                             for p, terms in family]
+            if b.sign:
+                assert all(mirror_terms(terms) == {
+                    e: b.sign * x for e, x in terms.items()}
+                    for _, terms in whole), i
+
+
 def test_kernel_vectors_scale_to_the_reduced_basis(corpus_by_name):
     # bipyramid_m5's stresses have coefficients past 200 bits.  Each
     # kernel vector is primitive, positive at its pivot and 0 at the
@@ -537,9 +595,10 @@ def test_kernel_vectors_scale_to_the_reduced_basis(corpus_by_name):
         bases = brute_stress_bases(cx.facets, rows, i,
                                    [m.exps for m in space.columns], True)
         for block, want in zip(space.blocks, bases):
-            assert len(block.vectors) == len(want)
-            pivots = {p for p, _ in block.vectors}
-            for (p, vec), reduced in zip(block.vectors, want):
+            vectors = full_vectors(space, block)
+            assert len(vectors) == len(want)
+            pivots = {p for p, _ in vectors}
+            for (p, vec), reduced in zip(vectors, want):
                 assert vec[p] > 0 and gcd(*vec.values()) == 1
                 assert not set(vec) & (pivots - {p})
                 assert [Fraction(vec.get(j, 0), vec[p])
@@ -574,12 +633,12 @@ def test_cross_polytope_block_columns_have_one_entry_per_vertex(d):
     for i in range(d + 1):
         space = stress_space(cx, seq, i)
         for block in space.blocks:
-            for rep, column in zip(block.reps, block.matrix):
+            for rep, column in zip(block.columns, block.matrix):
                 # a degree-1 monomial reaches only the fixed row orbit of
                 # 1, where antisymmetric forms have no symmetric part;
                 # forms as drawn would put d entries per vertex
                 vanish = i == 1 and block.sign == 1
-                want = 0 if vanish else len(space.columns[rep].exps)
+                want = 0 if vanish else len(rep.exps)
                 assert len(column) == want, (i, block.sign, rep)
 
 

@@ -14,17 +14,18 @@ from csstress import (
     ONE,
     Polynomial,
     SimplicialComplex,
-    apply_derivative,
     cross_polytope_boundary,
     delta_monomials,
-    involution_action,
-    is_symmetric,
-    pair_sum,
     partial_derivative,
 )
 from csstress.polynomials import monomial_count
-from oracles import _face_monomials, brute_faces, brute_has_redundant_facet
-from strategies import near_cs_facets, pure_facets
+from oracles import (
+    _face_monomials,
+    brute_faces,
+    brute_has_redundant_facet,
+    mirror_terms,
+)
+from strategies import cs_facet_halves, near_cs_facets, pure_facets
 
 LABELS = [1, -1, 2, -2, 3, -3]
 
@@ -132,6 +133,11 @@ def slow_negate(m: Monomial) -> Monomial:
     return Monomial((-v, e) for v, e in m.exps)
 
 
+def mirror(w: Polynomial) -> Polynomial:
+    """w under x_v -> x_{-v}, term by term through Monomial.negate."""
+    return Polynomial((m.negate(), c) for m, c in w.terms.items())
+
+
 def slow_divide(m: Monomial, v: int) -> Monomial:
     return Monomial((u, e - 1 if u == v else e) for u, e in m.exps)
 
@@ -179,16 +185,9 @@ def test_fast_paths_match_the_normalising_constructor(pair, k, v):
     assert_normal(w.scale(k), rebuilt((m, k * c) for m, c in items))
     assert_normal(w * u, rebuilt((m1 * m2, c1 * c2) for m1, c1 in items
                                  for m2, c2 in others))
-    assert_normal(involution_action(w),
-                  rebuilt((slow_negate(m), c) for m, c in items))
     assert_normal(partial_derivative(w, v), rebuilt(
         (slow_divide(m, v), c * m.exponent(v))
         for m, c in items if m.exponent(v)
-    ))
-    form = LinearForm({x: k + x for x in LABELS})
-    assert_normal(apply_derivative(form, w), rebuilt(
-        (slow_divide(m, x), c * m.exponent(x) * form.coefficient(x))
-        for m, c in items for x in m.support
     ))
     for m, _ in items:
         assert m.negate() == slow_negate(m)
@@ -256,6 +255,28 @@ def test_monomial_basis_counts_on_crosspoly_d5(i, count):
     assert all(m.degree == i for m in ms)
 
 
+@settings(max_examples=80, deadline=None)
+@given(facets=st.one_of(
+    near_cs_facets(),
+    cs_facet_halves().map(lambda h: h + [[-v for v in f] for f in h])))
+def test_representative_walk_is_the_full_walk_from_positive_vertices(
+        facets):
+    # degrees 0..d+1: the walk started at positive vertices only lists
+    # the full walk's monomials whose first vertex is positive, in its
+    # order; on a cs complex these are one monomial of each orbit
+    # {m, sigma m}
+    assume(not brute_has_redundant_facet(facets))
+    cx = SimplicialComplex(facets)
+    for i in range(cx.dim + 3):
+        full = [m.exps for m in delta_monomials(cx, i)]
+        reps = [m.exps for m in delta_monomials(cx, i, True)]
+        assert reps == [e for e in full if not e or e[0][0] > 0], i
+        if cx.cs and i:
+            mirrors = mirror_terms(dict.fromkeys(reps))
+            assert len(full) == 2 * len(reps), i
+            assert set(full) == set(reps) | set(mirrors), i
+
+
 @settings(max_examples=150, deadline=None)
 @given(facets=st.one_of(pure_facets(), near_cs_facets()))
 def test_delta_monomials_match_the_face_oracle_in_order(facets):
@@ -295,13 +316,6 @@ def test_partial_derivative_basic():
     assert partial_derivative(Polynomial.constant(5), 1).is_zero()
 
 
-def test_apply_derivative_is_linear_in_the_form():
-    w = Polynomial([(mono(1, 2), 1)])
-    f = LinearForm({1: 2, 2: -3})
-    out = apply_derivative(f, w)
-    assert out == Polynomial([(mono(2), 2), (mono(1), -3)])
-
-
 @given(polynomials(), st.sampled_from(LABELS), st.sampled_from(LABELS))
 @settings(max_examples=60, deadline=None)
 def test_derivatives_commute(w, u, v):
@@ -313,8 +327,8 @@ def test_derivatives_commute(w, u, v):
 @given(polynomials(), st.sampled_from([1, 2, 3]))
 @settings(max_examples=60, deadline=None)
 def test_involution_swaps_derivative_signs(w, k):
-    lhs = involution_action(partial_derivative(w, k))
-    rhs = partial_derivative(involution_action(w), -k)
+    lhs = mirror(partial_derivative(w, k))
+    rhs = partial_derivative(mirror(w), -k)
     assert lhs == rhs
 
 
@@ -324,11 +338,4 @@ def test_involution_swaps_derivative_signs(w, k):
 @given(polynomials())
 @settings(max_examples=80, deadline=None)
 def test_involution_is_an_involution(w):
-    assert involution_action(involution_action(w)) == w
-
-
-def test_is_symmetric_examples():
-    assert is_symmetric(pair_sum(1))
-    assert not is_symmetric(Polynomial.variable(1))
-    assert is_symmetric(Polynomial.zero())
-    assert is_symmetric(Polynomial.constant(7))
+    assert mirror(mirror(w)) == w
