@@ -6,8 +6,8 @@ complex, so the involution acts freely on faces.  Complexes are stored by
 their facets plus one set of face bitmasks, built on first use and kept:
 face membership is a lookup in that set, and the cs and redundancy checks
 work on facets, so a pure complex never builds it just to be constructed.
-The face counts are taken level by level instead, so the f-, h- and
-g-vectors never build it either.
+The face counts are taken one lowest vertex at a time instead, so the
+f-, h- and g-vectors never build it either.
 """
 
 from __future__ import annotations
@@ -197,12 +197,17 @@ class SimplicialComplex:
             m |= bit.get(v, -1)  # -1 for a non-vertex: no face
         return m in masks
 
+    def _vertex_bits(self) -> dict[int, int]:
+        """{vertex: bit}, the bits in the canonical variable order 1, -1,
+        2, -2, ..."""
+        return {v: 1 << n for n, v in enumerate(
+            sorted(self.vertices, key=lambda v: (abs(v), v < 0)))}
+
     def face_masks(self) -> tuple[dict, set]:
         """({vertex: bit}, the set of faces as bitmasks), the bits in the
         canonical variable order 1, -1, 2, -2, ...; built once, read only."""
         if self._masks is None:
-            bit = {v: 1 << n for n, v in enumerate(
-                sorted(self.vertices, key=lambda v: (abs(v), v < 0)))}
+            bit = self._vertex_bits()
             masks = {0}
             for f in self.facets:
                 m = top = sum(bit[v] for v in f)
@@ -286,31 +291,53 @@ class SimplicialComplex:
         """{s: number of faces with s vertices} for s = 0..dim+1, the empty
         face included; defined for non-pure complexes too.
 
-        Counted once, level by level on vertex bitmasks, without the face
-        set: the faces with s vertices are the facets with s vertices and
-        every face with s + 1 vertices less one of its vertices.
+        Counted once, one vertex at a time, without the face set.  In the
+        bit order of `face_masks`, a nonempty face sigma with lowest vertex
+        v is sigma - {v} plus v, and sigma - {v} is a face of the upper
+        link of v, generated by F ∩ (vertices above v) over the facets F
+        holding v; that is a bijection.  So each vertex adds the face
+        counts of its upper link, shifted up by one size, and only one
+        upper link is held at a time.  No face of a cs complex holds an
+        antipodal pair, so exactly one of sigma and -sigma has a positive
+        lowest vertex: a cs complex walks its positive vertices only and
+        counts each nonempty face twice.
         """
         if self._counts is None:
-            bit = {v: 1 << n for n, v in enumerate(self.vertices)}
-            by_size = {}
-            for f in self.facets:
-                by_size.setdefault(len(f), []).append(
-                    sum(bit[v] for v in f)
-                )
-            counts = []
-            level = set()
-            for s in range(self.dim + 1, -1, -1):
-                below = set(by_size.get(s, ()))
-                for m in level:
-                    rest = m
-                    while rest:
-                        b = rest & -rest
-                        below.add(m ^ b)
-                        rest ^= b
-                level = below
-                counts.append(len(level))
-            self._counts = tuple(reversed(counts))
+            bit = self._vertex_bits()
+            masks = [sum(bit[v] for v in f) for f in self.facets]
+            walk = [b for v, b in bit.items() if v > 0 or not self.cs]
+            twice = 2 if self.cs else 1
+            counts = [1] + [0] * (self.dim + 1)
+            for b in walk:
+                above = -(b << 1)  # the bits above b
+                upper = _level_counts({m & above for m in masks if m & b})
+                for s, n in enumerate(upper):
+                    counts[s + 1] += twice * n
+            self._counts = tuple(counts)
         return dict(enumerate(self._counts))
+
+
+def _level_counts(generators) -> list[int]:
+    """[number of faces with s vertices, s = 0, 1, ...] of the complex
+    generated by a nonempty set of vertex bitmasks, counted level by
+    level: the faces with s vertices are the generators with s vertices
+    and every face with s + 1 vertices less one of its vertices."""
+    by_size = {}
+    for m in generators:
+        by_size.setdefault(m.bit_count(), []).append(m)
+    counts = []
+    level = set()
+    for s in range(max(by_size), -1, -1):
+        below = set(by_size.get(s, ()))
+        for m in level:
+            rest = m
+            while rest:
+                b = rest & -rest
+                below.add(m ^ b)
+                rest ^= b
+        level = below
+        counts.append(len(level))
+    return counts[::-1]
 
 
 # -- constructions -------------------------------------------------------
@@ -399,7 +426,9 @@ def _is_label_list(value) -> bool:
 
 def facets_from_json(facets) -> list:
     """Check a JSON "facets" value: a nonempty list of integer lists,
-    none of which repeats a label."""
+    none of which repeats a label, with at least one vertex among them.
+    The complex whose only face is empty has d = 0 and admits no special
+    l.s.o.p., so every command refuses it here."""
     if (
         not isinstance(facets, list)
         or not facets
@@ -409,6 +438,8 @@ def facets_from_json(facets) -> list:
     for f in facets:
         if len(set(f)) != len(f):
             raise InputError(f"facet {f} repeats a label")
+    if not any(facets):
+        raise InputError('"facets" must hold at least one vertex')
     return facets
 
 

@@ -32,11 +32,16 @@ from math import gcd, lcm
 
 def _integer_rows(rows) -> list[dict[int, int]]:
     """Copies of rows, dicts {column: rational}, scaled to coprime
-    integers.  Clearing denominators is a no-op on `int` entries."""
+    integers.  A row of `int` entries, as every assembled row is, has no
+    denominator to clear and is only copied."""
     out = []
     for row in rows:
-        mult = lcm(*(v.denominator for v in row.values()))
-        out.append(_gcd_normalize({c: int(v * mult) for c, v in row.items()}))
+        if all(type(v) is int for v in row.values()):
+            copy = dict(row)
+        else:
+            mult = lcm(*(v.denominator for v in row.values()))
+            copy = {c: int(v * mult) for c, v in row.items()}
+        out.append(_gcd_normalize(copy))
     return out
 
 

@@ -50,23 +50,6 @@ class Monomial:
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(v for v, _ in self.exps))
 
-    def divide(self, v: int) -> "Monomial":
-        """Divide by x_v; requires x_v | self."""
-        e, lower = exps_divide(self.exps, v)
-        if not e:
-            raise ValueError(f"x_{v} does not divide {self}")
-        return Monomial._canonical(lower, self.degree - 1)
-
-    def negate(self) -> "Monomial":
-        """Image under the involution x_v -> x_{-v}."""
-        return Monomial._canonical(negated_exps(self.exps), self.degree)
-
-    def exponent(self, v: int) -> int:
-        for u, e in self.exps:
-            if u == v:
-                return e
-        return 0
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         # merge the two canonical exps, adding the exponents of a shared
         # variable

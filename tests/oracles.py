@@ -353,12 +353,26 @@ def brute_cross_polytope_pairs(facets, j) -> list[tuple[int, ...]]:
 # -- polynomials as plain dicts {exps: coefficient} -----------------------------
 
 
+def mirror_exps(exps) -> tuple:
+    """The image of a monomial's (v, e) pairs under x_v -> x_{-v}, put
+    back in the canonical order 1, -1, 2, -2, ..."""
+    return tuple(sorted(((-v, e) for v, e in exps),
+                        key=lambda p: (abs(p[0]), p[0] < 0)))
+
+
 def mirror_terms(terms) -> dict:
-    """The image of {exps: c} under x_v -> x_{-v}, each exps put back in
-    the canonical order 1, -1, 2, -2, ..."""
-    return {tuple(sorted(((-v, e) for v, e in exps),
-                         key=lambda p: (abs(p[0]), p[0] < 0))): c
-            for exps, c in terms.items()}
+    """The image of {exps: c} under x_v -> x_{-v}."""
+    return {mirror_exps(exps): c for exps, c in terms.items()}
+
+
+def exponent(exps, v) -> int:
+    """The exponent of x_v in the monomial of (v, e) pairs."""
+    return dict(exps).get(v, 0)
+
+
+def divide_exps(exps, v) -> tuple:
+    """The (v, e) pairs of m / x_v, for x_v dividing m."""
+    return tuple((u, e - (u == v)) for u, e in exps if (u, e) != (v, 1))
 
 
 def form_derivative(coeffs, terms) -> dict:

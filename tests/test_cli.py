@@ -406,6 +406,20 @@ def test_info_rejects_boolean_and_repeated_labels(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize("command", ["info", "stress", "verify"])
+@pytest.mark.parametrize("text", ['{"facets": [[]]}', '{"facets": [[], []]}'])
+def test_complex_with_no_vertex_is_input_error(tmp_path, capsys, command,
+                                               text):
+    # once read as d = 0 by info, while stress and verify drew 8 special
+    # l.s.o.p. samples that could not succeed and exited 3
+    p = tmp_path / "empty.json"
+    p.write_text(text)
+    code, out, err = run(capsys, command, str(p))
+    assert code == 2
+    assert out == ""
+    assert err == 'input error: "facets" must hold at least one vertex\n'
+
+
+@pytest.mark.parametrize("command", ["info", "stress", "verify"])
 def test_vertex_named_by_two_keys_is_input_error(tmp_path, capsys, command):
     # "01" and "-01" read as 1 and -1, and once moved the square's vertex
     # 1 to (3, 1) with exit 0

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import tracemalloc
 from collections import Counter
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from csstress import (
@@ -35,7 +36,7 @@ from oracles import (
     brute_is_cs,
     h_from_f,
 )
-from strategies import LABELS, near_cs_facets
+from strategies import LABELS, near_cs_facets, pure_facets
 
 
 def test_face_normalizes_and_rejects_zero():
@@ -291,6 +292,60 @@ def test_face_numbers_build_no_face_set():
     counts = [monomial_count(cx, i) for i in range(11)]
     assert counts[:3] == [1, 20, 20 + 180]
     assert cx._masks is None
+
+
+def maximal_facets(facets) -> list:
+    """The inclusion-maximal sets among the facets."""
+    sets = {frozenset(f) for f in facets}
+    return [sorted(s) for s in sets if not any(s < t for t in sets)]
+
+
+def cs_closure(facets) -> list:
+    """A cs complex, of any purity: each facet cut to one label per
+    antipodal pair, joined by its negation, then reduced to maximal
+    facets."""
+    halves = [list({abs(v): v for v in f}.values()) for f in facets]
+    return maximal_facets(halves + [[-v for v in f] for f in halves])
+
+
+FACE_COUNT_FACETS = {
+    True: st.one_of(near_cs_facets(), ANY_FACETS.map(cs_closure)),
+    False: st.one_of(near_cs_facets(), pure_facets(),
+                     ANY_FACETS.map(maximal_facets)),
+}
+
+
+@pytest.mark.parametrize("cs", [True, False])
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_face_counts_match_brute_enumeration(cs, data):
+    # a cs complex counts from its positive vertices only and doubles;
+    # every other complex counts from every vertex
+    facets = data.draw(FACE_COUNT_FACETS[cs])
+    assume(not brute_has_redundant_facet(facets))
+    cx = SimplicialComplex(facets)
+    assume(cx.cs == cs)
+    assert cx.face_counts() == dict(enumerate(
+        brute_f_vector([set(f) for f in facets])))
+
+
+def test_link_of_a_facet_has_only_the_empty_face(octahedron):
+    cx = octahedron.link((1, 2, 3))
+    assert cx.facets == ((),) and cx.cs
+    assert cx.face_counts() == {0: 1}
+
+
+def test_face_counts_hold_one_upper_link_at_a_time():
+    # a level walk over the faces of the whole complex peaked at 1086 KiB
+    cx = cross_polytope_boundary(9)
+    tracemalloc.start()
+    try:
+        counts = cx.face_counts()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == {k: 2**k * comb(9, k) for k in range(10)}
+    assert peak < 600 * 2**10
 
 
 def test_fhg_vectors_are_read_only_values():

@@ -315,3 +315,18 @@ def test_forward_elimination_of_one_wide_row_allocates_no_column_index():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@given(sparse_integer_rows(), st.integers(1, 6))
+@settings(max_examples=100, deadline=None)
+def test_integer_rows_read_int_and_fraction_entries_alike(rows, k):
+    # scaled by k, so the gcd division has a common factor to remove
+    ints = [{c: k * x for c, x in row.items()} for row in rows]
+    fracs = [{c: Fraction(x) for c, x in row.items()} for row in ints]
+    before = [dict(row) for row in ints]
+    got = exactla._integer_rows(ints)
+    assert got == exactla._integer_rows(fracs)
+    assert all(type(x) is int for row in got for x in row.values())
+    assert all(gcd(*row.values()) == 1 for row in got if row)
+    assert ints == before
+    assert not any(a is b for a, b in zip(got, ints))
