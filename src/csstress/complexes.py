@@ -197,17 +197,15 @@ class SimplicialComplex:
             m |= bit.get(v, -1)  # -1 for a non-vertex: no face
         return m in masks
 
-    def _vertex_bits(self) -> dict[int, int]:
-        """{vertex: bit}, the bits in the canonical variable order 1, -1,
-        2, -2, ..."""
-        return {v: 1 << n for n, v in enumerate(
-            sorted(self.vertices, key=lambda v: (abs(v), v < 0)))}
+    def _vertex_order(self) -> list[int]:
+        """The vertices in the canonical variable order 1, -1, 2, -2, ..."""
+        return sorted(self.vertices, key=lambda v: (abs(v), v < 0))
 
     def face_masks(self) -> tuple[dict, set]:
         """({vertex: bit}, the set of faces as bitmasks), the bits in the
         canonical variable order 1, -1, 2, -2, ...; built once, read only."""
         if self._masks is None:
-            bit = self._vertex_bits()
+            bit = {v: 1 << n for n, v in enumerate(self._vertex_order())}
             masks = {0}
             for f in self.facets:
                 m = top = sum(bit[v] for v in f)
@@ -292,26 +290,39 @@ class SimplicialComplex:
         face included; defined for non-pure complexes too.
 
         Counted once, one vertex at a time, without the face set.  In the
-        bit order of `face_masks`, a nonempty face sigma with lowest vertex
-        v is sigma - {v} plus v, and sigma - {v} is a face of the upper
-        link of v, generated by F ∩ (vertices above v) over the facets F
-        holding v; that is a bijection.  So each vertex adds the face
-        counts of its upper link, shifted up by one size, and only one
-        upper link is held at a time.  No face of a cs complex holds an
-        antipodal pair, so exactly one of sigma and -sigma has a positive
-        lowest vertex: a cs complex walks its positive vertices only and
-        counts each nonempty face twice.
+        vertex order of `face_masks`, a nonempty face sigma with lowest
+        vertex v is sigma - {v} plus v, and sigma - {v} is a face of the
+        upper link of v, generated by F ∩ (vertices above v) over the
+        facets F holding v; that is a bijection.  So each vertex adds the
+        face counts of its upper link, shifted up by one size.  The facets
+        are filed under their vertices in one pass, and each upper link
+        numbers its own vertices, so its bitmasks are as wide as the link
+        and not the complex, and only one upper link is held at a time.
+        No face of a cs complex holds an antipodal pair, so exactly one of
+        sigma and -sigma has a positive lowest vertex: a cs complex walks
+        its positive vertices only and counts each nonempty face twice.
         """
         if self._counts is None:
-            bit = self._vertex_bits()
-            masks = [sum(bit[v] for v in f) for f in self.facets]
-            walk = [b for v, b in bit.items() if v > 0 or not self.cs]
+            order = self._vertex_order()
+            rank = {v: n for n, v in enumerate(order)}
+            through = {v: [] for v in order if v > 0 or not self.cs}
+            for f in self.facets:
+                for v in f:
+                    if v in through:
+                        through[v].append(f)
             twice = 2 if self.cs else 1
             counts = [1] + [0] * (self.dim + 1)
-            for b in walk:
-                above = -(b << 1)  # the bits above b
-                upper = _level_counts({m & above for m in masks if m & b})
-                for s, n in enumerate(upper):
+            for v, star in through.items():
+                r = rank[v]
+                local = {}  # {vertex above v: its bit in the upper link}
+                upper = set()
+                for f in star:
+                    m = 0
+                    for u in f:
+                        if rank[u] > r:
+                            m |= local.setdefault(u, 1 << len(local))
+                    upper.add(m)
+                for s, n in enumerate(_level_counts(upper)):
                     counts[s + 1] += twice * n
             self._counts = tuple(counts)
         return dict(enumerate(self._counts))

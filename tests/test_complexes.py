@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import time
 import tracemalloc
 from collections import Counter
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csstress import (
@@ -236,8 +237,26 @@ def test_json_rejects_malformed_input():
 ANY_FACETS = st.lists(st.lists(LABELS, max_size=4), min_size=1, max_size=6)
 
 
+def maximal_facets(facets) -> list:
+    """The inclusion-maximal sets among the facets."""
+    sets = {frozenset(f) for f in facets}
+    return [sorted(s) for s in sets if not any(s < t for t in sets)]
+
+
+def cs_closure(facets) -> list:
+    """A cs complex, of any purity: each facet cut to one label per
+    antipodal pair, joined by its negation, then reduced to maximal
+    facets."""
+    halves = [list({abs(v): v for v in f}.values()) for f in facets]
+    return maximal_facets(halves + [[-v for v in f] for f in halves])
+
+
 @given(
-    facets=st.one_of(ANY_FACETS, near_cs_facets()),
+    # face_counts walks every vertex of most complexes, the positive
+    # vertices of a cs one (cs_closure, near_cs_facets)
+    facets=st.one_of(ANY_FACETS, near_cs_facets(), pure_facets(),
+                     ANY_FACETS.map(maximal_facets),
+                     ANY_FACETS.map(cs_closure)),
     extra=st.lists(LABELS, max_size=2),
     probes=st.lists(st.lists(st.integers(-5, 5), max_size=4), max_size=8),
 )
@@ -294,47 +313,6 @@ def test_face_numbers_build_no_face_set():
     assert cx._masks is None
 
 
-def maximal_facets(facets) -> list:
-    """The inclusion-maximal sets among the facets."""
-    sets = {frozenset(f) for f in facets}
-    return [sorted(s) for s in sets if not any(s < t for t in sets)]
-
-
-def cs_closure(facets) -> list:
-    """A cs complex, of any purity: each facet cut to one label per
-    antipodal pair, joined by its negation, then reduced to maximal
-    facets."""
-    halves = [list({abs(v): v for v in f}.values()) for f in facets]
-    return maximal_facets(halves + [[-v for v in f] for f in halves])
-
-
-FACE_COUNT_FACETS = {
-    True: st.one_of(near_cs_facets(), ANY_FACETS.map(cs_closure)),
-    False: st.one_of(near_cs_facets(), pure_facets(),
-                     ANY_FACETS.map(maximal_facets)),
-}
-
-
-@pytest.mark.parametrize("cs", [True, False])
-@given(data=st.data())
-@settings(max_examples=200, deadline=None)
-def test_face_counts_match_brute_enumeration(cs, data):
-    # a cs complex counts from its positive vertices only and doubles;
-    # every other complex counts from every vertex
-    facets = data.draw(FACE_COUNT_FACETS[cs])
-    assume(not brute_has_redundant_facet(facets))
-    cx = SimplicialComplex(facets)
-    assume(cx.cs == cs)
-    assert cx.face_counts() == dict(enumerate(
-        brute_f_vector([set(f) for f in facets])))
-
-
-def test_link_of_a_facet_has_only_the_empty_face(octahedron):
-    cx = octahedron.link((1, 2, 3))
-    assert cx.facets == ((),) and cx.cs
-    assert cx.face_counts() == {0: 1}
-
-
 def test_face_counts_hold_one_upper_link_at_a_time():
     # a level walk over the faces of the whole complex peaked at 1086 KiB
     cx = cross_polytope_boundary(9)
@@ -346,6 +324,21 @@ def test_face_counts_hold_one_upper_link_at_a_time():
         tracemalloc.stop()
     assert counts == {k: 2**k * comb(9, k) for k in range(10)}
     assert peak < 600 * 2**10
+
+
+def test_face_counts_of_many_vertices_read_each_vertex_star_only():
+    # the bipyramid over a cs 2m-gon: 2m + 2 vertices, 4m triangles.  Each
+    # vertex reads only the facets it lies on, in bits of its own link; a
+    # scan of every facet per vertex took minutes at this size
+    m = 10000
+    edges = [(k, k + 1) for k in range(1, m)] + [(m, -1)]
+    edges += [(-a, -b) for a, b in edges]
+    cx = SimplicialComplex([e + (a,) for e in edges for a in (m + 1, -m - 1)])
+    assert cx.cs
+    start = time.process_time()
+    counts = cx.face_counts()
+    assert time.process_time() - start < 2
+    assert counts == {0: 1, 1: 2 * m + 2, 2: 6 * m, 3: 4 * m}
 
 
 def test_fhg_vectors_are_read_only_values():
