@@ -43,7 +43,7 @@ _EXPORTS = {
         "CsStressError", "CsViolation", "GroundSetOverlap",
         "HypothesisUnmet", "InputError", "LengthMismatch", "LsopNotFound",
         "NotAFace", "NotCs", "NotPure", "NotSimplicial", "NotSubcomplex",
-        "PreconditionUnmet", "RedundantFacet",
+        "RedundantFacet",
     ),
     "exactla": (),  # no public names; csstress.exactla is the module
     "polynomials": (

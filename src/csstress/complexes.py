@@ -146,17 +146,25 @@ class SimplicialComplex:
     def _check_redundancy(self) -> None:
         """Raise RedundantFacet if a facet lies inside another facet.
 
-        Facets are distinct, so only a smaller facet f can lie inside a
-        larger one, and it does exactly when f plus one more vertex is a
-        face.  A pure complex has nothing to check.
+        Only a smaller facet f can lie inside another, and then inside one
+        through its rarest vertex: the facets are filed, in order, under
+        their vertices, and f is tested against that vertex's only.  The
+        empty facet lies in every other.  A pure complex has nothing to
+        check.
         """
         top = self.dim + 1
-        verts = self.vertices
+        through = {}
+        for g in self.facets:
+            for v in g:
+                through.setdefault(v, []).append(g)
         for f in self.facets:
             if len(f) == top:
                 continue
-            if any(v not in f and self.contains(f + (v,)) for v in verts):
-                big = next(g for g in self.facets if set(f) < set(g))
+            near = min((through[v] for v in f), key=len, default=self.facets)
+            members = set(f)
+            big = next((g for g in near
+                        if len(g) > len(f) and members.issubset(g)), None)
+            if big is not None:
                 raise RedundantFacet(f"facet {f} is contained in facet {big}")
 
     def _check_cs(self) -> bool:

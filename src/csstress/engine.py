@@ -11,11 +11,11 @@ matrix into a symmetric (plus) and an antisymmetric (minus) block; their
 dimensions carry the face-number content.  Both are assembled, and their
 kernels held, on one monomial of each orbit {m, sigma m}.  A block is
 solved, into primitive integer kernel vectors, only when its kernel or
-dimension is read; `certify_dims` and `stress_dims` take a table's
-dimensions from ranks mod a prime when a lower bound proves them exact,
-so a caller that needs only dimensions may solve nothing.
-Stresses are local, so the stresses of a subcomplex are computed on the
-subcomplex itself.
+dimension is read; `stress_dims` takes a table's dimensions from ranks
+mod a prime when a lower bound proves them exact, so a caller that needs
+only dimensions may solve nothing.  `is_stress` tests membership on the
+equations and solves nothing.  Stresses are local, so the stresses of a
+subcomplex are computed on the subcomplex itself.
 """
 
 from __future__ import annotations
@@ -56,11 +56,11 @@ PRIMES = (32749, 32719)
 
 class FormSequence:
     """Ordered linear forms with a kind tag and sampling provenance, and
-    their echelon rows and row index once read."""
+    their echelon rows once read."""
 
     KINDS = ("special_lsop", "canonical_polytope", "custom")
 
-    __slots__ = ("forms", "kind", "seed", "attempts", "_echelon", "_weights")
+    __slots__ = ("forms", "kind", "seed", "attempts", "_echelon")
 
     def __init__(self, forms, kind, seed=None, attempts=None):
         forms = tuple(forms)
@@ -84,7 +84,7 @@ class FormSequence:
         self.kind = kind
         self.seed = seed
         self.attempts = attempts
-        self._echelon = self._weights = None
+        self._echelon = None
 
     def __len__(self):
         return len(self.forms)
@@ -500,17 +500,6 @@ def _certified(dims_mod, floor: int):
     return None
 
 
-def certify_dims(spaces, floor: int) -> bool:
-    """Fix the block dimensions of `spaces` from ranks mod p that
-    `_certified` accepts; return whether it did."""
-    dims = _certified(lambda p: [[len(b.columns) - rank_mod(b.matrix, p)
-                                  for b in s.blocks] for s in spaces], floor)
-    for s, known in zip(spaces, dims or ()):
-        for b, k in zip(s.blocks, known):
-            b.known = k
-    return dims is not None
-
-
 def certify_zero(block) -> None:
     """Fix a new `block` at 0 if its rank mod PRIMES[0] leaves no kernel,
     the exact kernel being no larger."""
@@ -568,34 +557,24 @@ def _has_parity_split(cx: SimplicialComplex, forms) -> bool:
 
 def is_stress(cx: SimplicialComplex, forms, w: Polynomial) -> bool:
     """True if every term of w sits on a face and all form derivatives kill
-    w.  The test is homogeneous in w, so it runs on w scaled to integers."""
-    mult = lcm(*(c.denominator for c in w.terms.values()))
-    return is_integer_stress(cx, forms, {
-        m.exps: c.numerator * (mult // c.denominator)
-        for m, c in w.terms.items()})
-
-
-def is_integer_stress(cx: SimplicialComplex, forms, terms) -> bool:
-    """`is_stress` of the polynomial with the nonzero integer terms
-    {exps: coefficient}.  The derivatives are taken along the integer
-    rows of `echelon_rows`, which span the forms."""
-    if not all(cx.contains(v for v, _ in exps) for exps in terms):
+    w.  The test is homogeneous in w, so it runs on w scaled to integers,
+    and the derivatives are taken along the integer rows of
+    `echelon_rows`, which span the forms."""
+    if not all(cx.contains(v for v, _ in m.exps) for m in w.terms):
         return False
+    mult = lcm(*(c.denominator for c in w.terms.values()))
     # vertex -> (k, coefficient) of the rows holding it; an echelon row
-    # holds few vertices, and a FormSequence keeps the index
-    weights = getattr(forms, "_weights", None)
-    if weights is None:
-        weights = {}
-        for k, (_, row) in enumerate(echelon_rows(forms)):
-            for v, x in row.items():
-                weights.setdefault(v, []).append((k, x))
-        if isinstance(forms, FormSequence):
-            forms._weights = weights
+    # holds few vertices
+    weights: dict = {}
+    for k, (_, row) in enumerate(echelon_rows(forms)):
+        for v, x in row.items():
+            weights.setdefault(v, []).append((k, x))
     # the term c m puts c e x m / x_v into the derivative along a row
     # with coefficient x at v
     derivative: dict = {}
-    for exps, c in terms.items():
-        for v, e, lower in exps_partials(exps):
+    for m, c in w.terms.items():
+        c = c.numerator * (mult // c.denominator)
+        for v, e, lower in exps_partials(m.exps):
             for k, x in weights.get(v, ()):
                 key = k, lower
                 derivative[key] = derivative.get(key, 0) + c * e * x

@@ -55,7 +55,3 @@ class LsopNotFound(CsStressError):
 
 class HypothesisUnmet(CsStressError):
     """A check's structural precondition fails for the given inputs."""
-
-
-class PreconditionUnmet(CsStressError):
-    """A verification routine was handed an instance outside its scope."""

@@ -145,10 +145,13 @@ def column_index_eliminate(rows, update):
 
 
 def brute_faces(facets) -> set[tuple[int, ...]]:
+    """Every subset of a facet, as a sorted tuple; a facet is read as the
+    set of its labels, so a repeated label counts once."""
     out = set()
     for f in facets:
-        for size in range(len(f) + 1):
-            out.update(itertools.combinations(sorted(f), size))
+        labels = sorted(set(f))
+        for size in range(len(labels) + 1):
+            out.update(itertools.combinations(labels, size))
     return out
 
 

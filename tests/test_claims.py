@@ -16,6 +16,7 @@ from csstress import (
     HypothesisUnmet,
     InputError,
     LinearForm,
+    Monomial,
     Polynomial,
     SimplicialComplex,
     VerificationReport,
@@ -49,7 +50,6 @@ from csstress.engine import (
     PRIMES,
     full_terms,
     integer_family,
-    is_integer_stress,
     orbit_family,
 )
 from csstress.exactla import rank_mod
@@ -67,6 +67,7 @@ from oracles import (
     brute_lemma31,
     brute_symmetric_derivative_dim,
     brute_symmetric_star_dim,
+    form_derivative,
     mirror_terms,
 )
 from strategies import cs_facet_halves
@@ -465,16 +466,24 @@ def test_thm35_on_octahedron(octahedron):
 def test_thm35_fails_when_a_derived_polynomial_is_no_stress(octahedron,
                                                           monkeypatch):
     seq, spaces = linear_table(octahedron, 1)
-    # a stress test that holds none of the derived polynomials; only
+    # a support test that holds none of the derived polynomials; only
     # degree 3 transports, into degree 2
-    monkeypatch.setattr(claims_module, "is_integer_stress",
-                        lambda cx, forms, terms: False)
+    monkeypatch.setattr(claims_module, "_on_faces", lambda cx, terms: False)
     r = verify_thm35(octahedron, (seq, spaces), 2)
     assert r.verdict == "fail"
     assert r.computed["transported"] == 12
     assert len(r.witness) == 12
     assert {f["reason"] for f in r.witness} == {
         "derived polynomial is not a stress"}
+
+
+def test_support_test_reads_every_monomial(octahedron):
+    on_faces = claims_module._on_faces
+    assert on_faces(octahedron, {})
+    assert on_faces(octahedron, {((1, 2), (2, 1)): 3, ((-3, 1),): -1})
+    # {1, -1} is no face
+    assert not on_faces(octahedron, {((1, 2), (2, 1)): 3,
+                                     ((1, 1), (-1, 1)): 1})
 
 
 def test_thm35_transports_each_degree_once(corpus_by_name, monkeypatch):
@@ -495,8 +504,9 @@ def test_thm35_transports_each_degree_once(corpus_by_name, monkeypatch):
 def test_fused_transport_agrees_with_derived_stress(half, seed, data):
     # a rational combination of degree-j stresses, maybe plus one stray
     # face monomial, carried along a vertex pair: the integer transport
-    # is derived_stress scaled to integers, and is_integer_stress
-    # decides it as is_stress and the dense oracle do
+    # is derived_stress scaled to integers, and is_stress decides it as
+    # the dense oracle does; without the stray monomial the support test
+    # of verify_thm35 decides it too
     cx = SimplicialComplex.from_facets(
         half + [[-v for v in f] for f in half], expect_cs=True
     )
@@ -506,7 +516,8 @@ def test_fused_transport_agrees_with_derived_stress(half, seed, data):
     w = Polynomial.zero()
     for b in spaces[j].basis:
         w = w + b.scale(data.draw(coefficient))
-    if data.draw(st.booleans()):
+    add_stray = data.draw(st.booleans())
+    if add_stray:
         stray = data.draw(st.sampled_from(spaces[j].columns))
         w = w + Polynomial([(stray, data.draw(coefficient.filter(bool)))])
     u1, u2 = data.draw(st.lists(st.sampled_from(cx.vertices), min_size=2,
@@ -518,8 +529,54 @@ def test_fused_transport_agrees_with_derived_stress(half, seed, data):
     assert fused == {m.exps: c * mult for m, c in derived.terms.items()}
     rows = [{v: f.coefficient(v) for v in cx.ground_set} for f in seq]
     want = brute_is_stress(cx.facets, rows, fused)
-    assert is_integer_stress(cx, seq, fused) == want
     assert is_stress(cx, seq, derived) == want
+    if not add_stray:
+        assert claims_module._on_faces(cx, fused) == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(half=cs_facet_halves(), seed=st.integers(0, 99), ones=st.booleans())
+def test_parity_forms_kill_every_transport_of_a_stress(half, seed, ones):
+    # why verify_thm35 tests supports only: with antisymmetric forms,
+    # the last maybe all-ones, every form kills x_a + x_-a - x_b - x_-b,
+    # so no derivative of a transported basis stress is left
+    cx = SimplicialComplex.from_facets(
+        half + [[-v for v in f] for f in half], expect_cs=True
+    )
+    forms = list(special_lsop(cx, seed))
+    if ones:
+        forms[-1] = LinearForm.all_ones(sorted(cx.ground_set))
+    seq = FormSequence(forms, "custom")
+    _, spaces = stress_table(cx, seq, cx.dim + 1)
+    for j in range(2, cx.dim + 2):
+        for w in spaces[j].basis:
+            for u1, u2 in itertools.combinations(cx.vertices, 2):
+                t = derived_stress(w, u1, u2)
+                terms = {m.exps: c for m, c in t.terms.items()}
+                assert not any(form_derivative(f.coeffs, terms)
+                               for f in seq), (j, u1, u2)
+
+
+def test_a_symmetric_form_that_is_not_all_ones_can_survive_a_transport(
+        octahedron):
+    # theta = y_1 + 2 y_2 + 3 y_3 has theta(x_1 + x_-1 - x_2 - x_-2) = -2,
+    # so the transport of the stress w along (1, 2), 9 (y_1 - y_2), lies
+    # on faces and is no stress: verify_thm35 refuses such forms
+    x1, x2 = (LinearForm({k: 1, -k: -1}) for k in (1, 2))
+    theta = LinearForm({v: abs(v) for v in (1, -1, 2, -2, 3, -3)})
+    seq = FormSequence([x1, x2, theta], "custom")
+    y1, y2, y3 = pair_sum(1), pair_sum(2), pair_sum(3)
+    squares = Polynomial([(Monomial(((3, 2),)), 4), (Monomial(((-3, 2),)), 4)])
+    w = (y1 * y2).scale(9) - (y1 * y3).scale(6) - (y2 * y3).scale(3) + squares
+    assert is_stress(octahedron, seq, w)
+    t = derived_stress(w, 1, 2)
+    assert t == (y1 - y2).scale(9)
+    terms = {m.exps: c for m, c in t.terms.items()}
+    assert claims_module._on_faces(octahedron, terms)
+    assert form_derivative(theta.coeffs, terms) == {(): -18}
+    assert not is_stress(octahedron, seq, t)
+    with pytest.raises(HypothesisUnmet):
+        verify_thm35(octahedron, stress_table(octahedron, seq, 3), 2)
 
 
 @settings(max_examples=30, deadline=None)

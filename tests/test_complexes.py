@@ -264,14 +264,17 @@ def cs_closure(facets) -> list:
 def test_complex_layer_matches_facet_scan_oracles(facets, extra, probes):
     ground = sorted({v for f in facets for v in f} | set(extra))
     if brute_has_redundant_facet(facets):
-        with pytest.raises(RedundantFacet):
+        # named: the first facet, in sorted order, inside another, and the
+        # first facet holding it
+        fs = sorted({face(f) for f in facets})
+        small, big = next((f, g) for f in fs for g in fs if set(f) < set(g))
+        with pytest.raises(RedundantFacet) as raised:
             SimplicialComplex(facets, ground_set=ground)
+        assert str(raised.value) == f"facet {small} is contained in facet {big}"
         return
     cx = SimplicialComplex(facets, ground_set=ground)
     assert cx.cs == brute_is_cs(facets, ground)
-    assert cx.face_counts() == dict(Counter(
-        map(len, brute_faces([set(f) for f in facets]))
-    ))
+    assert cx.face_counts() == dict(Counter(map(len, brute_faces(facets))))
     for tau in probes + [[]] + [list(reversed(f)) * 2 for f in facets]:
         assert cx.contains(tau) == brute_contains(facets, tau), tau
 
@@ -339,6 +342,26 @@ def test_face_counts_of_many_vertices_read_each_vertex_star_only():
     counts = cx.face_counts()
     assert time.process_time() - start < 2
     assert counts == {0: 1, 1: 2 * m + 2, 2: 6 * m, 3: 4 * m}
+
+
+def test_redundancy_check_reads_each_small_facet_against_its_rarest_vertex():
+    # a cs 6000-gon plus 100 isolated vertices, so not pure: each isolated
+    # vertex is tested against the one facet through it.  A membership
+    # test of each small facet plus each vertex, on masks as wide as the
+    # complex, took 1.4 s
+    m = 3000
+    edges = [(k, k + 1) for k in range(1, m)] + [(m, -1)]
+    edges += [(-a, -b) for a, b in edges]
+    facets = edges + [(v,) for k in range(m + 1, m + 51) for v in (k, -k)]
+    start = time.process_time()
+    cx = SimplicialComplex(facets)
+    assert time.process_time() - start < 0.3
+    assert cx.cs and not cx.is_pure()
+    assert cx.face_counts() == {0: 1, 1: 2 * m + 100, 2: 2 * m}
+    # the empty facet lies in every other: the first is named
+    with pytest.raises(RedundantFacet,
+                       match=r"^facet \(\) is contained in facet \(-3050,\)$"):
+        SimplicialComplex(facets + [()])
 
 
 def test_fhg_vectors_are_read_only_values():

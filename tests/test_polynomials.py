@@ -276,7 +276,7 @@ def test_delta_monomials_match_the_face_oracle_in_order(facets):
     # face membership and sorted by key; faces may hold {v, -v}
     assume(not brute_has_redundant_facet(facets))
     cx = SimplicialComplex(facets)
-    faces = brute_faces([set(f) for f in facets])
+    faces = brute_faces(facets)
     for i in range(5):
         expected = sorted(map(Monomial, _face_monomials(faces, i)),
                           key=Monomial.sort_key)
