@@ -22,9 +22,11 @@ from .complexes import (
 )
 from .engine import (
     canonical_forms,
+    certify_dims,
     certify_zero,
     full_terms,
     generic_lsop,
+    on_faces,
     orbit_family,
     reduced_polynomial,
     restrict_stress_space,
@@ -238,26 +240,26 @@ def linear_table(cx: SimplicialComplex, seed: int):
     """Table of a sampled l.s.o.p., special when cx is cs, degrees 0..d,
     refused before any form is sampled when its top degree is too large.
 
-    Its readers solve every block of degrees 1..d, so only a minus block
-    0 mod p of a cs complex is fixed, at 0 (`certify_zero`).
+    On a cs complex the readers (Lem3.2-3.4, `--basis`) solve every block
+    of degrees 1..d, so only a minus block 0 mod p is fixed, at 0
+    (`certify_zero`).  Otherwise the dimensions are certified mod a prime
+    when cx is Cohen-Macaulay: by graded Nakayama the dim Stress_i, those
+    of K[cx]/(Theta), sum to at least the rank f_{d-1} of K[cx] over the
+    ring of Theta, with equality exactly when cx is CM (Stanley,
+    Combinatorics and Commutative Algebra, I.5, III.2).
     """
     seq = _sampled_lsop(cx, seed)
     table = stress_table(cx, seq, cx.dim + 1)
     if cx.cs:
         for s in table[1]:
             certify_zero(s.blocks[1])
+    else:
+        certify_dims(table[1], cx.fhg_vectors().f[-1])
     return table
 
 
 def linear_dims(cx: SimplicialComplex, seed: int):
-    """`linear_table` for dimensions only, one degree held at a time.
-
-    The dimensions are certified mod a prime when cx is Cohen-Macaulay:
-    by graded Nakayama the dim Stress_i, those of K[cx]/(Theta), sum to
-    at least the rank f_{d-1} of K[cx] over the ring of Theta, with
-    equality exactly when cx is CM (Stanley, Combinatorics and
-    Commutative Algebra, I.5, III.2).
-    """
+    """`linear_table` for dimensions only, one degree held at a time."""
     seq = _sampled_lsop(cx, seed)
     return seq, stress_dims(cx, seq, cx.dim + 1, cx.fhg_vectors().f[-1])
 
@@ -657,16 +659,11 @@ def _transported(terms, sign, u1, u2) -> dict:
     return _accumulate(pairs)
 
 
-def _on_faces(cx, terms) -> bool:
-    """Does every monomial of the terms {exps: c} lie on a face of cx?"""
-    return all(cx.contains(v for v, _ in exps) for exps in terms)
-
-
 def _thm35_step(cx, spaces, j):
     """(cross-polytope subcomplexes found, or None when Stress_j = 0;
     transported pairs; failures) of degree j, one above an all-symmetric
     degree.  The transport is linear, so it runs on the integer multiples
-    of the basis vectors, and `_on_faces` tests it once cancelled terms
+    of the basis vectors, and `on_faces` tests it once cancelled terms
     are gone; a failure's witness is `derived_stress` of the reduced
     vector.  For w of parity s the transport along sigma e is s sigma
     that along e, and sigma keeps faces: one test serves both edges."""
@@ -693,7 +690,7 @@ def _thm35_step(cx, spaces, j):
                 transported += 1
                 held = tested.get((-u2, -u1)) if sign else None
                 if held is None:
-                    held = tested[u1, u2] = _on_faces(
+                    held = tested[u1, u2] = on_faces(
                         cx, _transported(terms, sign, u1, u2))
                 if not held:
                     failures.append(
@@ -984,9 +981,7 @@ def instance_reports(inst: CorpusInstance, seed: int) -> list[VerificationReport
     """All applicable claim records for one corpus instance."""
     cx = inst.complex
     name = inst.name
-    table = None
-    if cx.is_pure():  # a complex that is not cs reads dimensions only
-        table = (linear_table if cx.cs else linear_dims)(cx, seed)
+    table = linear_table(cx, seed) if cx.is_pure() else None
     out = []
     if inst.expected:
         out.append(_expect_report(inst, table))

@@ -11,11 +11,12 @@ matrix into a symmetric (plus) and an antisymmetric (minus) block; their
 dimensions carry the face-number content.  Both are assembled, and their
 kernels held, on one monomial of each orbit {m, sigma m}.  A block is
 solved, into primitive integer kernel vectors, only when its kernel or
-dimension is read; `stress_dims` takes a table's dimensions from ranks
-mod a prime when a lower bound proves them exact, so a caller that needs
-only dimensions may solve nothing.  `is_stress` tests membership on the
-equations and solves nothing.  Stresses are local, so the stresses of a
-subcomplex are computed on the subcomplex itself.
+dimension is read; `certify_dims` and `stress_dims` take a table's
+dimensions from ranks mod a prime when a lower bound proves them exact,
+so a caller that needs only dimensions may solve nothing.  `is_stress`
+tests membership on the equations and solves nothing.  Stresses are
+local, so the stresses of a subcomplex are computed on the subcomplex
+itself.
 """
 
 from __future__ import annotations
@@ -500,6 +501,17 @@ def _certified(dims_mod, floor: int):
     return None
 
 
+def certify_dims(spaces, floor: int) -> bool:
+    """Fix the block dimensions of `spaces` from ranks mod p that
+    `_certified` accepts; return whether it did."""
+    dims = _certified(lambda p: [[len(b.columns) - rank_mod(b.matrix, p)
+                                  for b in s.blocks] for s in spaces], floor)
+    for s, known in zip(spaces, dims or ()):
+        for b, k in zip(s.blocks, known):
+            b.known = k
+    return dims is not None
+
+
 def certify_zero(block) -> None:
     """Fix a new `block` at 0 if its rank mod PRIMES[0] leaves no kernel,
     the exact kernel being no larger."""
@@ -555,12 +567,17 @@ def _has_parity_split(cx: SimplicialComplex, forms) -> bool:
     return cx.cs and all(f.parity in ("minus", "plus") for f in forms)
 
 
+def on_faces(cx: SimplicialComplex, exps) -> bool:
+    """Does every monomial, given by its exponent tuple, lie on a face?"""
+    return all(cx.contains(v for v, _ in e) for e in exps)
+
+
 def is_stress(cx: SimplicialComplex, forms, w: Polynomial) -> bool:
     """True if every term of w sits on a face and all form derivatives kill
     w.  The test is homogeneous in w, so it runs on w scaled to integers,
     and the derivatives are taken along the integer rows of
     `echelon_rows`, which span the forms."""
-    if not all(cx.contains(v for v, _ in m.exps) for m in w.terms):
+    if not on_faces(cx, (m.exps for m in w.terms)):
         return False
     mult = lcm(*(c.denominator for c in w.terms.values()))
     # vertex -> (k, coefficient) of the rows holding it; an echelon row

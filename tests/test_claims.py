@@ -7,7 +7,7 @@ from math import comb, lcm
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from csstress import (
@@ -50,6 +50,7 @@ from csstress.engine import (
     PRIMES,
     full_terms,
     integer_family,
+    on_faces,
     orbit_family,
 )
 from csstress.exactla import rank_mod
@@ -468,7 +469,7 @@ def test_thm35_fails_when_a_derived_polynomial_is_no_stress(octahedron,
     seq, spaces = linear_table(octahedron, 1)
     # a support test that holds none of the derived polynomials; only
     # degree 3 transports, into degree 2
-    monkeypatch.setattr(claims_module, "_on_faces", lambda cx, terms: False)
+    monkeypatch.setattr(claims_module, "on_faces", lambda cx, exps: False)
     r = verify_thm35(octahedron, (seq, spaces), 2)
     assert r.verdict == "fail"
     assert r.computed["transported"] == 12
@@ -477,13 +478,35 @@ def test_thm35_fails_when_a_derived_polynomial_is_no_stress(octahedron,
         "derived polynomial is not a stress"}
 
 
+def test_thm35_fails_on_a_transport_off_the_faces(octahedron):
+    # a stand-in degree-3 block whose one kernel vector is the face
+    # monomial x_1^2 x_2, no stress: along its one edge (1, 2) it is
+    # carried to 2 x_1 (x_1 + x_-1 - x_2 - x_-2), off the faces at
+    # x_1 x_-1, and the unstubbed support test refuses it
+    seq, spaces = linear_table(octahedron, 1)
+    m = Monomial(((1, 2), (2, 1)))
+    block = SimpleNamespace(columns=[m], sign=0, vectors=((0, {0: 1}),))
+    empty = SimpleNamespace(columns=(), sign=0, vectors=())
+    stand_in = SimpleNamespace(blocks=(block, empty), dim=1, minus_dim=0)
+    r = verify_thm35(octahedron, (seq, spaces[:3] + (stand_in,)), 2)
+    assert r.verdict == "fail"
+    assert r.computed["transported"] == 1
+    assert r.witness == [{
+        "degree": 3, "edge": [1, 2], "reason":
+        "derived polynomial is not a stress",
+        "witness": derived_stress(Polynomial([(m, 1)]), 1, 2).text()}]
+
+
 def test_support_test_reads_every_monomial(octahedron):
-    on_faces = claims_module._on_faces
-    assert on_faces(octahedron, {})
-    assert on_faces(octahedron, {((1, 2), (2, 1)): 3, ((-3, 1),): -1})
+    assert on_faces(octahedron, [])
+    assert on_faces(octahedron, [((1, 2), (2, 1)), ((-3, 1),)])
     # {1, -1} is no face
-    assert not on_faces(octahedron, {((1, 2), (2, 1)): 3,
-                                     ((1, 1), (-1, 1)): 1})
+    assert not on_faces(octahedron, [((1, 2), (2, 1)), ((1, 1), (-1, 1))])
+    # the face monomial x_1^2 x_2, no stress, is carried along (1, 2) to
+    # 2 x_1 (x_1 + x_-1 - x_2 - x_-2), off the faces at x_1 x_-1
+    t = claims_module._transported({((1, 2), (2, 1)): 1}, 0, 1, 2)
+    assert t[(1, 1), (-1, 1)] == 2
+    assert not on_faces(octahedron, t)
 
 
 def test_thm35_transports_each_degree_once(corpus_by_name, monkeypatch):
@@ -500,28 +523,36 @@ def test_thm35_transports_each_degree_once(corpus_by_name, monkeypatch):
 
 
 @settings(max_examples=40, deadline=None)
-@given(half=cs_facet_halves(), seed=st.integers(0, 99), data=st.data())
+@given(half=cs_facet_halves().filter(lambda h: len(h[0]) > 1),
+       seed=st.integers(0, 99), data=st.data())
 def test_fused_transport_agrees_with_derived_stress(half, seed, data):
-    # a rational combination of degree-j stresses, maybe plus one stray
-    # face monomial, carried along a vertex pair: the integer transport
-    # is derived_stress scaled to integers, and is_stress decides it as
-    # the dense oracle does; without the stray monomial the support test
-    # of verify_thm35 decides it too
+    # a rational combination of degree-j stresses, j >= 2, maybe plus one
+    # stray face monomial (always when Stress_j = 0), carried along two
+    # vertices of one of its monomials (the stray one if any), so the
+    # transport is seldom empty and, with a stray monomial, often off the
+    # faces: the integer transport is derived_stress scaled to integers,
+    # and is_stress decides it as the dense oracle does.  The support
+    # test of verify_thm35 reads the faces as a facet scan does, and on
+    # a stress's transport it decides as the dense oracle does
     cx = SimplicialComplex.from_facets(
         half + [[-v for v in f] for f in half], expect_cs=True
     )
     seq, spaces = linear_table(cx, seed)
-    j = data.draw(st.integers(1, cx.dim + 1))
+    j = data.draw(st.integers(2, cx.dim + 1))
     coefficient = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
     w = Polynomial.zero()
     for b in spaces[j].basis:
         w = w + b.scale(data.draw(coefficient))
-    add_stray = data.draw(st.booleans())
-    if add_stray:
-        stray = data.draw(st.sampled_from(spaces[j].columns))
+    stray = None
+    if not spaces[j].dim or data.draw(st.booleans()):
+        stray = data.draw(st.sampled_from(
+            [m for m in spaces[j].columns if len(m.exps) > 1]
+            or spaces[j].columns))
         w = w + Polynomial([(stray, data.draw(coefficient.filter(bool)))])
-    u1, u2 = data.draw(st.lists(st.sampled_from(cx.vertices), min_size=2,
-                                max_size=2, unique=True))
+    near = [[v for v, _ in m.exps] for m in ([stray] if stray else w.terms)]
+    near = [vs for vs in near if len(vs) > 1] or [cx.vertices]
+    u1, u2 = data.draw(st.sampled_from(near).flatmap(lambda vs: st.lists(
+        st.sampled_from(vs), min_size=2, max_size=2, unique=True)))
     mult = lcm(*(c.denominator for c in w.terms.values()))
     terms = {m.exps: int(c * mult) for m, c in w.terms.items()}
     fused = claims_module._transported(terms, 0, u1, u2)
@@ -530,8 +561,13 @@ def test_fused_transport_agrees_with_derived_stress(half, seed, data):
     rows = [{v: f.coefficient(v) for v in cx.ground_set} for f in seq]
     want = brute_is_stress(cx.facets, rows, fused)
     assert is_stress(cx, seq, derived) == want
-    if not add_stray:
-        assert claims_module._on_faces(cx, fused) == want
+    held = on_faces(cx, fused)
+    event(f"transport {'empty' if not fused else 'nonempty'}, "
+          f"on faces: {held}")
+    assert held == all(any({v for v, _ in exps} <= set(f) for f in cx.facets)
+                       for exps in fused)
+    if stray is None:
+        assert held == want
 
 
 @settings(max_examples=30, deadline=None)
@@ -572,7 +608,7 @@ def test_a_symmetric_form_that_is_not_all_ones_can_survive_a_transport(
     t = derived_stress(w, 1, 2)
     assert t == (y1 - y2).scale(9)
     terms = {m.exps: c for m, c in t.terms.items()}
-    assert claims_module._on_faces(octahedron, terms)
+    assert on_faces(octahedron, terms)
     assert form_derivative(theta.coeffs, terms) == {(): -18}
     assert not is_stress(octahedron, seq, t)
     with pytest.raises(HypothesisUnmet):

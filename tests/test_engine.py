@@ -38,8 +38,9 @@ from csstress import (
     stress_space,
     vanishing_stress_space,
 )
-from csstress.claims import linear_table
+from csstress.claims import linear_table, stress_table
 from csstress.engine import (
+    certify_dims,
     echelon_rows,
     full_terms,
     integer_family,
@@ -353,47 +354,57 @@ def test_parity_blocks_match_dense_oracle(cx, seed):
                 assert not space.contains(w + lone)
 
 
+@settings(max_examples=40, deadline=None)
+@given(cx=st.one_of(CS_COMPLEXES, PURE_COMPLEXES), seed=st.integers(0, 99))
+def test_certified_dims_are_exact(cx, seed):
+    seq = sampled_lsop(cx, seed)
+    d = cx.dim + 1
+    facets = cx.fhg_vectors().f[-1]
+    _, spaces = stress_table(cx, seq, d)
+    certified = certify_dims(spaces, facets)
+    with mock.patch.object(engine_module, "int_nullspace",
+                           wraps=engine_module.int_nullspace) as solve:
+        fast = [(s.dim, s.plus_dim, s.minus_dim) for s in spaces]
+    exact = [stress_space(cx, seq, i) for i in range(d + 1)]
+    # the sum of the exact dims is f_{d-1} exactly when cx is CM
+    assert certified == (sum(s.dim for s in exact) == facets)
+    if not certified:
+        return
+    assert solve.call_count == 0
+    rows = coeff_rows(list(seq), cx.ground_set)
+    for i, s in enumerate(exact):
+        assert fast[i] == (s.dim, s.plus_dim, s.minus_dim), i
+        assert s.dim == brute_stress_dim(cx.facets, rows, i), i
+
+
 def streamed_and_exact_dims(cx, seq, primes):
     """Per degree 0..d, the block dims of `stress_dims` with PRIMES
-    patched to `primes`, and those of fresh spaces solved exactly; and
-    whether `stress_dims` certified its dims, solving no block."""
+    patched to `primes`, and those of fresh spaces solved exactly."""
     d = cx.dim + 1
-    with mock.patch.object(engine_module, "PRIMES", primes), \
-            mock.patch.object(engine_module, "int_nullspace",
-                              wraps=engine_module.int_nullspace) as solve:
+    with mock.patch.object(engine_module, "PRIMES", primes):
         streamed = stress_dims(cx, seq, d, cx.fhg_vectors().f[-1])
     exact = [[b.dim for b in stress_space(cx, seq, i).blocks]
              for i in range(d + 1)]
-    return ([[b.dim for b in s.blocks] for s in streamed], exact,
-            solve.call_count == 0)
+    return [[b.dim for b in s.blocks] for s in streamed], exact
 
 
 @settings(max_examples=40, deadline=None)
 @given(cx=st.one_of(CS_COMPLEXES, PURE_COMPLEXES), seed=st.integers(0, 99),
-       primes=st.sampled_from([(3,), (3, *engine_module.PRIMES)]))
+       primes=st.sampled_from([(3,), (3, engine_module.PRIMES[0])]))
 def test_streamed_dims_are_the_exact_block_dims(cx, seed, primes):
-    # mod 3 ranks often drop, so both a later prime and the exact
-    # fallback are taken; the dims are certified, and no block solved,
-    # exactly when cx is CM: when the exact dims sum to f_{d-1}
-    seq = sampled_lsop(cx, seed)
-    streamed, exact, certified = streamed_and_exact_dims(cx, seq, primes)
+    # mod 3 ranks often drop, so both the second prime and the exact
+    # fallback are taken; a non-CM complex always falls back
+    streamed, exact = streamed_and_exact_dims(cx, sampled_lsop(cx, seed),
+                                              primes)
     assert streamed == exact
-    cm = sum(map(sum, exact)) == cx.fhg_vectors().f[-1]
-    assert cm or not certified
-    if primes != (3,):
-        assert certified == cm
-    if certified:
-        rows = coeff_rows(list(seq), cx.ground_set)
-        for i, dims in enumerate(exact):
-            assert sum(dims) == brute_stress_dim(cx.facets, rows, i), i
 
 
 @pytest.mark.parametrize("primes", [(3,), (3, engine_module.PRIMES[0])])
 @pytest.mark.parametrize("name", ["noncm_edges", "crosspoly_d4"])
 def test_streamed_dims_of_corpus_complexes(corpus_by_name, name, primes):
     cx = corpus_by_name[name].complex
-    streamed, exact, _ = streamed_and_exact_dims(cx, sampled_lsop(cx, 1),
-                                                 primes)
+    streamed, exact = streamed_and_exact_dims(cx, sampled_lsop(cx, 1),
+                                              primes)
     assert streamed == exact
 
 
