@@ -951,8 +951,8 @@ def _lemma31_suite(cx, table, instance) -> VerificationReport:
         block = spaces[i].blocks[0]
         vectors, sign = block.vectors, block.sign
         near = []
-        for m in block.columns:
-            sigma = m.support
+        for exps in block.columns:
+            sigma = tuple(sorted(v for v, _ in exps))
             if sigma not in reach:
                 reach[sigma] = {v for v in vertices
                                 if cx.contains(sigma + (v,))}

@@ -2,13 +2,17 @@
 the verification suite, and generate the built-in instance families.
 
 Exit codes: 0 success, 1 at least one claim failed, 2 input error,
-3 engine error (no l.s.o.p. found within the retry budget).
+3 engine error (no l.s.o.p. found within the retry budget), 141 stdout
+closed before all output was written, as by `| head -1`: the rest is
+dropped and nothing goes to stderr (128 + SIGPIPE, the status a shell
+reports for a writer that signal ends).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -27,6 +31,7 @@ from .polynomials import monomial_count
 from .polytopes import bipyramid, cross_polytope, polygon, polytope_to_json_obj
 
 DEFAULT_SEED = 1
+EXIT_CLOSED_PIPE = 141
 
 
 def _read_text(path: str) -> str:
@@ -273,17 +278,28 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "info":
-            return cmd_info(args.input, args.format)
-        if args.command == "stress":
-            return cmd_stress(args.input, args.seed, args.affine,
+            code = cmd_info(args.input, args.format)
+        elif args.command == "stress":
+            code = cmd_stress(args.input, args.seed, args.affine,
                               args.degree, args.max_degree, args.basis,
                               args.format)
-        if args.command == "verify":
-            return cmd_verify(args.inputs, args.seed, args.claims,
+        elif args.command == "verify":
+            code = cmd_verify(args.inputs, args.seed, args.claims,
                               args.format)
-        if args.command == "generate":
-            return cmd_generate(args.family, args.d, args.m, args.out)
-        raise InputError(f"unknown command {args.command!r}")
+        elif args.command == "generate":
+            code = cmd_generate(args.family, args.d, args.m, args.out)
+        else:
+            raise InputError(f"unknown command {args.command!r}")
+        # a closed pipe shows here, not in the flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # point stdout at /dev/null, so that the flush at exit, which
+        # still holds the unwritten output, cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_PIPE
     except LsopNotFound as e:
         print(f"engine error: {e} (attempts: {e.attempts})",
               file=sys.stderr)

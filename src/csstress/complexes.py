@@ -138,6 +138,12 @@ class SimplicialComplex:
     def from_facets(cls, facets, expect_cs=False, ground_set=None):
         cx = cls(facets, ground_set=ground_set)
         if expect_cs and not cx.cs:
+            labels = set(cx.ground_set)
+            lone = next((v for v in cx.ground_set if -v not in labels), None)
+            if lone is not None:
+                raise CsViolation(
+                    f"ground-set label {lone} has no antipode {-lone}"
+                )
             raise CsViolation(
                 "facets do not define a free involution under v -> -v"
             )

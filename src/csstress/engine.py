@@ -34,11 +34,12 @@ from .errors import (
     NotSimplicial,
     NotSubcomplex,
 )
-from .exactla import _rank_mod, int_nullspace, int_rank, int_rref, rank_mod
+from .exactla import _int_nullspace, _rank_mod, int_rank, int_rref, rank_mod
 from .polynomials import (
     LinearForm,
     Monomial,
     Polynomial,
+    delta_exps,
     delta_monomials,
     exps_partials,
     negated_exps,
@@ -103,13 +104,15 @@ class FormSequence:
 class _Block:
     """One kernel block of the constraint matrix, solved on first read.
 
-    `matrix` holds one integer vector {row: value} per monomial m of
-    `columns`, which with `sign` s = +1 or -1 is an orbit representative
-    standing for m + s sigma m.  Ranks mod p are taken over these
-    columns, as rank A = rank A^T and the blocks are taller than wide.
-    `known` is the exact kernel dimension once known; the matrix is
-    dropped once the kernel exists, and a block known to be 0 is never
-    solved.
+    `columns` holds the `exps` of monomials m, which with `sign` s = +1
+    or -1 are orbit representatives standing for m + s sigma m, and
+    `matrix` one integer vector {row: value} per column.  Ranks mod p
+    are taken over these columns, as rank A = rank A^T and the blocks
+    are taller than wide.  `known` is the exact kernel dimension once
+    known.  The block is held once: the solve takes the matrix over,
+    dropping each column as it files its entries under their rows, and
+    the kernel routine scales and eliminates those rows in place.  A
+    block known to be 0 is never solved.
     """
 
     __slots__ = ("columns", "matrix", "sign", "known", "_vectors",
@@ -136,18 +139,20 @@ class _Block:
         pivot column and 0 at every other pivot."""
         if self._vectors is None:
             self._vectors = self._solve()
-            self.matrix = None
         return self._vectors
 
     def _solve(self) -> tuple:
+        matrix, self.matrix = self.matrix, None
         if self.known == 0:
             return ()
         # the kernel does not depend on the row order
         rows: dict = {}
-        for b, column in enumerate(self.matrix):
+        for b, column in enumerate(matrix):
+            matrix[b] = None
             for r, x in column.items():
                 rows.setdefault(r, {})[b] = x
-        return tuple(int_nullspace(list(rows.values()), len(self.columns)))
+        rows = list(rows.values())
+        return tuple(_int_nullspace(rows, len(self.columns)))
 
     def polynomials(self) -> list[Polynomial]:
         """The reduced basis as polynomials, in a new list on every call."""
@@ -161,7 +166,7 @@ def orbit_family(block) -> list:
     """The kernel of a stress block as pairs (pivot exps, {exps: int})
     over its columns."""
     cols = block.columns
-    return [(cols[p].exps, {cols[j].exps: x for j, x in vec.items()})
+    return [(cols[p], {cols[j]: x for j, x in vec.items()})
             for p, vec in block.vectors]
 
 
@@ -217,7 +222,8 @@ class StressSpace:
         # a split space holds representatives only: walk again
         if self.blocks[0].sign:
             return tuple(delta_monomials(self.complex, self.degree))
-        return self.blocks[0].columns
+        return tuple(Monomial._canonical(exps, self.degree)
+                     for exps in self.blocks[0].columns)
 
     def _part(self, k):
         return self.blocks[k] if len(self.blocks) == 2 else None
@@ -402,7 +408,7 @@ def stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:
 
     With one, sigma permutes the columns, freely but for the degree-0
     monomial 1, and the rows likewise; an orbit's representative is its
-    monomial whose first vertex is positive (`delta_monomials`).  A form of
+    monomial whose first vertex is positive (`delta_exps`).  A form of
     parity e_k (+1 or -1) has D[(k, sigma mu), sigma m] = e_k D[(k, mu),
     m], so on a vector of parity s row (k, sigma mu) is s e_k times row
     (k, mu).  The block of parity s thus has one column m + s sigma m per
@@ -412,33 +418,37 @@ def stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:
     mu = sigma mu.  The fixed monomial 1 is a symmetric column only, with
     no entries.  Both blocks are built in one pass, and their kernels are
     held over the representatives.  Nothing is solved here.
+
+    A column is held as its exponent tuple.  Each row orbit keeps one
+    tuple of row indices, and each entry e * weight is made once per
+    vertex and exponent (`_entry_weights`), so the blocks' dicts share
+    their keys and values instead of holding two new ints per entry.
     """
     if i < 0:
         raise ValueError("degree must be nonnegative")
     # a FormSequence keeps its echelon rows
     form_list = forms if isinstance(forms, FormSequence) else list(forms)
     split = _has_parity_split(cx, form_list)
-    columns = tuple(delta_monomials(cx, i, split))
+    columns = tuple(delta_exps(cx, i, split))
     echelon = echelon_rows(form_list)
     nforms = len(echelon)
     scaled = [coeffs for _, coeffs in echelon]
     if split:
         parity = [1 if e == "plus" else -1 for e, _ in echelon]
-        rep_weights = _entry_weights(cx, scaled, [(1, 1)] * nforms)
+        rep_weights = _entry_weights(cx, scaled, [(1, 1)] * nforms, i)
         mirror_weights = _entry_weights(cx, scaled,
-                                        [(e, -e) for e in parity])
+                                        [(e, -e) for e in parity], i)
         fixed_weights = _entry_weights(cx, scaled,
-                                       [(1 + e, 1 - e) for e in parity])
+                                       [(1 + e, 1 - e) for e in parity], i)
     else:
         # every row is its own orbit, a fixed one, and no entry reaches
         # a second block
-        fixed_weights = _entry_weights(cx, scaled, [(1, 0)] * nforms)
-    # representative lower monomial exps -> first of its orbit's rows
+        fixed_weights = _entry_weights(cx, scaled, [(1, 0)] * nforms, i)
+    # representative lower monomial exps -> its orbit's row indices
     orbits: dict = {}
     row_count = 0
     plus_matrix, minus_matrix = [], []
-    for m in columns:
-        exps = m.exps
+    for exps in columns:
         plus, minus = {}, {}
         # the m / x_v for distinct v lie in distinct row orbits, their
         # supports being faces of supp m, which meets its mirror in no
@@ -451,15 +461,16 @@ def stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:
             else:  # a face holds no x_k beside x_-k: the order stays
                 lower = tuple([(-u, x) for u, x in lower])
                 weights = mirror_weights
-            first = orbits.get(lower)
-            if first is None:
-                first = orbits[lower] = row_count
+            rows = orbits.get(lower)
+            if rows is None:
+                rows = orbits[lower] = tuple(
+                    range(row_count, row_count + nforms))
                 row_count += nforms
-            to_plus, to_minus = weights[v]
-            for k, w in to_plus:
-                plus[first + k] = e * w
-            for k, w in to_minus:
-                minus[first + k] = e * w
+            to_plus, to_minus = weights[v][e]
+            for k, x in to_plus:
+                plus[rows[k]] = x
+            for k, x in to_minus:
+                minus[rows[k]] = x
         plus_matrix.append(plus)
         if split and exps:
             minus_matrix.append(minus)
@@ -469,19 +480,20 @@ def stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:
     return StressSpace(cx, forms, i, blocks)
 
 
-def _entry_weights(cx, scaled, factors) -> dict:
-    """Per vertex v, the nonzero (k, weight) pairs, for the symmetric and
-    for the antisymmetric block, that an entry from x_v^e sends there:
-    the scaled coefficient of x_v in form k times factors[k], the factor
-    pair of `stress_space` for one kind of row."""
+def _entry_weights(cx, scaled, factors, top) -> dict:
+    """Per vertex v and exponent e <= top, the nonzero (k, entry) pairs,
+    for the symmetric and for the antisymmetric block, that x_v^e sends
+    there: e times the scaled coefficient of x_v in form k times
+    factors[k], the factor pair of `stress_space` for one kind of row.
+    Each entry is made here once, and every column shares it."""
     table = {}
     for v in cx.ground_set:
         terms = [(k, coeffs.get(v, 0), f)
                  for k, (coeffs, f) in enumerate(zip(scaled, factors))]
-        table[v] = (
-            [(k, c * fp) for k, c, (fp, _) in terms if c * fp],
-            [(k, c * fm) for k, c, (_, fm) in terms if c * fm],
-        )
+        table[v] = [(
+            [(k, e * c * fp) for k, c, (fp, _) in terms if c * fp],
+            [(k, e * c * fm) for k, c, (_, fm) in terms if c * fm],
+        ) for e in range(top + 1)]
     return table
 
 

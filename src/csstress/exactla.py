@@ -12,7 +12,9 @@ Over Q the update is fraction-free.  `int_rank`, `int_rref` and
 `int_nullspace` take rows with integer or rational values and scale
 copies of them to coprime integers; updates cross-multiply and remove the
 common factor, so no rational division happens at all, and a kernel comes
-back as primitive integer vectors.
+back as primitive integer vectors.  `_int_nullspace` scales and
+eliminates the rows of a list it takes over, so a caller that builds the
+rows for one solve holds them only once.
 
 `rank_mod` works over GF(p) on residue copies of the rows, `_rank_mod`
 on the rows of a list it takes over.  Entries stay below p, so this
@@ -32,17 +34,18 @@ from math import gcd, lcm
 
 def _integer_rows(rows) -> list[dict[int, int]]:
     """Copies of rows, dicts {column: rational}, scaled to coprime
-    integers.  A row of `int` entries, as every assembled row is, has no
-    denominator to clear and is only copied."""
-    out = []
-    for row in rows:
-        if all(type(v) is int for v in row.values()):
-            copy = dict(row)
-        else:
-            mult = lcm(*(v.denominator for v in row.values()))
-            copy = {c: int(v * mult) for c, v in row.items()}
-        out.append(_gcd_normalize(copy))
-    return out
+    integers."""
+    return [_scaled(dict(row)) for row in rows]
+
+
+def _scaled(row: dict) -> dict[int, int]:
+    """row, a dict {column: rational}, scaled to coprime integers.  A row
+    of `int` entries, as every assembled row is, has no denominator to
+    clear and is divided in place; any other is scaled in a copy."""
+    if not all(type(v) is int for v in row.values()):
+        mult = lcm(*(v.denominator for v in row.values()))
+        row = {c: int(v * mult) for c, v in row.items()}
+    return _gcd_normalize(row)
 
 
 def _gcd_normalize(row: dict[int, int]) -> dict[int, int]:
@@ -175,8 +178,18 @@ def int_nullspace(rows, ncols: int) -> list[tuple[int, dict[int, int]]]:
     at the pivot c of each row, times the lcm of its denominators:
     primitive, as some denominator holds each prime's full power in the
     lcm.  `rows` is not modified."""
-    pivots = _back_substitute(
-        _forward_eliminate(_integer_rows(rows), _eliminate))
+    return _int_nullspace([dict(row) for row in rows], ncols)
+
+
+def _int_nullspace(rows: list, ncols: int) -> list:
+    """`int_nullspace` of a list it takes over, with its rows: each is
+    scaled and eliminated in place, and the list is emptied once the
+    pivots are found."""
+    for n, row in enumerate(rows):
+        rows[n] = _scaled(row)
+    pivots = _forward_eliminate(rows, _eliminate)
+    rows.clear()
+    _back_substitute(pivots)
     taken = {c for c, _ in pivots}
     # a reduced row holds its pivot column and free columns only
     holding = {f: [] for f in range(ncols) if f not in taken}

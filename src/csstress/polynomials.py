@@ -357,22 +357,28 @@ def check_monomial_count(cx: SimplicialComplex, i: int) -> None:
 
 def delta_monomials(cx: SimplicialComplex, i: int,
                     representatives=False) -> list[Monomial]:
-    """Degree-i monomials supported on a face of cx, in canonical order:
-    a depth-first walk takes each vertex in that order, then its exponent
-    from high to low, and recurses on the later vertices that extend the
-    face so far, with the degree left.  With `representatives` it starts
-    only at positive vertices, which on a cs complex lists the first of
-    each orbit {m, sigma m}, no face holding x_k and x_{-k}.  The size
-    check counts every monomial."""
+    """`delta_exps` as monomials."""
+    return [Monomial._canonical(exps, i)
+            for exps in delta_exps(cx, i, representatives)]
+
+
+def delta_exps(cx: SimplicialComplex, i: int,
+               representatives=False) -> list[tuple]:
+    """The `exps` of the degree-i monomials supported on a face of cx, in
+    canonical order: a depth-first walk takes each vertex in that order,
+    then its exponent from high to low, and recurses on the later
+    vertices that extend the face so far, with the degree left.  With
+    `representatives` it starts only at positive vertices, which on a cs
+    complex lists the first of each orbit {m, sigma m}, no face holding
+    x_k and x_{-k}.  The size check counts every monomial."""
     if i < 0:
         raise ValueError("degree must be >= 0")
     if i == 0:
-        return [ONE]
+        return [()]
     check_monomial_count(cx, i)
     bit, faces = cx.face_masks()
     out = []
     emit = out.append
-    canonical = Monomial._canonical
 
     def walk(prefix, face, left, later, heads):
         # later: (bit, ((v, 0), ..., (v, i))) per later vertex v whose
@@ -380,7 +386,7 @@ def delta_monomials(cx: SimplicialComplex, i: int,
         # start at
         for n in heads:
             b, powers = later[n]
-            emit(canonical(prefix + (powers[left],), i))
+            emit(prefix + (powers[left],))
             if left > 1:
                 grown = face | b
                 rest = [u for u in later[n + 1:] if grown | u[0] in faces]

@@ -15,7 +15,6 @@ from csstress import (
     LinearForm,
     Monomial,
     Polynomial,
-    SimplicialComplex,
     canonical_forms,
     cross_polytope,
     cross_polytope_boundary,

@@ -272,8 +272,10 @@ def test_lemma31_star_counts_on_representatives_are_the_full_ones(
     seq, spaces = linear_table(cx, 1)
 
     def near(columns):
-        return [{v for v in cx.vertices if cx.contains(m.support + (v,))}
-                for m in columns]
+        # columns as exponent tuples, as a block holds them
+        return [{v for v in cx.vertices
+                 if cx.contains(tuple(u for u, _ in exps) + (v,))}
+                for exps in columns]
 
     for i in range(1, cx.dim + 2):
         block = spaces[i].blocks[0]
@@ -281,7 +283,8 @@ def test_lemma31_star_counts_on_representatives_are_the_full_ones(
         index = {m.exps: j for j, m in enumerate(columns)}
         full = [(index[p], {index[e]: x for e, x in terms.items()})
                 for p, terms in integer_family(block)]
-        on_full, on_reps = near(columns), near(block.columns)
+        on_full = near(m.exps for m in columns)
+        on_reps = near(block.columns)
         for v in cx.vertices:
             want = claims_module._supported_count(
                 full, lambda j: v in on_full[j])
@@ -302,7 +305,8 @@ def test_lemma31_fails_on_a_stand_in_table(octahedron):
     x1, x2, x3 = ([j for j, m in enumerate(columns) if m.support == (v,)][0]
                   for v in (1, 2, 3))
     vectors = ((x2, {x2: 1, x1: 1}), (x3, {x3: 1, x1: 1}))
-    block = SimpleNamespace(columns=columns, sign=0, vectors=vectors)
+    block = SimpleNamespace(columns=[m.exps for m in columns], sign=0,
+                            vectors=vectors)
     stand_in = SimpleNamespace(dim=2, blocks=(block,))
     table = (seq, (spaces[0], stand_in, *spaces[2:]))
     r = claims_module._lemma31_suite(octahedron, table, "oct")
@@ -422,7 +426,7 @@ def test_lemma32_34_fails_with_a_witness(octahedron, part, w, reasons):
     items = w.items()
     pivot = next(j for j, (_, c) in enumerate(items) if c == 1)
     block = SimpleNamespace(
-        columns=[m for m, _ in items], sign=0,
+        columns=[m.exps for m, _ in items], sign=0,
         vectors=((pivot, {j: int(c) for j, (_, c) in enumerate(items)}),),
     )
     blocks = [SimpleNamespace(columns=(), sign=0, vectors=())] * 2
@@ -485,7 +489,8 @@ def test_thm35_fails_on_a_transport_off_the_faces(octahedron):
     # x_1 x_-1, and the unstubbed support test refuses it
     seq, spaces = linear_table(octahedron, 1)
     m = Monomial(((1, 2), (2, 1)))
-    block = SimpleNamespace(columns=[m], sign=0, vectors=((0, {0: 1}),))
+    block = SimpleNamespace(columns=[m.exps], sign=0,
+                            vectors=((0, {0: 1}),))
     empty = SimpleNamespace(columns=(), sign=0, vectors=())
     stand_in = SimpleNamespace(blocks=(block, empty), dim=1, minus_dim=0)
     r = verify_thm35(octahedron, (seq, spaces[:3] + (stand_in,)), 2)
@@ -656,8 +661,8 @@ def test_verify_solves_no_minus_block_that_is_zero_mod_p(corpus_by_name,
     zero = [rank_mod(s.blocks[1].matrix, PRIMES[0])
             == len(s.blocks[1].columns) for s in fresh]
     solved = []
-    real = engine_module.int_nullspace
-    monkeypatch.setattr(engine_module, "int_nullspace",
+    real = engine_module._int_nullspace
+    monkeypatch.setattr(engine_module, "_int_nullspace",
                         lambda rows, ncols: solved.append(ncols)
                         or real(rows, ncols))
     cm_certificate(cx, table)

@@ -126,16 +126,41 @@ def test_stress_degree_and_max_degree_exclude_each_other(capsys, options):
     assert "not allowed with argument" in err
 
 
+def child_env() -> dict:
+    """The environment of a child process that imports this package."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def run_subprocess(*argv, timeout):
     """The CLI in a child process, so that a regression to a slow path
     fails by timeout instead of hanging the suite."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
         [sys.executable, "-m", "csstress.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=timeout,
+        capture_output=True, text=True, env=child_env(), timeout=timeout,
     )
+
+
+@pytest.mark.parametrize("argv", [
+    ["stress", str(CORPUS_DIR / "crosspoly_d3.json"),
+     "--max-degree", "100000"],
+    # four passes over the corpus write about 95 KB, more than a pipe
+    # holds, so the reader closes it before the last write
+    ["verify", *[str(CORPUS_DIR)] * 4, "--format", "json"],
+])
+def test_closed_pipe_exits_without_a_traceback(argv):
+    # as `csstress ... | head -1`: the reader takes one line and closes
+    # the pipe; the rest of the output is dropped, with exit 141
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "csstress.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141, err
+    assert first and err == b""
 
 
 @pytest.mark.parametrize("mode", [[], ["--affine"]])
@@ -295,8 +320,8 @@ def golden_stress_json(name):
 
 def count_nullspace_calls(monkeypatch):
     calls = []
-    real = engine_module.int_nullspace
-    monkeypatch.setattr(engine_module, "int_nullspace",
+    real = engine_module._int_nullspace
+    monkeypatch.setattr(engine_module, "_int_nullspace",
                         lambda rows, ncols: calls.append(rows)
                         or real(rows, ncols))
     return calls
@@ -473,6 +498,16 @@ def test_json_object_with_a_repeated_key_is_input_error(tmp_path, capsys,
     assert out == ""
     assert err == (f"input error: invalid JSON: key {key!r} is repeated in "
                    "one object\n")
+
+
+def test_cs_ground_set_label_without_antipode_is_named(tmp_path, capsys):
+    # the facets are a cs square; the ground set adds 3 but not -3
+    p = tmp_path / "lone.json"
+    p.write_text(json.dumps({"facets": [[1, 2], [2, -1], [-1, -2], [-2, 1]],
+                             "cs": True, "ground_set": [1, -1, 2, -2, 3]}))
+    code, out, err = run(capsys, "info", str(p))
+    assert (code, out) == (2, "")
+    assert err == "input error: ground-set label 3 has no antipode -3\n"
 
 
 @pytest.mark.parametrize("value", ['"false"', '"true"', "0", "1", "null"])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb, gcd
 from unittest import mock
@@ -25,14 +26,12 @@ from csstress import (
     canonical_forms,
     cm_certificate,
     cross_polytope,
-    cross_polytope_boundary,
     delta_monomials,
     generic_lsop,
     is_stress,
     lsop_check,
     negate,
     pair_sum,
-    polygon,
     restrict_stress_space,
     special_lsop,
     stress_space,
@@ -47,6 +46,7 @@ from csstress.engine import (
     orbit_family,
     stress_dims,
 )
+from csstress.polynomials import delta_exps
 from oracles import (
     brute_contains,
     brute_is_stress,
@@ -362,8 +362,8 @@ def test_certified_dims_are_exact(cx, seed):
     facets = cx.fhg_vectors().f[-1]
     _, spaces = stress_table(cx, seq, d)
     certified = certify_dims(spaces, facets)
-    with mock.patch.object(engine_module, "int_nullspace",
-                           wraps=engine_module.int_nullspace) as solve:
+    with mock.patch.object(engine_module, "_int_nullspace",
+                           wraps=engine_module._int_nullspace) as solve:
         fast = [(s.dim, s.plus_dim, s.minus_dim) for s in spaces]
     exact = [stress_space(cx, seq, i) for i in range(d + 1)]
     # the sum of the exact dims is f_{d-1} exactly when cx is CM
@@ -412,8 +412,8 @@ def test_certified_zero_blocks_are_never_solved(corpus_by_name, monkeypatch):
     cx = corpus_by_name["crosspoly_d4"].complex
     seq, spaces = linear_table(cx, 1)
     solved = []
-    real = engine_module.int_nullspace
-    monkeypatch.setattr(engine_module, "int_nullspace",
+    real = engine_module._int_nullspace
+    monkeypatch.setattr(engine_module, "_int_nullspace",
                         lambda *a: solved.append(a) or real(*a))
     # minus_i = (h_i - C(d, i)) / 2 vanishes on a cross-polytope
     for s in (*spaces, vanishing_stress_space(cx, seq, 5)):
@@ -433,7 +433,7 @@ def test_contains_solves_no_block(octahedron, monkeypatch):
     def refuse(*args):
         raise AssertionError("contains solved a block")
 
-    monkeypatch.setattr(engine_module, "int_nullspace", refuse)
+    monkeypatch.setattr(engine_module, "_int_nullspace", refuse)
     top = pair_sum(1) * pair_sum(2) * pair_sum(3)
     cube = Polynomial([(Monomial([(1, 3)]), 1)])
     assert spaces[3].contains(top)
@@ -562,15 +562,24 @@ def test_split_blocks_hold_orbit_representatives_only(cx, data):
         space = stress_space(cx, forms, i)
         full = tuple(delta_monomials(cx, i))
         assert space.columns == full, i
+        assert all(type(m) is Monomial for m in space.columns)
+        # the blocks hold the exponent tuples of the same walk
+        exps = tuple(m.exps for m in full)
+        assert tuple(delta_exps(cx, i)) == exps
         if len(space.blocks) == 2:
-            reps = tuple(m for m in full if not m.exps or m.exps[0][0] > 0)
+            reps = tuple(e for e in exps if not e or e[0][0] > 0)
+            assert tuple(delta_exps(cx, i, True)) == reps
             assert [b.sign for b in space.blocks] == [1, -1]
             assert space.blocks[0].columns == reps, i
             assert space.blocks[1].columns == (reps if i else ()), i
         else:
             assert space.blocks[0].sign == 0
-            assert space.blocks[0].columns == full, i
+            assert space.blocks[0].columns == exps, i
         for b in space.blocks:
+            assert all(type(e) is tuple for e in b.columns)
+            # one int object per row index, shared by every entry there
+            keys = [r for column in b.matrix for r in column]
+            assert len(set(map(id, keys))) == len(set(keys)), i
             family = orbit_family(b)
             assert all(p in terms for p, terms in family)
             whole = integer_family(b)
@@ -638,8 +647,43 @@ def test_cross_polytope_block_columns_have_one_entry_per_vertex(d):
                 # 1, where antisymmetric forms have no symmetric part;
                 # forms as drawn would put d entries per vertex
                 vanish = i == 1 and block.sign == 1
-                want = 0 if vanish else len(rep.exps)
+                want = 0 if vanish else len(rep)
                 assert len(column) == want, (i, block.sign, rep)
+
+
+def test_top_degree_of_the_7_cross_polytope_assembles_in_12_mib():
+    # 14 407 columns per block, each held as its exponent tuple, with
+    # row indices and entries shared; a Monomial per column and two new
+    # ints per entry traced about 14.3 MiB here, the shared form 11.1
+    cx = relabelled_cross_polytope(7, seed=7)
+    seq = special_lsop(cx, seed=1)
+    tracemalloc.start()
+    try:
+        space = stress_space(cx, seq, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(space.blocks[0].columns) == 14407
+    assert peak < 12.5 * 2**20, peak
+
+
+def test_exact_solve_takes_its_block_over():
+    # the solve drops each column as it files its entries under their
+    # rows, and the kernel routine scales those rows in place: at the
+    # degree-4 plus block of the 7-cross-polytope, rows plus scaled
+    # copies of them traced about 0.94 MiB, the rows alone 0.46
+    cx = relabelled_cross_polytope(7, seed=7)
+    block = stress_space(cx, special_lsop(cx, seed=1), 4).blocks[0]
+    columns = block.matrix
+    tracemalloc.start()
+    try:
+        vectors = block.vectors
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(vectors) == comb(7, 4)
+    assert block.matrix is None and not any(columns)
+    assert peak < 0.7 * 2**20, peak
 
 
 # -- restriction ------------------------------------------------------------------

@@ -317,6 +317,22 @@ def test_forward_elimination_of_one_wide_row_allocates_no_column_index():
     assert peak < 2**20
 
 
+@given(sparse_integer_rows(), st.integers(1, 6), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_kernel_of_a_taken_over_list_is_int_nullspace(rows, k, fractions):
+    # scaled by k, so a row of ints has a common factor to divide out in
+    # place, or divided by k, so a row of Fractions has denominators
+    rows = [{c: Fraction(x, k) if fractions else k * x
+             for c, x in row.items()} for row in rows]
+    ncols = 1 + max((c for row in rows for c in row), default=0)
+    before = [dict(row) for row in rows]
+    want = int_nullspace(rows, ncols)
+    assert rows == before
+    taken = [dict(row) for row in rows]
+    assert exactla._int_nullspace(taken, ncols) == want
+    assert taken == []
+
+
 @given(sparse_integer_rows(), st.integers(1, 6))
 @settings(max_examples=100, deadline=None)
 def test_integer_rows_read_int_and_fraction_entries_alike(rows, k):
