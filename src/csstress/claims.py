@@ -10,6 +10,7 @@ failed; a failed verdict always carries a concrete witness.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
@@ -82,45 +83,22 @@ CLAIM_IDS = (
 )
 
 
-class VerificationReport:
+class VerificationReport(namedtuple(
+    "VerificationReport",
+    "claim_id instance verdict expected computed witness note",
+    defaults=(None, None, None, ""),
+)):
     """One claim's verdict on one instance; read-only."""
 
-    __slots__ = ("claim_id", "instance", "verdict", "expected", "computed",
-                 "witness", "note")
+    __slots__ = ()
 
-    def __init__(self, claim_id: str, instance: str, verdict: str,
-                 expected=None, computed=None, witness=None, note: str = ""):
-        if verdict not in VERDICTS:
-            raise ValueError(f"unknown verdict {verdict!r}")
-        if verdict == FAIL and witness is None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.verdict not in VERDICTS:
+            raise ValueError(f"unknown verdict {self.verdict!r}")
+        if self.verdict == FAIL and self.witness is None:
             raise ValueError("a failed verdict requires a witness")
-        values = (claim_id, instance, verdict, expected, computed, witness,
-                  note)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if type(other) is not VerificationReport:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        fields = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.__slots__
-        )
-        return f"VerificationReport({fields})"
+        return self
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -182,31 +160,18 @@ def merge_reports(claim_id, instance, reports) -> VerificationReport:
 # -- corpus instances --------------------------------------------------------
 
 
-class CorpusInstance:
+class CorpusInstance(namedtuple(
+    "CorpusInstance", "name complex polytope expected"
+)):
     """A named complex, its polytope when it has coordinates, and the
     values its file expects."""
 
-    __slots__ = ("name", "complex", "polytope", "expected")
+    __slots__ = ()
 
-    def __init__(self, name: str, complex: SimplicialComplex,
-                 polytope: Polytope | None = None, expected=None):
-        self.name = name
-        self.complex = complex
-        self.polytope = polytope
-        self.expected = {} if expected is None else expected
-
-    def __eq__(self, other):
-        if type(other) is not CorpusInstance:
-            return NotImplemented
-        return (self.name, self.complex, self.polytope, self.expected) == (
-            other.name, other.complex, other.polytope, other.expected
-        )
-
-    def __repr__(self):
-        return (
-            f"CorpusInstance(name={self.name!r}, complex={self.complex!r}, "
-            f"polytope={self.polytope!r}, expected={self.expected!r})"
-        )
+    def __new__(cls, name: str, complex: SimplicialComplex,
+                polytope: Polytope | None = None, expected=None):
+        return super().__new__(cls, name, complex, polytope,
+                               {} if expected is None else expected)
 
 
 def instance_from_json(text: str, fallback_name="instance") -> CorpusInstance:
@@ -899,7 +864,7 @@ def _expect_report(inst: CorpusInstance, table) -> VerificationReport:
     for key in sorted(exp):
         if key not in computed:
             mismatches.append({"key": key, "reason": "not computable"})
-        elif computed[key] != exp[key]:
+        elif not _same_json(computed[key], exp[key]):
             mismatches.append(
                 {"key": key, "expected": exp[key],
                  "computed": computed[key]}
@@ -912,6 +877,16 @@ def _expect_report(inst: CorpusInstance, table) -> VerificationReport:
         computed=computed,
         witness=mismatches or None,
     )
+
+
+def _same_json(a, b) -> bool:
+    """a == b with the JSON types compared too, where Python has True == 1
+    and 1.0 == 1."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    return a == b
 
 
 def _supported_count(vectors, on) -> int:

@@ -179,7 +179,16 @@ def _collect_paths(inputs) -> list[Path]:
 
 
 def cmd_verify(inputs, seed: int, claims_filter, output_format: str) -> int:
-    instances = [_load_instance(str(p)) for p in _collect_paths(inputs)]
+    instances = []
+    paths = {}  # instance name -> the file that named it
+    for p in _collect_paths(inputs):
+        inst = _load_instance(str(p))
+        if inst.name in paths:
+            # the records of the two could not be told apart
+            raise InputError(f"instance {inst.name!r} is named by both "
+                             f"{paths[inst.name]} and {p}")
+        paths[inst.name] = p
+        instances.append(inst)
     reports = run_claims(instances, seed, claims=claims_filter)
     failed = sum(1 for r in reports if r.verdict == "fail")
     if output_format == "json":

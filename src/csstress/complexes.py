@@ -15,6 +15,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
+from collections import namedtuple
 
 from .errors import (
     CsViolation,
@@ -40,6 +42,12 @@ MAX_FACE_SUBSETS = 2**20
 # grows faster than the columns: on a hexagon, 3 000, 6 000 and 12 000 of
 # them take 2.2, 9.6 and 43 s of CPU (CPython 3.11, 2-vCPU Xeon guest).
 MAX_REQUEST_MONOMIALS = 6000
+
+# Deepest nesting of arrays and objects in a JSON input.  A valid file
+# nests 3 levels (an object of lists of label lists); json.loads, and the
+# report writer on an "expected" value, recurse once per level, so a far
+# deeper file would end in a RecursionError.
+MAX_JSON_DEPTH = 32
 
 
 def check_face_subsets(subsets, shown=None) -> None:
@@ -72,38 +80,16 @@ def negate(tau: Face) -> Face:
     return tuple(sorted(-v for v in tau))
 
 
-class FHGVectors:
+def vertex_key(v: int) -> tuple[int, bool]:
+    """Sort key of the canonical variable order 1, -1, 2, -2, ..."""
+    return (abs(v), v < 0)
+
+
+class FHGVectors(namedtuple("FHGVectors", "d f h g")):
     """Face counts f_(-1..d-1), the h-transform, and g_i = h_i - h_(i-1).
     Read-only."""
 
-    __slots__ = ("d", "f", "h", "g")
-
-    def __init__(self, d: int, f: tuple, h: tuple, g: tuple):
-        for name, value in zip(self.__slots__, (d, f, h, g)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self):
-        return (self.d, self.f, self.h, self.g)
-
-    def __eq__(self, other):
-        if type(other) is not FHGVectors:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (
-            f"FHGVectors(d={self.d!r}, f={self.f!r}, h={self.h!r}, "
-            f"g={self.g!r})"
-        )
+    __slots__ = ()
 
 
 class SimplicialComplex:
@@ -211,15 +197,12 @@ class SimplicialComplex:
             m |= bit.get(v, -1)  # -1 for a non-vertex: no face
         return m in masks
 
-    def _vertex_order(self) -> list[int]:
-        """The vertices in the canonical variable order 1, -1, 2, -2, ..."""
-        return sorted(self.vertices, key=lambda v: (abs(v), v < 0))
-
     def face_masks(self) -> tuple[dict, set]:
         """({vertex: bit}, the set of faces as bitmasks), the bits in the
         canonical variable order 1, -1, 2, -2, ...; built once, read only."""
         if self._masks is None:
-            bit = {v: 1 << n for n, v in enumerate(self._vertex_order())}
+            order = sorted(self.vertices, key=vertex_key)
+            bit = {v: 1 << n for n, v in enumerate(order)}
             masks = {0}
             for f in self.facets:
                 m = top = sum(bit[v] for v in f)
@@ -317,7 +300,7 @@ class SimplicialComplex:
         its positive vertices only and counts each nonempty face twice.
         """
         if self._counts is None:
-            order = self._vertex_order()
+            order = sorted(self.vertices, key=vertex_key)
             rank = {v: n for n, v in enumerate(order)}
             through = {v: [] for v in order if v > 0 or not self.cs}
             for f in self.facets:
@@ -417,9 +400,22 @@ def detect_cross_polytope_subcomplexes(cx: SimplicialComplex, j) -> list:
 # -- JSON ----------------------------------------------------------------
 
 
+# a JSON string, whose brackets nest nothing, and a run of non-brackets
+_JSON_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')
+_NOT_BRACKETS = re.compile(r"[^][{}]+")
+
+
 def load_json(text: str):
-    """json.loads with every parse failure raised as InputError, and an
-    object that repeats a key refused, where json.loads keeps the last."""
+    """json.loads with every parse failure raised as InputError, nesting
+    past MAX_JSON_DEPTH refused before parsing, and an object that repeats
+    a key refused, where json.loads keeps the last."""
+    depth = 0
+    for c in _NOT_BRACKETS.sub("", _JSON_STRING.sub("", text)):
+        depth += 1 if c in "[{" else -1
+        if depth > MAX_JSON_DEPTH:
+            raise InputError(
+                f"JSON nested deeper than {MAX_JSON_DEPTH} levels"
+            )
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:

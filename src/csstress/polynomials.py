@@ -11,12 +11,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .complexes import MAX_FACE_SUBSETS, SimplicialComplex
+from .complexes import MAX_FACE_SUBSETS, SimplicialComplex, vertex_key
 from .errors import InputError
-
-
-def _vkey(v: int):
-    return (abs(v), v < 0)
 
 
 class Monomial:
@@ -31,7 +27,7 @@ class Monomial:
                 raise ValueError("labels nonzero, exponents nonnegative")
             if e:
                 acc[v] = acc.get(v, 0) + e
-        pairs = tuple(sorted(acc.items(), key=lambda p: _vkey(p[0])))
+        pairs = tuple(sorted(acc.items(), key=lambda p: vertex_key(p[0])))
         self.exps = pairs
         self.degree = sum(acc.values())
         self._hash = hash(pairs)
@@ -62,7 +58,7 @@ class Monomial:
                 merged.append((u, a[i][1] + b[j][1]))
                 i += 1
                 j += 1
-            elif _vkey(u) < _vkey(v):
+            elif vertex_key(u) < vertex_key(v):
                 merged.append(a[i])
                 i += 1
             else:
@@ -75,7 +71,7 @@ class Monomial:
     def sort_key(self):
         # ascending sort by this key lists same-degree monomials in
         # descending lex order over the canonical variable order
-        return tuple((_vkey(v), -e) for v, e in self.exps)
+        return tuple((vertex_key(v), -e) for v, e in self.exps)
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.exps == other.exps
@@ -101,7 +97,7 @@ def negated_exps(pairs: tuple) -> tuple:
     # the order compares |v| first, so only x_k and x_{-k} held
     # together, which sit next to each other, trade places
     if any(u == -v for (u, _), (v, _) in zip(negated, negated[1:])):
-        negated = tuple(sorted(negated, key=lambda p: _vkey(p[0])))
+        negated = tuple(sorted(negated, key=lambda p: vertex_key(p[0])))
     return negated
 
 
@@ -318,7 +314,7 @@ class LinearForm:
         return self.coeffs.get(v, Fraction(0))
 
     def items(self):
-        return sorted(self.coeffs.items(), key=lambda t: _vkey(t[0]))
+        return sorted(self.coeffs.items(), key=lambda t: vertex_key(t[0]))
 
     def __eq__(self, other):
         return isinstance(other, LinearForm) and self.coeffs == other.coeffs

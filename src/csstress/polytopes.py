@@ -21,6 +21,7 @@ from .complexes import (
     face,
     facets_from_json,
     load_json,
+    vertex_key,
 )
 from .errors import InputError, NotCs, NotSimplicial
 from .exactla import int_rank
@@ -64,6 +65,11 @@ class Polytope:
             raise InputError(
                 f"facets use labels without coordinates: {sorted(extra)}"
             )
+        unused = set(coords) - set(boundary.ground_set)
+        if unused:
+            raise InputError(
+                f"coordinates name labels no facet uses: {sorted(unused)}"
+            )
         for f in boundary.facets:
             if len(f) != d:
                 raise NotSimplicial(
@@ -83,7 +89,7 @@ class Polytope:
 
     @property
     def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.coordinates, key=lambda v: (abs(v), v < 0)))
+        return tuple(sorted(self.coordinates, key=vertex_key))
 
     def __eq__(self, other):
         if not isinstance(other, Polytope):
@@ -205,10 +211,14 @@ def polytope_from_json_obj(obj: dict) -> Polytope:
     facets = facets_from_json(obj.get("facets"))
     parsed = {}  # keyed by the file's own keys: `Polytope` reads the labels
     for key, vec in coords.items():
+        # only the canonical decimal form: int() also reads " 1", "+1",
+        # "01", "1_0" and non-ASCII digits
         try:
-            int(key)
+            canonical = str(int(key)) == key
         except ValueError:
-            raise InputError(f"bad vertex label {key!r}") from None
+            canonical = False
+        if not canonical:
+            raise InputError(f"bad vertex label {key!r}")
         if not isinstance(vec, list):
             raise InputError(f"coordinates of {key} must be a list")
         try:

@@ -1,12 +1,21 @@
-"""Closed-form oracle for `csstress verify --format json` on the boundary
-of the d-cross-polytope.
+"""Closed-form oracle for `csstress` JSON output on the boundary of the
+d-cross-polytope.
 
     python tests/closed_forms.py D STATUS RECORDS
+    python tests/closed_forms.py stress D FILE
+    python tests/closed_forms.py info D FILE
 
-D is the dimension, STATUS the exit status of `verify` and RECORDS the
-file of its JSON lines.  Exits 0 when every check holds; otherwise prints
-each failed check to stderr and exits 1.  Nothing here imports csstress,
-so the numbers are checked against formulas alone:
+D is the dimension.  The first form checks `verify --format json`:
+STATUS is its exit status and RECORDS the file of its JSON lines.  The
+other two check the JSON object that `stress --format json` or
+`info --format json` wrote to FILE.  Exits 0 when every check holds;
+otherwise prints each failed check to stderr and exits 1.  Nothing here
+imports csstress, so the numbers are checked against formulas alone:
+
+- `stress`: degrees 0..d with dim = plus = C(d, i) and minus 0, as the
+  boundary has h_i = C(d, i) and no antisymmetric part;
+- `info`: d, cs true, f_k = 2^k C(d, k) for k = 0..d (f_(-1) first),
+  h_i = C(d, i), and g_i = C(d, i) - C(d, i - 1) for i <= d/2;
 
 - `verify` exited 0, wrote records, and no record has verdict "fail";
 - Thm2.2.1: h_i = C(d, i) for i = 1..d and no antisymmetric stress, as
@@ -67,16 +76,53 @@ def failures(d: int, records: list) -> list[str]:
     return out
 
 
+def stress_failures(d: int, obj: dict) -> list[str]:
+    """The checks that `stress --format json` on the d-cross-polytope
+    fails."""
+    rows = [(r["degree"], r["dim"], r["plus"], r["minus"])
+            for r in obj["degrees"]]
+    want = [(i, comb(d, i), comb(d, i), 0) for i in range(d + 1)]
+    if rows == want:
+        return []
+    return [f"stress: (degree, dim, plus, minus) {rows} is not "
+            "(i, C(d, i), C(d, i), 0)"]
+
+
+def info_failures(d: int, obj: dict) -> list[str]:
+    """The checks that `info --format json` on the d-cross-polytope
+    fails."""
+    want = {
+        "d": d,
+        "f": [2 ** k * comb(d, k) for k in range(d + 1)],
+        "h": [comb(d, i) for i in range(d + 1)],
+        "g": [1] + [comb(d, i) - comb(d, i - 1)
+                    for i in range(1, d // 2 + 1)],
+    }
+    out = [] if obj["cs"] is True else [f"info: cs = {obj['cs']!r}, not true"]
+    return out + [f"info: {key} = {obj[key]!r}, not {value!r}"
+                  for key, value in want.items() if obj[key] != value]
+
+
 def main(argv) -> int:
-    d, status, path = argv
-    with open(path, encoding="utf-8") as fh:
-        records = [json.loads(line) for line in fh]
-    try:
-        found = failures(int(d), records)
-    except (KeyError, TypeError) as e:
-        found = [f"malformed record: {e!r}"]
-    if status != "0":
-        found.insert(0, f"verify exited {status}")
+    if argv[0] in ("stress", "info"):
+        mode, d, path = argv
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        check = stress_failures if mode == "stress" else info_failures
+        try:
+            found = check(int(d), obj)
+        except (KeyError, TypeError) as e:
+            found = [f"malformed {mode} output: {e!r}"]
+    else:
+        d, status, path = argv
+        with open(path, encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh]
+        try:
+            found = failures(int(d), records)
+        except (KeyError, TypeError) as e:
+            found = [f"malformed record: {e!r}"]
+        if status != "0":
+            found.insert(0, f"verify exited {status}")
     for line in found:
         print(f"d = {d}: {line}", file=sys.stderr)
     return 1 if found else 0

@@ -813,6 +813,24 @@ def test_expect_mismatch_is_reported():
     assert r.witness[0]["key"] == "h"
 
 
+@pytest.mark.parametrize("key, value", [
+    ("dim", True), ("cs", 0), ("f", [1.0, 3, 3]),
+])
+def test_expect_compares_json_types(key, value):
+    # the triangle's boundary: dim 1, not cs, f = (1, 3, 3); True == 1,
+    # 0 == False and 1.0 == 1 once let each of these pass
+    triangle = SimplicialComplex([(1, 2), (2, 3), (1, 3)])
+    right = {"dim": 1, "cs": False, "f": [1, 3, 3]}
+    (ok,) = run_claims([CorpusInstance("right", triangle, expected=right)],
+                       seed=1, claims=["Expect"])
+    assert ok.verdict == "pass"
+    inst = CorpusInstance("typed", triangle, expected={key: value})
+    (r,) = run_claims([inst], seed=1, claims=["Expect"])
+    assert r.verdict == "fail"
+    assert r.witness == [{"key": key, "expected": value,
+                          "computed": right[key]}]
+
+
 def test_expect_unknown_key_fails():
     inst = CorpusInstance(
         "odd", SimplicialComplex([(1, 2), (-1, -2)]),

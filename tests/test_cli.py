@@ -142,16 +142,29 @@ def run_subprocess(*argv, timeout):
     )
 
 
+def renamed_corpus_copies(tmp_path, n) -> Path:
+    """A directory of n copies of the corpus, each instance renamed
+    apart, since `verify` refuses two instances of one name."""
+    for k in range(n):
+        for src in CORPUS_DIR.glob("*.json"):
+            obj = json.loads(src.read_text(encoding="utf-8"))
+            obj["name"] = f"{obj['name']}_{k}"
+            (tmp_path / f"{src.stem}_{k}.json").write_text(json.dumps(obj))
+    return tmp_path
+
+
 @pytest.mark.parametrize("argv", [
     ["stress", str(CORPUS_DIR / "crosspoly_d3.json"),
      "--max-degree", "100000"],
-    # four passes over the corpus write about 95 KB, more than a pipe
+    # four copies of the corpus write about 95 KB, more than a pipe
     # holds, so the reader closes it before the last write
-    ["verify", *[str(CORPUS_DIR)] * 4, "--format", "json"],
+    ["verify", "--format", "json"],
 ])
-def test_closed_pipe_exits_without_a_traceback(argv):
+def test_closed_pipe_exits_without_a_traceback(tmp_path, argv):
     # as `csstress ... | head -1`: the reader takes one line and closes
     # the pipe; the rest of the output is dropped, with exit 141
+    if argv[0] == "verify":
+        argv = argv + [str(renamed_corpus_copies(tmp_path, 4))]
     proc = subprocess.Popen(
         [sys.executable, "-m", "csstress.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
@@ -458,7 +471,7 @@ def test_vertex_named_by_two_keys_is_input_error(tmp_path, capsys, command):
     code, out, err = run(capsys, command, str(p))
     assert code == 2
     assert out == ""
-    assert err == "input error: vertex 1 is named twice, by '1' and '01'\n"
+    assert err == "input error: bad vertex label '01'\n"
 
 
 @pytest.mark.parametrize("command", ["info", "verify"])
@@ -498,6 +511,52 @@ def test_json_object_with_a_repeated_key_is_input_error(tmp_path, capsys,
     assert out == ""
     assert err == (f"input error: invalid JSON: key {key!r} is repeated in "
                    "one object\n")
+
+
+SQUARE = [[1, 2], [2, -1], [-1, -2], [-2, 1]]
+
+
+@pytest.mark.parametrize("command, text", [
+    ("info", "[" * 100_000 + "]" * 100_000),
+    ("info", '{"facets": ' + "[" * 990 + "]" * 990 + "}"),
+    # valid facets; the report writer once recursed into "expected"
+    ("verify", json.dumps({"facets": SQUARE, "expected": {"h": "DEEP"}})
+     .replace('"DEEP"', "[" * 500 + "]" * 500)),
+], ids=["info-100000-deep", "info-990-deep", "verify-expected-500-deep"])
+def test_deeply_nested_json_is_input_error(tmp_path, capsys, command, text):
+    # each once exited 1 with a RecursionError traceback
+    p = tmp_path / "deep.json"
+    p.write_text(text)
+    code, out, err = run(capsys, command, str(p), "--format", "json")
+    assert (code, out) == (2, "")
+    assert err == "input error: JSON nested deeper than 32 levels\n"
+
+
+def test_json_nesting_limit_counts_no_string(tmp_path, capsys):
+    # 32 levels are read and 33 refused: the outer object is one level,
+    # and brackets inside strings nest nothing
+    p = tmp_path / "nested.json"
+    for depth, code in ((32, 0), (33, 2)):
+        junk = "[" * (depth - 1) + "]" * (depth - 1)
+        p.write_text(json.dumps({"name": "[[{{" * 10, "facets": SQUARE,
+                                 "junk": "JUNK"}).replace('"JUNK"', junk))
+        assert run(capsys, "info", str(p))[0] == code
+
+
+def test_coordinates_for_a_label_no_facet_uses_are_input_error(tmp_path,
+                                                              capsys):
+    # a square plus coordinates for +-3 once printed "6 vertices"
+    p = tmp_path / "square.json"
+    p.write_text(json.dumps({
+        "coordinates": {"1": ["1", "0"], "-1": ["-1", "0"],
+                        "2": ["0", "1"], "-2": ["0", "-1"],
+                        "3": ["1", "1"], "-3": ["-1", "-1"]},
+        "facets": SQUARE,
+    }))
+    code, out, err = run(capsys, "info", str(p))
+    assert (code, out) == (2, "")
+    assert err == ("input error: coordinates name labels no facet uses: "
+                   "[-3, 3]\n")
 
 
 def test_cs_ground_set_label_without_antipode_is_named(tmp_path, capsys):
@@ -613,6 +672,24 @@ def test_verify_reports_failure_with_exit_one(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(bad))
     assert code == 1
     assert "fail" in out
+
+
+@pytest.mark.parametrize("layout", ["same file", "same stem", "same name"])
+def test_verify_refuses_two_instances_of_one_name(tmp_path, capsys, layout):
+    # their records once came out interleaved, not to be told apart
+    first = tmp_path / "a" / "x.json"
+    second = {"same file": first, "same stem": tmp_path / "b" / "x.json",
+              "same name": tmp_path / "b" / "y.json"}[layout]
+    for p in (first, second):
+        p.parent.mkdir(exist_ok=True)
+        obj = {"facets": SQUARE}
+        if layout == "same name":
+            obj["name"] = "x"
+        p.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", str(first), str(second))
+    assert (code, out) == (2, "")
+    assert err == (f"input error: instance 'x' is named by both {first} "
+                   f"and {second}\n")
 
 
 def test_verify_non_cm_complex_below_h(tmp_path, capsys):

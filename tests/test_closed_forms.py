@@ -1,5 +1,7 @@
-"""`verify` on the d-cross-polytopes against the closed forms of
-`closed_forms.py`, the checker that CI runs at d = 6, 7 and 8."""
+"""`verify`, `stress` and `info` on the d-cross-polytopes against the
+closed forms of `closed_forms.py`, the checker that CI runs on `verify`
+at d = 6, 7 and 8, on `stress` at d = 7, 8 and 9 and on `info` at
+d = 10."""
 
 from __future__ import annotations
 
@@ -12,15 +14,15 @@ import closed_forms
 from csstress.cli import main
 
 
-def verify_records(tmp_path, capsys, d):
-    """(exit status, path of the JSON lines) of `verify` on the
-    d-cross-polytope."""
+def json_output(tmp_path, capsys, d, command="verify"):
+    """(exit status, path of the output) of `command --format json` on
+    the d-cross-polytope."""
     path = tmp_path / f"cp{d}.json"
     assert main(["generate", "crosspoly", "--d", str(d),
                  "--out", str(path)]) == 0
     capsys.readouterr()
-    code = main(["verify", str(path), "--format", "json"])
-    out = tmp_path / f"cp{d}_verify.json"
+    code = main([command, str(path), "--format", "json"])
+    out = tmp_path / f"cp{d}_{command}.json"
     out.write_text(capsys.readouterr().out)
     return code, out
 
@@ -28,7 +30,7 @@ def verify_records(tmp_path, capsys, d):
 def test_verify_meets_the_closed_forms_for_d_2_to_5(tmp_path, capsys):
     start = time.process_time()
     for d in range(2, 6):
-        code, path = verify_records(tmp_path, capsys, d)
+        code, path = json_output(tmp_path, capsys, d)
         assert closed_forms.main([str(d), str(code), str(path)]) == 0, \
             capsys.readouterr().err
     assert time.process_time() - start < 2
@@ -63,7 +65,7 @@ def _fail_one(records):
     _fail_one,
 ])
 def test_closed_forms_reject_one_changed_number(tmp_path, capsys, change):
-    code, path = verify_records(tmp_path, capsys, 3)
+    code, path = json_output(tmp_path, capsys, 3)
     records = {}
     for line in path.read_text().splitlines():
         r = json.loads(line)
@@ -75,6 +77,35 @@ def test_closed_forms_reject_one_changed_number(tmp_path, capsys, change):
 
 
 def test_closed_forms_reject_a_nonzero_status(tmp_path, capsys):
-    code, path = verify_records(tmp_path, capsys, 3)
+    code, path = json_output(tmp_path, capsys, 3)
     assert closed_forms.main(["3", "1", str(path)]) == 1
     assert closed_forms.main(["3", str(code), str(path)]) == 0
+
+
+def _bump_minus_dim(obj):
+    obj["degrees"][1]["minus"] = 1
+
+
+def _bump_g(obj):
+    obj["g"][-1] += 1
+
+
+def _cs_as_one(obj):
+    obj["cs"] = 1
+
+
+@pytest.mark.parametrize("command, change", [
+    ("stress", _bump_minus_dim), ("info", _bump_g), ("info", _cs_as_one),
+])
+def test_stress_and_info_modes_reject_one_changed_value(tmp_path, capsys,
+                                                        command, change):
+    code, path = json_output(tmp_path, capsys, 4, command)
+    assert code == 0
+    assert closed_forms.main([command, "4", str(path)]) == 0
+    assert closed_forms.main([command, "3", str(path)]) == 1
+    obj = json.loads(path.read_text())
+    change(obj)
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert closed_forms.main([command, "4", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"d = 4: {command}: ")

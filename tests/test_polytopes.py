@@ -159,19 +159,19 @@ def test_json_rejects_malformed_polytopes():
 
 
 @pytest.mark.parametrize("first,second", [
-    ("1", "01"), ("1", "+1"), ("1", " 1"), ("10", "1_0"),
+    ("1", "01"), ("1", "+1"), ("1", " 1"), ("10", "1_0"), ("1", "\u0661"),
 ])
 def test_json_refuses_a_vertex_named_by_two_keys(first, second):
-    # int() reads both keys as one label; the later one would silently
-    # replace the earlier one's coordinates
+    # int() reads both keys as one label, and the later one once replaced
+    # the earlier one's coordinates; a key that is not a label's
+    # canonical decimal form is now refused on its own
     v = int(first)
     coords = {first: ["1"], str(-v): ["-1"], second: ["3"]}
     facets = [[v], [-v]]
     with pytest.raises(InputError) as exc:
         polytope_from_json(json.dumps({"coordinates": coords,
                                        "facets": facets}))
-    assert str(exc.value) == (
-        f"vertex {v} is named twice, by {first!r} and {second!r}")
+    assert str(exc.value) == f"bad vertex label {second!r}"
 
 
 def test_library_refuses_a_vertex_named_by_two_keys():
