@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache, partial
 from math import comb
 
 from .complexes import (
@@ -99,6 +100,11 @@ class VerificationReport(namedtuple(
         if self.verdict == FAIL and self.witness is None:
             raise ValueError("a failed verdict requires a witness")
         return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds through `_make`: both check as `__new__` does
+        return cls(*iterable)
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -193,7 +199,7 @@ def instance_from_json(text: str, fallback_name="instance") -> CorpusInstance:
 # -- stress tables -------------------------------------------------------------
 #
 # A table is the pair (form sequence, stress spaces for degrees 0..top).
-# It is built once per instance and passed to every check that reads it.
+# It is built once per instance, when a check first reads it.
 
 
 def stress_table(cx: SimplicialComplex, seq, top: int):
@@ -843,7 +849,7 @@ def verify_polytope_cor37(p: Polytope, i, instance="") -> VerificationReport:
 
 
 def _expect_report(inst: CorpusInstance, table) -> VerificationReport:
-    """`table` is the instance's linear table, None when cx is not pure."""
+    """`table()` is the instance's linear table, read only for "cm"."""
     cx = inst.complex
     exp = inst.expected
     computed = {}
@@ -858,9 +864,9 @@ def _expect_report(inst: CorpusInstance, table) -> VerificationReport:
             {k: list(getattr(vec, k)) for k in ("f", "h", "g") if k in exp}
         )
     if "cm" in exp:
-        if table is None:
+        if not cx.is_pure():
             raise NotPure("a CM certificate needs a pure complex")
-        computed["cm"] = cm_certificate(cx, table)["is_cm_witnessed"]
+        computed["cm"] = cm_certificate(cx, table())["is_cm_witnessed"]
     for key in sorted(exp):
         if key not in computed:
             mismatches.append({"key": key, "reason": "not computable"})
@@ -952,98 +958,96 @@ def _lemma31_suite(cx, table, instance) -> VerificationReport:
     )
 
 
-def instance_reports(inst: CorpusInstance, seed: int) -> list[VerificationReport]:
-    """All applicable claim records for one corpus instance."""
+def _cm_report(cx, table, instance) -> VerificationReport:
+    summary = cm_certificate(cx, table)
+    note = ("witnessed" if summary["is_cm_witnessed"]
+            else "definitively not Cohen-Macaulay")
+    return VerificationReport(CLAIM_CM, instance, PASS, computed=summary,
+                              note=note)
+
+
+def _thm35_suite(cx, table, instance) -> VerificationReport:
+    steps = {}
+    return merge_reports(CLAIM_SYMMETRY_PROPAGATION, instance, [
+        verify_thm35(cx, table, i, instance=instance, steps=steps)
+        for i in range(2, cx.dim + 2)])
+
+
+# The claim families: (id; the instances it applies to; what it reads:
+# nothing, the linear table's dimensions or bases, or the affine table;
+# its degrees as a function of d, whose records are merged, or None; its
+# check, of the instance, `t`, which returns what the family reads, and
+# the degree).  Checks call through module-level names at call time, so
+# a wrapper installed there sees every call.
+_DIMS, _BASES, _AFFINE = "dims", "bases", "affine"
+_FAMILIES = (
+    (CLAIM_EXPECT, "expected", _DIMS, None,
+     lambda inst, t: _expect_report(inst, t)),
+    (CLAIM_CM, "pure", _DIMS, None,
+     lambda inst, t: _cm_report(inst.complex, t(), inst.name)),
+    (CLAIM_LBT, "pure cs", _DIMS, None,
+     lambda inst, t: verify_lbt(inst.complex, t(), inst.name)),
+    (CLAIM_LBT_AFFINE, "polytope", _AFFINE, None,
+     lambda inst, t: verify_polytope_lbt(inst.polytope, t(), inst.name)),
+    (CLAIM_EQUIVALENCE, "pure cs", _DIMS, lambda d: range(1, d + 1),
+     lambda inst, t, i: verify_cor_equivalence(inst.complex, i, t(),
+                                               inst.name)),
+    (CLAIM_EQUIVALENCE_AFFINE, "polytope", _AFFINE,
+     lambda d: range(1, d // 2 + 1),
+     lambda inst, t, i: verify_polytope_cor_equivalence(
+         inst.polytope, i, t(), inst.name)),
+    (CLAIM_STAR_SUPPORT, "pure cs", _BASES, None,
+     lambda inst, t: _lemma31_suite(inst.complex, t(), inst.name)),
+    (CLAIM_SQUAREFREE, "pure cs", _BASES, lambda d: range(1, d + 1),
+     lambda inst, t, i: verify_lemma32_34(inst.complex, t(), i, inst.name)),
+    (CLAIM_SYMMETRY_PROPAGATION, "pure cs", _BASES, None,
+     lambda inst, t: _thm35_suite(inst.complex, t(), inst.name)),
+    (CLAIM_H_PROPAGATION, "pure cs", _DIMS, lambda d: range(1, d),
+     lambda inst, t, i: verify_thm36(inst.complex, i, t(), inst.name)),
+    (CLAIM_G_PROPAGATION, "polytope", None, lambda d: range(1, (d + 1) // 2),
+     lambda inst, t, i: verify_polytope_thm36(inst.polytope, i, inst.name)),
+    (CLAIM_RESTRICTION, "pure cs", _DIMS, lambda d: range(1, d),
+     lambda inst, t, i: verify_cor37(inst.complex, i, t(), inst.name)),
+    (CLAIM_HALF_CROSSPOLY, "polytope", None, lambda d: range(1, d // 2),
+     lambda inst, t, i: verify_polytope_cor37(inst.polytope, i, inst.name)),
+)
+
+
+def instance_reports(inst: CorpusInstance, seed: int,
+                     claims=None) -> list[VerificationReport]:
+    """Records of the families that apply to one corpus instance and whose
+    id starts with a prefix in `claims` (all without it).  A table is built
+    when a selected family first asks for it.  Only readers of bases need
+    `linear_table`; without one, the linear table is `linear_dims`'s."""
+    families = [f for f in _FAMILIES
+                if not claims or any(f[0].startswith(c) for c in claims)]
+    linear = (linear_table if any(f[2] == _BASES for f in families)
+              else linear_dims)
+
+    @cache
+    def table(affine):
+        return (affine_table(inst.polytope) if affine
+                else linear(inst.complex, seed))
+
     cx = inst.complex
-    name = inst.name
-    table = linear_table(cx, seed) if cx.is_pure() else None
+    applies = {"expected": bool(inst.expected), "pure": cx.is_pure(),
+               "pure cs": cx.is_pure() and cx.cs,
+               "polytope": inst.polytope is not None}
     out = []
-    if inst.expected:
-        out.append(_expect_report(inst, table))
-    if table is not None:
-        summary = cm_certificate(cx, table)
-        note = (
-            "witnessed" if summary["is_cm_witnessed"]
-            else "definitively not Cohen-Macaulay"
-        )
-        out.append(
-            VerificationReport(
-                CLAIM_CM, name, PASS, computed=summary, note=note
-            )
-        )
-        if cx.cs:
-            d = cx.dim + 1
-            out.append(verify_lbt(cx, table, instance=name))
-            out.append(
-                merge_reports(
-                    CLAIM_EQUIVALENCE, name,
-                    [verify_cor_equivalence(cx, i, table, instance=name)
-                     for i in range(1, d + 1)],
-                )
-            )
-            out.append(_lemma31_suite(cx, table, name))
-            out.append(
-                merge_reports(
-                    CLAIM_SQUAREFREE, name,
-                    [verify_lemma32_34(cx, table, i, instance=name)
-                     for i in range(1, d + 1)],
-                )
-            )
-            steps = {}
-            out.append(
-                merge_reports(
-                    CLAIM_SYMMETRY_PROPAGATION, name,
-                    [verify_thm35(cx, table, i, instance=name, steps=steps)
-                     for i in range(2, d + 1)],
-                )
-            )
-            out.append(
-                merge_reports(
-                    CLAIM_H_PROPAGATION, name,
-                    [verify_thm36(cx, i, table, instance=name)
-                     for i in range(1, d)],
-                )
-            )
-            out.append(
-                merge_reports(
-                    CLAIM_RESTRICTION, name,
-                    [verify_cor37(cx, i, table, instance=name)
-                     for i in range(1, d)],
-                )
-            )
-    if inst.polytope is not None:
-        p = inst.polytope
-        d = p.d
-        affine = affine_table(p)
-        out.append(verify_polytope_lbt(p, affine, instance=name))
-        out.append(
-            merge_reports(
-                CLAIM_EQUIVALENCE_AFFINE, name,
-                [verify_polytope_cor_equivalence(p, i, affine, instance=name)
-                 for i in range(1, d // 2 + 1)],
-            )
-        )
-        out.append(
-            merge_reports(
-                CLAIM_G_PROPAGATION, name,
-                [verify_polytope_thm36(p, i, instance=name)
-                 for i in range(1, (d - 1) // 2 + 1)],
-            )
-        )
-        out.append(
-            merge_reports(
-                CLAIM_HALF_CROSSPOLY, name,
-                [verify_polytope_cor37(p, i, instance=name)
-                 for i in range(1, (d - 2) // 2 + 1)],
-            )
-        )
+    for claim_id, kind, reads, degrees, check in families:
+        read = partial(table, reads == _AFFINE)
+        if applies[kind] and degrees is None:
+            out.append(check(inst, read))
+        elif applies[kind]:
+            out.append(merge_reports(claim_id, inst.name, [
+                check(inst, read, i) for i in degrees(cx.dim + 1)]))
     return out
 
 
 def run_claims(instances, seed, claims=None) -> list[VerificationReport]:
     """Run every applicable claim; records sorted by (instance, claim).
 
-    With `claims`, keep the records whose claim id starts with one of
+    With `claims`, run only the families whose id starts with one of
     these prefixes.  A prefix that starts no claim id is an InputError,
     so a misspelt filter cannot select nothing and pass."""
     for prefix in claims or ():
@@ -1054,10 +1058,5 @@ def run_claims(instances, seed, claims=None) -> list[VerificationReport]:
             )
     reports = []
     for inst in sorted(instances, key=lambda x: x.name):
-        reports.extend(instance_reports(inst, seed))
-    if claims:
-        reports = [
-            r for r in reports
-            if any(r.claim_id.startswith(c) for c in claims)
-        ]
+        reports.extend(instance_reports(inst, seed, claims))
     return sorted(reports, key=lambda r: (r.instance, r.claim_id))

@@ -56,6 +56,7 @@ from csstress.engine import (
 from csstress.exactla import rank_mod
 from csstress.polynomials import negated_exps
 from csstress.claims import (
+    CLAIM_IDS,
     affine_table,
     cm_certificate,
     instance_reports,
@@ -88,6 +89,20 @@ def test_report_validates_verdict():
     # read-only, so the checks above cannot be bypassed afterwards
     with pytest.raises(AttributeError):
         r.witness = None
+
+
+def test_report_replace_and_make_validate():
+    # the namedtuple helpers build through `__new__` and its checks
+    r = VerificationReport("X", "inst", "pass")
+    with pytest.raises(ValueError, match="unknown verdict"):
+        r._replace(verdict="maybe")
+    with pytest.raises(ValueError, match="requires a witness"):
+        r._replace(verdict="fail")
+    with pytest.raises(ValueError, match="requires a witness"):
+        VerificationReport._make(["X", "inst", "fail", None, None, None, ""])
+    assert r._replace(note="n") == VerificationReport("X", "inst", "pass",
+                                                      note="n")
+    assert VerificationReport._make(r) == r
 
 
 def test_report_json_omits_missing_fields():
@@ -793,6 +808,19 @@ def test_run_claims_prefix_filter(corpus):
     }
     with pytest.raises(InputError, match="'Thm35'"):
         run_claims(small, seed=1, claims=["Thm3.5", "Thm35"])
+
+
+@pytest.fixture(scope="module")
+def all_reports(corpus):
+    return run_claims(corpus, seed=1)
+
+
+@pytest.mark.parametrize("claim_id", CLAIM_IDS)
+def test_selection_keeps_every_record(corpus, all_reports, claim_id):
+    # only the selected families run, each on the tables it reads, and
+    # they give the very records of a full run
+    assert run_claims(corpus, 1, claims=[claim_id]) == [
+        r for r in all_reports if r.claim_id == claim_id]
 
 
 def test_run_claims_one_record_per_claim(corpus):

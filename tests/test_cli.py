@@ -650,6 +650,72 @@ def test_verify_claims_filter(capsys):
     assert claims == {"Lem3.1", "Lem3.2-3.4"}
 
 
+def golden_verify_json(name, claims):
+    """The lines of the checked-in `verify --format json` run over the
+    corpus that are records of instance `name` and a claim in `claims`."""
+    lines = (Path(__file__).resolve().parent / "golden"
+             / "verify_json.txt").read_text().splitlines()
+    return "".join(line + "\n" for line, r in zip(lines, map(json.loads, lines))
+                   if r["instance"] == name and r["claim"] in claims)
+
+
+def test_verify_dims_only_claims_solve_no_block(capsys, monkeypatch):
+    # these families read only stress dimensions, which the certified
+    # route of `stress` without `--basis` gives with no exact solve
+    claims = ["CM", "Thm2.2.1", "Cor2.3.1", "Thm3.6.1"]
+    calls = count_nullspace_calls(monkeypatch)
+    code, out, _ = run(capsys, "verify", str(CORPUS_DIR / "crosspoly_d4.json"),
+                       "--claims", *claims, "--format", "json")
+    assert code == 0
+    assert out == golden_verify_json("crosspoly_d4", claims)
+    assert calls == []
+
+
+def test_verify_claims_that_read_no_table_build_none(capsys, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    for name in ("special_lsop", "stress_space", "canonical_forms"):
+        monkeypatch.setattr(claims_module, name, no_table)
+    claims = ["Thm3.6.2", "Cor3.7.2"]
+    code, out, _ = run(capsys, "verify", str(CORPUS_DIR / "bipyramid_m4.json"),
+                       "--claims", *claims, "--format", "json")
+    assert code == 0
+    assert out == golden_verify_json("bipyramid_m4", claims)
+
+
+def test_verify_claims_skip_the_errors_of_unselected_families(tmp_path,
+                                                              capsys):
+    # Expect reads a CM certificate, which a non-pure complex has not;
+    # CM applies to pure complexes only, so selected alone it runs nothing
+    p = tmp_path / "mixed.json"
+    p.write_text('{"facets": [[1, 2, 3], [-1, -2, -3], [4], [-4]], '
+                 '"expected": {"cm": true}}')
+    code, out, _ = run(capsys, "verify", str(p), "--claims", "CM")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("0 records")
+    code, _, err = run(capsys, "verify", str(p), "--claims", "Expect")
+    assert code == 2
+    assert err == "error: a CM certificate needs a pure complex\n"
+
+
+def test_verify_claims_that_read_no_table_pass_its_size_limit(tmp_path,
+                                                              capsys):
+    # the linear table of the 10-cross-polytope is refused for its size;
+    # Thm3.6.2 reads the g-vector only
+    path = str(tmp_path / "cp10.json")
+    assert run(capsys, "generate", "crosspoly", "--d", "10", "--out",
+               path)[0] == 0
+    code, out, _ = run(capsys, "verify", path, "--claims", "Thm3.6.2")
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "crosspoly_d10  Thm3.6.2  pass",
+        "1 records: 1 pass, 0 fail, 0 hypothesis-unmet"]
+    code, _, err = run(capsys, "verify", path)
+    assert code == 2
+    assert err.startswith("input error: degree 10 has 4780008 ")
+
+
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_verify_claims_prefix_must_start_a_claim_id(capsys, fmt):
     # a misspelt filter would otherwise select no record and exit 0
