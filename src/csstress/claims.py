@@ -179,6 +179,11 @@ class CorpusInstance(namedtuple(
         return super().__new__(cls, name, complex, polytope,
                                {} if expected is None else expected)
 
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds through `_make`: both default as `__new__` does
+        return cls(*iterable)
+
 
 def instance_from_json(text: str, fallback_name="instance") -> CorpusInstance:
     obj = load_json(text)
@@ -897,64 +902,56 @@ def _same_json(a, b) -> bool:
 
 def _supported_count(vectors, on) -> int:
     """The dimension of the w in the span of `vectors`, pairs (pivot,
-    {column: int}) of a reduced basis, that vanish on every column where
-    on(column) is false: the off columns.  A vector whose pivot is off is
-    the only one nonzero there, so it is independent of the others on the
-    off columns, and the count is the number of the others less their
-    rank on the off columns."""
+    {column: int}) of positive multiples of a reduced basis (primitive,
+    positive at their own pivot, 0 at the others'), that vanish on every
+    column where on(column) is false: the off columns.  A vector whose
+    pivot is off is the only one nonzero there, so it is independent of
+    the others on the off columns, and the count is the number of the
+    others less their rank on the off columns."""
     kept = [vec for p, vec in vectors if on(p)]
     return len(kept) - int_rank(
         [{j: x for j, x in vec.items() if not on(j)} for vec in kept])
 
 
 def _lemma31_suite(cx, table, instance) -> VerificationReport:
-    # Lem3.1: a symmetric stress supported on st(v) is supported on
-    # Γ_|v| = lk(v) ∩ lk(-v).  Stresses are local, so the symmetric
-    # stresses on a subcomplex are the plus-block stresses of cx that
-    # vanish off it, counted by `_supported_count`.  A support σ lies on
-    # st(v) when σ ∪ {v} is a face, and on Γ_k when σ ∪ {k} and σ ∪ {-k}
-    # both are; `checked` sums the Γ counts.  On a table that
-    # `stress_space` builds, a plus column m stands for m + σm, and σm
-    # lies on st(v) exactly when m lies on st(-v).  So the star count
-    # tests v and -v for each representative, as the Γ count does, and
-    # they agree by construction: the record can fail only on a stand-in
-    # table, whose block of sign 0 has no mirror columns.
-    seq, spaces = table
-    d = cx.dim + 1
-    vertices = cx.vertices
-    pairs = sorted({abs(v) for v in vertices})
-    reach: dict = {}  # support -> the vertices v with support ∪ {v} a face
+    """Lem3.1: a symmetric stress supported on st(v) is supported on
+    Γ_|v| = lk(v) ∩ lk(-v).
+
+    Stresses are local, so the symmetric stresses on a subcomplex are the
+    plus-block stresses of cx that vanish off it, counted by
+    `_supported_count`.  Only the Γ count is taken, since σ-symmetry
+    gives the lemma: in a cs complex st(v) ∩ st(-v) = Γ_|v|, and a plus
+    column m stands for m + σm, where σm lies on st(v) exactly when m
+    lies on st(-v).  So a column lies on st(v) exactly when it lies on
+    Γ_|v|.  A support σ lies on Γ_k when σ ∪ {k} and σ ∪ {-k} are both
+    faces.  `checked` counts each Γ_k once for each of v = ±k.  The
+    argument needs a table split by σ: a block of sign other than +1 is
+    HypothesisUnmet.
+    """
+    spaces = table[1]
+    pairs = sorted({abs(v) for v in cx.vertices})
+    reach: dict = {}  # support σ -> the pairs k with σ on Γ_k
     checked = 0
-    failures = []
-    for i in range(1, d + 1):
+    for i in range(1, cx.dim + 2):
         if not spaces[i].dim:
             continue
         block = spaces[i].blocks[0]
-        vectors, sign = block.vectors, block.sign
+        if block.sign != 1:
+            raise HypothesisUnmet("Lemma 3.1 needs a symmetric block")
         near = []
         for exps in block.columns:
-            sigma = tuple(sorted(v for v, _ in exps))
+            sigma = tuple(v for v, _ in exps)
             if sigma not in reach:
-                reach[sigma] = {v for v in vertices
-                                if cx.contains(sigma + (v,))}
+                reach[sigma] = {k for k in pairs if cx.contains(sigma + (k,))
+                                and cx.contains(sigma + (-k,))}
             near.append(reach[sigma])
-        for k in pairs:
-            gamma = _supported_count(
-                vectors, lambda j: k in near[j] and -k in near[j])
-            for v in (k, -k):
-                star = _supported_count(vectors, lambda j: v in near[j] and (
-                    -v in near[j] or not sign))
-                checked += gamma
-                if star != gamma:
-                    failures.append({"vertex": v, "degree": i,
-                                     "star": star, "gamma": gamma})
-    verdict = FAIL if failures else PASS if checked else UNMET
+        checked += 2 * sum(
+            _supported_count(block.vectors, lambda j: k in near[j])
+            for k in pairs)
     return VerificationReport(
-        CLAIM_STAR_SUPPORT, instance, verdict,
-        computed=None if verdict == UNMET else {"checked": checked},
-        witness=failures or None,
-        note="no symmetric star-supported stresses" if verdict == UNMET
-        else "",
+        CLAIM_STAR_SUPPORT, instance, PASS if checked else UNMET,
+        computed={"checked": checked} if checked else None,
+        note="" if checked else "no symmetric star-supported stresses",
     )
 
 

@@ -103,6 +103,12 @@ def test_report_replace_and_make_validate():
     assert r._replace(note="n") == VerificationReport("X", "inst", "pass",
                                                       note="n")
     assert VerificationReport._make(r) == r
+    # `CorpusInstance` defaults a missing `expected` to {} the same way
+    cx = SimplicialComplex([[1]])
+    inst = CorpusInstance("x", cx, None, {"cs": False})
+    assert inst._replace(expected=None).expected == {}
+    assert CorpusInstance._make(["x", cx, None, None]).expected == {}
+    assert CorpusInstance._make(inst) == inst
 
 
 def test_report_json_omits_missing_fields():
@@ -277,14 +283,13 @@ def test_lemma31_holds_for_every_counted_vector(corpus_by_name, name):
     assert record.computed == {"checked": counted}
 
 
-@pytest.mark.parametrize("name", ["bipyramid_m3", "crosspoly_d3"])
-def test_lemma31_star_counts_on_representatives_are_the_full_ones(
-        corpus_by_name, name):
-    # a plus column m stands for m + sigma m, so it lies on st(v) when m
-    # lies on st(v) and st(-v): the count on representatives is the
-    # count on the symmetric vectors over every monomial
-    cx = corpus_by_name[name].complex
-    seq, spaces = linear_table(cx, 1)
+def _check_star_counts_are_gamma_counts(cx, seed):
+    # a plus column m stands for m + sigma m; over every monomial the
+    # symmetric stresses supported on st(v) are counted on their own,
+    # and on representatives the count on Γ_|v| is the same at every v.
+    # Lem3.1's `checked` is the sum of the star counts
+    seq, spaces = linear_table(cx, seed)
+    total = 0
 
     def near(columns):
         # columns as exponent tuples, as a block holds them
@@ -301,20 +306,37 @@ def test_lemma31_star_counts_on_representatives_are_the_full_ones(
         on_full = near(m.exps for m in columns)
         on_reps = near(block.columns)
         for v in cx.vertices:
-            want = claims_module._supported_count(
+            star = claims_module._supported_count(
                 full, lambda j: v in on_full[j])
             assert claims_module._supported_count(
                 block.vectors,
-                lambda j: v in on_reps[j] and -v in on_reps[j]) == want
+                lambda j: v in on_reps[j] and -v in on_reps[j]) == star, (
+                    i, v)
+            total += star
+    r = claims_module._lemma31_suite(cx, (seq, spaces), "x")
+    assert r.computed == ({"checked": total} if total else None)
 
 
-def test_lemma31_fails_on_a_stand_in_table(octahedron):
-    # a stand-in degree-1 plus block that is not symmetric: x_2 + x_1
-    # and x_3 + x_1, pivoted at x_2 and x_3, over every monomial, with
-    # sign 0 and so no mirror columns.  No face holds both k and -k.
-    # Both vectors lie on st(k); on Γ_1 only their difference, which
-    # only the rank finds; on Γ_2 only x_3 + x_1, and on Γ_3 only
-    # x_2 + x_1.  The counts on st(-k) agree with those on Γ_k
+@pytest.mark.parametrize("name", ["bipyramid_m3", "crosspoly_d3"])
+def test_lemma31_star_counts_on_representatives_are_the_full_ones(
+        corpus_by_name, name):
+    _check_star_counts_are_gamma_counts(corpus_by_name[name].complex, 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(half=cs_facet_halves(), seed=st.integers(0, 99))
+def test_lemma31_star_counts_are_gamma_counts_on_cs_complexes(half, seed):
+    cx = SimplicialComplex.from_facets(
+        half + [[-v for v in f] for f in half], expect_cs=True
+    )
+    _check_star_counts_are_gamma_counts(cx, seed)
+
+
+def test_lemma31_refuses_a_stand_in_table(octahedron):
+    # a stand-in degree-1 block that is not split by sigma: x_2 + x_1 and
+    # x_3 + x_1 over every monomial, with sign 0 and so no mirror
+    # columns.  The count on Γ_|v| is the count on st(v) only on a plus
+    # block, so the suite refuses this one
     seq, spaces = linear_table(octahedron, 1)
     columns = spaces[1].columns
     x1, x2, x3 = ([j for j, m in enumerate(columns) if m.support == (v,)][0]
@@ -324,13 +346,8 @@ def test_lemma31_fails_on_a_stand_in_table(octahedron):
                             vectors=vectors)
     stand_in = SimpleNamespace(dim=2, blocks=(block,))
     table = (seq, (spaces[0], stand_in, *spaces[2:]))
-    r = claims_module._lemma31_suite(octahedron, table, "oct")
-    assert r.verdict == "fail"
-    assert r.witness == [{"vertex": k, "degree": 1, "star": 2, "gamma": 1}
-                         for k in (1, 2, 3)]
-    # one Γ_k vector in degree 1 and, each Γ_k being a 4-cycle, one in
-    # degree 2, counted at both vertices ±k
-    assert r.computed == {"checked": 2 * (3 + 3)}
+    with pytest.raises(HypothesisUnmet, match="symmetric block"):
+        claims_module._lemma31_suite(octahedron, table, "oct")
 
 
 # -- squarefree / pair-sum structure -------------------------------------------------
