@@ -36,14 +36,13 @@ _EXPORTS = {
     ),
     "engine": (
         "FormSequence", "StressSpace", "canonical_forms", "generic_lsop",
-        "is_stress", "lsop_check", "restrict_stress_space", "special_lsop",
-        "stress_space", "vanishing_stress_space",
+        "is_stress", "lsop_check", "special_lsop", "stress_space",
+        "vanishing_stress_space",
     ),
     "errors": (
         "CsStressError", "CsViolation", "GroundSetOverlap",
         "HypothesisUnmet", "InputError", "LengthMismatch", "LsopNotFound",
-        "NotAFace", "NotCs", "NotPure", "NotSimplicial", "NotSubcomplex",
-        "RedundantFacet",
+        "NotAFace", "NotCs", "NotPure", "NotSimplicial", "RedundantFacet",
     ),
     "exactla": (),  # no public names; csstress.exactla is the module
     "polynomials": (

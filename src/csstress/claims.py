@@ -18,7 +18,6 @@ from math import comb
 from .complexes import (
     SimplicialComplex,
     complex_from_json_obj,
-    cross_polytope_boundary,
     detect_cross_polytope_subcomplexes,
     load_json,
 )
@@ -31,7 +30,6 @@ from .engine import (
     on_faces,
     orbit_family,
     reduced_polynomial,
-    restrict_stress_space,
     special_lsop,
     stress_dims,
     stress_space,
@@ -679,7 +677,14 @@ def _thm35_step(cx, spaces, j):
 
 
 def verify_thm36(cx, i, table, instance="") -> VerificationReport:
-    """Equality h_i = C(d,i) propagates to every higher degree."""
+    """Equality h_i = C(d,i) propagates to every higher degree.
+
+    At i = 1 with h_1 = d, cx must be the cross-polytope boundary, and
+    it is exactly when its vertex pairs are one hit of the detector.  No
+    face of a cs complex holds both v and -v, so every face lies in a
+    sign pattern of the pairs, and the hit makes each sign pattern a
+    face: the facets are the 2^d sign patterns, and no f-vector needs
+    comparing."""
     vec = cx.fhg_vectors()
     d = vec.d
     if not 1 <= i < d:
@@ -710,10 +715,7 @@ def verify_thm36(cx, i, table, instance="") -> VerificationReport:
     if i == 1 and equal[1]:
         hits = detect_cross_polytope_subcomplexes(cx, d)
         pairs = tuple(sorted({abs(v) for v in cx.vertices}))
-        model = cross_polytope_boundary(d).fhg_vectors()
-        iso = bool(hits) and pairs in [tuple(h) for h in hits] and (
-            vec.f == model.f
-        )
+        iso = pairs in hits
         if not iso:
             failures.append(
                 {"reason": "complex on 2d vertices with h_1 = d is not "
@@ -769,7 +771,17 @@ def verify_polytope_thm36(p: Polytope, i, instance="") -> VerificationReport:
 
 
 def verify_cor37(cx, i, table, instance="") -> VerificationReport:
-    """At equality degrees, a cross-polytope subcomplex carries all stresses."""
+    """At equality degrees, a cross-polytope subcomplex carries all stresses.
+
+    Only two things can fail: that cx holds a d-cross-polytope boundary
+    Gamma, and that dim Stress_j(cx) = C(d, j) for j = i..d.  Every facet
+    of Gamma is a facet of cx, so the table's l.s.o.p. of cx, which must
+    be verified as for `cm_certificate`, is one of Gamma.  Gamma is a
+    sphere, hence Cohen-Macaulay (Reisner), so its "restricted"
+    dimension dim Stress_j(Gamma) is h_j(Gamma) = C(d, j) (Stanley,
+    Combinatorics and Commutative Algebra, III.2) with no solve.
+    Stresses are local, so Stress_j(Gamma) lies in Stress_j(cx), and it
+    is all of it exactly when the two dimensions agree."""
     vec = cx.fhg_vectors()
     d = vec.d
     if not 1 <= i < d:
@@ -794,19 +806,11 @@ def verify_cor37(cx, i, table, instance="") -> VerificationReport:
             computed={"degree": i},
             witness={"reason": "no d-cross-polytope subcomplex found"},
         )
-    sigma = hits[0]
-    gamma = SimplicialComplex.from_facets(
-        [
-            tuple(s * k for k, s in zip(sigma, signs))
-            for signs in itertools.product((1, -1), repeat=len(sigma))
-        ],
-        expect_cs=True,
-    )
     failures = []
     dims = {}
     _, spaces = table
     for j in range(i, d + 1):
-        restricted = restrict_stress_space(spaces[j], gamma).dim
+        restricted = comb(d, j)
         dims[j] = {"full": spaces[j].dim, "restricted": restricted}
         if restricted != spaces[j].dim:
             failures.append(
@@ -818,7 +822,7 @@ def verify_cor37(cx, i, table, instance="") -> VerificationReport:
         CLAIM_RESTRICTION,
         instance,
         FAIL if failures else PASS,
-        computed={"degree": i, "gamma_pairs": list(sigma), "dims": dims},
+        computed={"degree": i, "gamma_pairs": list(hits[0]), "dims": dims},
         witness=failures or None,
     )
 

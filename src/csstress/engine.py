@@ -15,8 +15,8 @@ dimension is read; `certify_dims` and `stress_dims` take a table's
 dimensions from ranks mod a prime when a lower bound proves them exact,
 so a caller that needs only dimensions may solve nothing.  `is_stress`
 tests membership on the equations and solves nothing.  Stresses are
-local, so the stresses of a subcomplex are computed on the subcomplex
-itself.
+local: the stresses of cx supported on a subcomplex sub are those of sub
+itself, `stress_space(sub, forms, i)`.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .errors import (
     NotCs,
     NotPure,
     NotSimplicial,
-    NotSubcomplex,
 )
 from .exactla import _int_nullspace, _rank_mod, int_rank, int_rref, rank_mod
 from .polynomials import (
@@ -609,19 +608,3 @@ def is_stress(cx: SimplicialComplex, forms, w: Polynomial) -> bool:
                 derivative[key] = derivative.get(key, 0) + c * e * x
     return not any(derivative.values())
 
-
-def restrict_stress_space(s: StressSpace, sub: SimplicialComplex) -> StressSpace:
-    """Stresses of s supported on the subcomplex sub.
-
-    Stresses are local: the derivatives do not see the ambient complex,
-    so these are exactly the stresses of sub itself.
-    """
-    parent = s.complex
-    for f in sub.facets:
-        if not parent.contains(f):
-            raise NotSubcomplex(
-                f"facet {list(f)} is not a face of the parent complex"
-            )
-    if sub == parent:
-        return s
-    return stress_space(sub, s.forms, s.degree)

@@ -41,10 +41,6 @@ class LengthMismatch(CsStressError):
     """Form sequence has the wrong number of forms for the complex."""
 
 
-class NotSubcomplex(CsStressError):
-    """The candidate subcomplex has a face outside the ambient complex."""
-
-
 class LsopNotFound(CsStressError):
     """No sampled form sequence passed the facet-rank check (exit code 3)."""
 

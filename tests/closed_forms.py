@@ -31,7 +31,10 @@ imports csstress, so the numbers are checked against formulas alone:
   vertices: d (2^d - 2);
 - Lem3.2-3.4: every stress of the boundary is symmetric with symmetric
   vertex derivatives, so W_i = Stress_i, and the lemmas check all
-  C(d, i) members of each degree's basis and skip none.
+  C(d, i) members of each degree's basis and skip none;
+- Cor3.7.1: h_i = C(d, i) at every degree i = 1..d-1, and Gamma is the
+  boundary itself, on pairs 1..d, so each degree has
+  full = restricted = C(d, j) for j = i..d.
 """
 
 from __future__ import annotations
@@ -73,6 +76,14 @@ def failures(d: int, records: list) -> list[str]:
             != [(i, comb(d, i), 0) for i in range(1, d + 1)]):
         out.append(f"Lem3.2-3.4: {rows} is not checked = C(d, i), "
                    "skipped 0")
+    rows = [c for cs in computed("Cor3.7.1") for c in cs]
+    if rows != [{"degree": i, "gamma_pairs": list(range(1, d + 1)),
+                 "dims": {str(j): {"full": comb(d, j),
+                                   "restricted": comb(d, j)}
+                          for j in range(i, d + 1)}}
+                for i in range(1, d)]:
+        out.append(f"Cor3.7.1: {rows} is not full = restricted = C(d, j), "
+                   "gamma_pairs 1..d")
     return out
 
 

@@ -174,6 +174,18 @@ def antipodal_link(facets, k):
     return None if maximal == [()] else maximal
 
 
+def glued_cross_polytope(d) -> list[tuple[int, ...]]:
+    """Facets of the d-cross-polytope boundary on pairs 1..d with the
+    antipodal facets {1, ..., d-1, d+1} and {-1, ..., -(d-1), -(d+1)}
+    glued on along a ridge each: a shellable cs complex with
+    h_i = C(d, i) + 2 [i = 1] whose one d-cross-polytope subcomplex is
+    proper."""
+    top = tuple(range(1, d)) + (d + 1,)
+    facets = [tuple(sorted(k * s for k, s in zip(range(1, d + 1), signs)))
+              for signs in itertools.product((1, -1), repeat=d)]
+    return facets + [top, tuple(sorted(-v for v in top))]
+
+
 def h_from_f(f) -> list[int]:
     """Coefficients of sum_k f_(k-1) (t-1)^(d-k), highest power first."""
     d = len(f) - 1

@@ -70,6 +70,7 @@ from oracles import (
     brute_symmetric_derivative_dim,
     brute_symmetric_star_dim,
     form_derivative,
+    glued_cross_polytope,
     mirror_terms,
 )
 from strategies import cs_facet_halves
@@ -779,6 +780,37 @@ def test_cor37_unmet_without_equality():
     cx = bipyramid(3).boundary
     r = verify_cor37(cx, 1, linear_table(cx, 1))
     assert r.verdict == "hypothesis_unmet"
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_cor37_on_a_proper_cross_polytope_subcomplex_solves_nothing(
+        monkeypatch, d):
+    # Gamma, on pairs 1..d, lacks the two glued facets; its stress
+    # dimensions are C(d, j) by theorem, so once the table's dimensions
+    # are read (and solved), no space is built or solved
+    cx = SimplicialComplex.from_facets(glued_cross_polytope(d),
+                                       expect_cs=True)
+    table = linear_table(cx, 1)
+    assert cm_certificate(cx, table)["is_cm_witnessed"]
+    work = []
+    real = engine_module._int_nullspace
+    monkeypatch.setattr(engine_module, "_int_nullspace",
+                        lambda rows, ncols: work.append(ncols)
+                        or real(rows, ncols))
+    for module in (engine_module, claims_module):
+        monkeypatch.setattr(module, "stress_space",
+                            lambda *args: work.append(args))
+    r = verify_cor37(cx, 1, table)
+    assert r.verdict == "hypothesis_unmet"
+    assert r.computed == {"degree": 1, "h": d + 2, "binomial": d}
+    for i in range(2, d):
+        r = verify_cor37(cx, i, table)
+        assert r.verdict == "pass"
+        assert r.computed["gamma_pairs"] == list(range(1, d + 1))
+        assert r.computed["dims"] == {
+            j: {"full": comb(d, j), "restricted": comb(d, j)}
+            for j in range(i, d + 1)}
+    assert work == []
 
 
 def test_polytope_cor37():

@@ -18,6 +18,7 @@ import csstress.exactla as exactla_module
 from csstress import LsopNotFound
 from csstress.cli import main
 from conftest import CORPUS_DIR
+from oracles import glued_cross_polytope
 
 
 def run(capsys, *argv):
@@ -659,15 +660,28 @@ def golden_verify_json(name, claims):
                    if r["instance"] == name and r["claim"] in claims)
 
 
-def test_verify_dims_only_claims_solve_no_block(capsys, monkeypatch):
+def test_verify_dims_only_claims_solve_no_block(tmp_path, capsys,
+                                               monkeypatch):
     # these families read only stress dimensions, which the certified
-    # route of `stress` without `--basis` gives with no exact solve
-    claims = ["CM", "Thm2.2.1", "Cor2.3.1", "Thm3.6.1"]
+    # route of `stress` without `--basis` gives with no exact solve;
+    # Cor3.7.1 takes those of its cross-polytope Gamma from the theorem,
+    # also where Gamma is not the whole complex, as in the glued one
+    claims = ["CM", "Thm2.2.1", "Cor2.3.1", "Thm3.6.1", "Cor3.7.1"]
     calls = count_nullspace_calls(monkeypatch)
     code, out, _ = run(capsys, "verify", str(CORPUS_DIR / "crosspoly_d4.json"),
                        "--claims", *claims, "--format", "json")
     assert code == 0
     assert out == golden_verify_json("crosspoly_d4", claims)
+    glued = tmp_path / "glued4.json"
+    glued.write_text(json.dumps({"facets": glued_cross_polytope(4)}))
+    code, out, _ = run(capsys, "verify", str(glued),
+                       "--claims", *claims, "--format", "json")
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["claim"] for r in records] == sorted(claims)
+    assert all(r["verdict"] == "pass" for r in records)
+    cor37 = next(r["computed"] for r in records if r["claim"] == "Cor3.7.1")
+    assert [c["gamma_pairs"] for c in cor37[1:]] == [[1, 2, 3, 4]] * 2
     assert calls == []
 
 

@@ -56,13 +56,17 @@ def _bump_skipped(records):
     records["Lem3.2-3.4"]["computed"][1]["skipped"] = 1
 
 
+def _bump_restricted(records):
+    records["Cor3.7.1"]["computed"][0]["dims"]["2"]["restricted"] += 1
+
+
 def _fail_one(records):
     records["CM"]["verdict"] = "fail"
 
 
 @pytest.mark.parametrize("change", [
     _bump_h, _bump_minus, _bump_transported, _bump_lemma31, _bump_skipped,
-    _fail_one,
+    _bump_restricted, _fail_one,
 ])
 def test_closed_forms_reject_one_changed_number(tmp_path, capsys, change):
     code, path = json_output(tmp_path, capsys, 3)

@@ -20,19 +20,18 @@ from csstress import (
     Monomial,
     NotCs,
     NotPure,
-    NotSubcomplex,
     Polynomial,
     SimplicialComplex,
     canonical_forms,
     cm_certificate,
     cross_polytope,
     delta_monomials,
+    detect_cross_polytope_subcomplexes,
     generic_lsop,
     is_stress,
     lsop_check,
     negate,
     pair_sum,
-    restrict_stress_space,
     special_lsop,
     stress_space,
     vanishing_stress_space,
@@ -54,6 +53,7 @@ from oracles import (
     brute_stress_dim,
     dense_rank,
     form_derivative,
+    glued_cross_polytope,
     mirror_terms,
     same_span,
 )
@@ -686,12 +686,14 @@ def test_exact_solve_takes_its_block_over():
     assert peak < 0.7 * 2**20, peak
 
 
-# -- restriction ------------------------------------------------------------------
+# -- stresses of a subcomplex ------------------------------------------------------
 
 
 @settings(max_examples=40, deadline=None)
 @given(cx=CS_COMPLEXES, seed=st.integers(0, 99), data=st.data())
 def test_restriction_matches_dense_oracle_on_subcomplexes(cx, seed, data):
+    # stresses are local: those of a subcomplex are computed on it alone,
+    # with the forms of cx, and each is a stress of cx
     keep = data.draw(st.lists(st.sampled_from(cx.facets), min_size=1,
                               unique=True))
     if data.draw(st.booleans()):
@@ -700,43 +702,52 @@ def test_restriction_matches_dense_oracle_on_subcomplexes(cx, seed, data):
     seq = special_lsop(cx, seed)
     rows = coeff_rows(list(seq), cx.ground_set)
     for i in range(cx.dim + 2):
-        restricted = restrict_stress_space(stress_space(cx, seq, i), sub)
-        assert restricted.dim == brute_stress_dim(sub.facets, rows, i), i
-        for w in restricted.basis:
+        space = stress_space(sub, seq, i)
+        assert space.dim == brute_stress_dim(sub.facets, rows, i), i
+        for w in space.basis:
             assert is_stress(cx, seq, w)
 
 
-def test_restriction_to_self_is_identity(octahedron):
-    seq = special_lsop(octahedron, seed=1)
-    s = stress_space(octahedron, seq, 2)
-    assert restrict_stress_space(s, octahedron) is s
+def _cross_polytope_stress_dims(cx, seed):
+    """For each d-cross-polytope boundary Gamma in cx, the stress
+    dimensions of Gamma in degrees 0..d under the l.s.o.p. of cx."""
+    d = cx.dim + 1
+    seq = special_lsop(cx, seed)
+    out = []
+    for sigma in detect_cross_polytope_subcomplexes(cx, d):
+        gamma = SimplicialComplex.from_facets(
+            [[k * s for k, s in zip(sigma, signs)]
+             for signs in itertools.product((1, -1), repeat=d)],
+            expect_cs=True)
+        out.append([stress_space(gamma, seq, j).dim for j in range(d + 1)])
+    return out
 
 
-def test_restriction_to_equator_square(octahedron):
-    square = SimplicialComplex.from_facets(
-        [(1, 2), (2, -1), (-1, -2), (-2, 1)], expect_cs=True
-    )
-    seq = special_lsop(octahedron, seed=1)
-    s2 = stress_space(octahedron, seq, 2)
-    restricted = restrict_stress_space(s2, square)
-    direct = stress_space(square, seq, 2)
-    assert restricted.dim == direct.dim
-    ours = [
-        [w.coefficient(m) for m in direct.columns]
-        for w in restricted.basis
-    ]
-    theirs = [
-        [w.coefficient(m) for m in direct.columns] for w in direct.basis
-    ]
-    assert same_span(ours, theirs)
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_cross_polytope_subcomplex_has_binomial_stress_dims(d):
+    # the argument of `verify_cor37`: Gamma is a sphere, so CM, and the
+    # l.s.o.p. of cx is one of Gamma, so dim Stress_j(Gamma) = C(d, j)
+    cx = SimplicialComplex.from_facets(glued_cross_polytope(d),
+                                       expect_cs=True)
+    assert _cross_polytope_stress_dims(cx, 1) == [
+        [comb(d, j) for j in range(d + 1)]]
 
 
-def test_restriction_requires_subcomplex(octahedron):
-    other = SimplicialComplex([(1, 7)])
-    seq = special_lsop(octahedron, seed=1)
-    s = stress_space(octahedron, seq, 1)
-    with pytest.raises(NotSubcomplex):
-        restrict_stress_space(s, other)
+@settings(max_examples=40, deadline=None)
+@given(cx=CS_COMPLEXES, seed=st.integers(0, 99), data=st.data())
+def test_cross_polytope_subcomplexes_of_cs_complexes(cx, seed, data):
+    # a draw with a cross-polytope glued on always has one
+    d = cx.dim + 1
+    if data.draw(st.booleans()):
+        pairs = data.draw(st.permutations([1, 2, 3, 4]))[:d]
+        cx = SimplicialComplex.from_facets(
+            sorted({tuple(sorted(f)) for f in cx.facets}
+                   | {tuple(sorted(k * s for k, s in zip(pairs, signs)))
+                      for signs in itertools.product((1, -1), repeat=d)}),
+            expect_cs=True)
+        assert detect_cross_polytope_subcomplexes(cx, d)
+    for dims in _cross_polytope_stress_dims(cx, seed):
+        assert dims == [comb(d, j) for j in range(d + 1)]
 
 
 # -- Cohen-Macaulay certificates ----------------------------------------------------

@@ -53,7 +53,7 @@ def test_public_names_are_the_submodules_objects():
                 print(name)
         print(len(csstress.__all__))
     """)
-    assert out.split() == ["77"]
+    assert out.split() == ["75"]
 
 
 def test_star_import_binds_all_public_names():
