@@ -9,7 +9,8 @@ constraint matrix much sparser.  For a centrally symmetric complex and
 forms of definite parity, the involution x_v -> x_{-v} splits that
 matrix into a symmetric (plus) and an antisymmetric (minus) block; their
 dimensions carry the face-number content.  Both are assembled, and their
-kernels held, on one monomial of each orbit {m, sigma m}.  A block is
+kernels held, on one monomial of each orbit {m, sigma m}, each block in
+compressed-column form, which a rank mod p reads in place.  A block is
 solved, into primitive integer kernel vectors, only when its kernel or
 dimension is read; `certify_dims` and `stress_dims` take a table's
 dimensions from ranks mod a prime when a lower bound proves them exact,
@@ -22,6 +23,7 @@ itself, `stress_space(sub, forms, i)`.
 from __future__ import annotations
 
 import random
+from array import array
 from fractions import Fraction
 from math import lcm
 
@@ -33,7 +35,7 @@ from .errors import (
     NotPure,
     NotSimplicial,
 )
-from .exactla import _int_nullspace, _rank_mod, int_rank, int_rref, rank_mod
+from .exactla import Columns, _int_nullspace, int_rank, int_rref, rank_mod
 from .polynomials import (
     LinearForm,
     Monomial,
@@ -105,13 +107,13 @@ class _Block:
 
     `columns` holds the `exps` of monomials m, which with `sign` s = +1
     or -1 are orbit representatives standing for m + s sigma m, and
-    `matrix` one integer vector {row: value} per column.  Ranks mod p
-    are taken over these columns, as rank A = rank A^T and the blocks
-    are taller than wide.  `known` is the exact kernel dimension once
-    known.  The block is held once: the solve takes the matrix over,
-    dropping each column as it files its entries under their rows, and
-    the kernel routine scales and eliminates those rows in place.  A
-    block known to be 0 is never solved.
+    `matrix` the integer block over them in compressed-column form
+    (`exactla.Columns`).  Ranks mod p read it as it is, over these
+    columns, as rank A = rank A^T and the blocks are taller than wide.
+    `known` is the exact kernel dimension once known.  The solve takes
+    the matrix over and drops it once its entries are filed under their
+    rows, and the kernel routine scales and eliminates those rows in
+    place.  A block known to be 0 is never solved.
     """
 
     __slots__ = ("columns", "matrix", "sign", "known", "_vectors",
@@ -145,11 +147,12 @@ class _Block:
         if self.known == 0:
             return ()
         # the kernel does not depend on the row order
+        offsets, index, values = matrix
         rows: dict = {}
-        for b, column in enumerate(matrix):
-            matrix[b] = None
-            for r, x in column.items():
+        for b, (a, z) in enumerate(zip(offsets, offsets[1:])):
+            for r, x in zip(index[a:z], values[a:z]):
                 rows.setdefault(r, {})[b] = x
+        del matrix, offsets, index, values
         rows = list(rows.values())
         return tuple(_int_nullspace(rows, len(self.columns)))
 
@@ -350,7 +353,7 @@ def lsop_check(cx: SimplicialComplex, forms) -> bool:
         rows = [
             {j: c[v] for j, v in enumerate(facet) if v in c} for c in echelon
         ]
-        if rank_mod(rows, PRIMES[0]) == len(facet):
+        if rank_mod(Columns.of(rows), PRIMES[0]) == len(facet):
             continue
         if int_rank(rows) != len(facet):
             return False
@@ -418,10 +421,12 @@ def stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:
     no entries.  Both blocks are built in one pass, and their kernels are
     held over the representatives.  Nothing is solved here.
 
-    A column is held as its exponent tuple.  Each row orbit keeps one
-    tuple of row indices, and each entry e * weight is made once per
-    vertex and exponent (`_entry_weights`), so the blocks' dicts share
-    their keys and values instead of holding two new ints per entry.
+    A column is held as its exponent tuple, and a block's entries in
+    compressed-column form (`exactla.Columns`): row indices in one flat
+    array, values in one flat list.  Each row orbit keeps its first row
+    index, and each entry e * weight is made once per vertex and
+    exponent (`_entry_weights`), so the values list points at shared
+    ints, extended a tuple at a time.
     """
     if i < 0:
         raise ValueError("degree must be nonnegative")
@@ -443,12 +448,17 @@ def stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:
         # every row is its own orbit, a fixed one, and no entry reaches
         # a second block
         fixed_weights = _entry_weights(cx, scaled, [(1, 0)] * nforms, i)
-    # representative lower monomial exps -> its orbit's row indices
+    # representative lower monomial exps -> its orbit's first row index
     orbits: dict = {}
     row_count = 0
-    plus_matrix, minus_matrix = [], []
+    plus = Columns(array("l", [0]), array("l"), [])
+    minus = Columns(array("l", [0]), array("l"), [])
+    # bound once: this loop runs once per entry
+    plus_row, plus_values, plus_end = (plus.rows.append, plus.values,
+                                       plus.offsets.append)
+    minus_row, minus_values, minus_end = (minus.rows.append, minus.values,
+                                          minus.offsets.append)
     for exps in columns:
-        plus, minus = {}, {}
         # the m / x_v for distinct v lie in distinct row orbits, their
         # supports being faces of supp m, which meets its mirror in no
         # vertex; so each entry of a block has one term
@@ -460,39 +470,44 @@ def stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:
             else:  # a face holds no x_k beside x_-k: the order stays
                 lower = tuple([(-u, x) for u, x in lower])
                 weights = mirror_weights
-            rows = orbits.get(lower)
-            if rows is None:
-                rows = orbits[lower] = tuple(
-                    range(row_count, row_count + nforms))
+            base = orbits.get(lower)
+            if base is None:
+                base = orbits[lower] = row_count
                 row_count += nforms
-            to_plus, to_minus = weights[v][e]
-            for k, x in to_plus:
-                plus[rows[k]] = x
-            for k, x in to_minus:
-                minus[rows[k]] = x
-        plus_matrix.append(plus)
+            plus_at, to_plus, minus_at, to_minus = weights[v][e]
+            for k in plus_at:
+                plus_row(base + k)
+            plus_values += to_plus
+            for k in minus_at:
+                minus_row(base + k)
+            minus_values += to_minus
+        plus_end(len(plus_values))
         if split and exps:
-            minus_matrix.append(minus)
-    blocks = [_Block(columns, plus_matrix, int(split))]
+            minus_end(len(minus_values))
+    blocks = [_Block(columns, plus, int(split))]
     if split:  # 1 has no antisymmetric column
-        blocks.append(_Block(columns if i else (), minus_matrix, -1))
+        blocks.append(_Block(columns if i else (), minus, -1))
     return StressSpace(cx, forms, i, blocks)
 
 
 def _entry_weights(cx, scaled, factors, top) -> dict:
-    """Per vertex v and exponent e <= top, the nonzero (k, entry) pairs,
-    for the symmetric and for the antisymmetric block, that x_v^e sends
-    there: e times the scaled coefficient of x_v in form k times
-    factors[k], the factor pair of `stress_space` for one kind of row.
-    Each entry is made here once, and every column shares it."""
+    """Per vertex v and exponent e <= top, the nonzero entries that x_v^e
+    sends to the symmetric and to the antisymmetric block, as four
+    tuples: forms k and entries for the one, then for the other.  Each
+    entry is e times the scaled coefficient of x_v in form k times
+    factors[k], the factor pair of `stress_space` for one kind of row;
+    it is made here once, and every column shares it."""
     table = {}
     for v in cx.ground_set:
-        terms = [(k, coeffs.get(v, 0), f)
-                 for k, (coeffs, f) in enumerate(zip(scaled, factors))]
-        table[v] = [(
-            [(k, e * c * fp) for k, c, (fp, _) in terms if c * fp],
-            [(k, e * c * fm) for k, c, (_, fm) in terms if c * fm],
-        ) for e in range(top + 1)]
+        terms = [(k, c * fp, c * fm) for k, (coeffs, (fp, fm))
+                 in enumerate(zip(scaled, factors)) if (c := coeffs.get(v))]
+        plus_at = tuple([k for k, w, _ in terms if w])
+        plus = [w for _, w, _ in terms if w]
+        minus_at = tuple([k for k, _, w in terms if w])
+        minus = [w for _, _, w in terms if w]
+        table[v] = [(plus_at, tuple([e * w for w in plus]),
+                     minus_at, tuple([e * w for w in minus]))
+                    for e in range(top + 1)]
     return table
 
 
@@ -548,8 +563,7 @@ def stress_dims(cx: SimplicialComplex, forms, top: int, floor: int):
 def _dims_mod(blocks, p) -> list:
     for b in blocks:  # only the matrices are read: drop the rest first
         b.columns = None
-    # the columns are counted before the rank empties the matrix
-    return [len(b.matrix) - _rank_mod(b.matrix, p) for b in blocks]
+    return [b.matrix.ncols - rank_mod(b.matrix, p) for b in blocks]
 
 
 def vanishing_stress_space(cx: SimplicialComplex, forms, i: int) -> StressSpace:

@@ -1,31 +1,36 @@
 """Exact sparse linear algebra over the rationals, and rank mod a prime.
 
 Rows are dicts {column: value}, columns nonnegative integers.  Every
-rank and kernel goes through one forward elimination with one pivot
-rule: columns are resolved in ascending order, and the pivot is the
-sparsest row holding the column (ties by row index).  Each row is filed
-under its lowest column alone: once every column below c is resolved,
-the rows holding c are exactly those filed under c.  Only the row update
-differs between the two fields.
+exact rank and kernel goes through one forward elimination with one
+pivot rule: columns are resolved in ascending order, and the pivot is
+the sparsest row holding the column (ties by row index).  Each row is
+filed under its lowest column alone: once every column below c is
+resolved, the rows holding c are exactly those filed under c.
 
-Over Q the update is fraction-free.  `int_rank`, `int_rref` and
-`int_nullspace` take rows with integer or rational values and scale
-copies of them to coprime integers; updates cross-multiply and remove the
-common factor, so no rational division happens at all, and a kernel comes
-back as primitive integer vectors.  `_int_nullspace` scales and
-eliminates the rows of a list it takes over, so a caller that builds the
-rows for one solve holds them only once.
+The update is fraction-free.  `int_rank`, `int_rref` and `int_nullspace`
+take rows with integer or rational values and scale copies of them to
+coprime integers; updates cross-multiply and remove the common factor,
+so no rational division happens at all, and a kernel comes back as
+primitive integer vectors.  `_int_nullspace` scales and eliminates the
+rows of a list it takes over, so a caller that builds the rows for one
+solve holds them only once.
 
-`rank_mod` works over GF(p) on residue copies of the rows, `_rank_mod`
-on the rows of a list it takes over.  Entries stay below p, so this
-costs a fraction of the exact path, and for an integer matrix rank mod
-p <= rank over Q: every minor that is nonzero mod p is a nonzero
-integer.  Callers use it where that inequality certifies the answer and
-fall back to the exact path where it does not.
+`rank_mod` works over GF(p) on an integer matrix held as compressed
+columns (`Columns`: column offsets, one flat array of row indices and
+one flat list of values), which it reads and leaves as it is.  It runs
+the same pivot rule with rows and columns swapped, and makes a dict of
+residues for a column only when the elimination reaches it.  Entries
+stay below p, so this costs a fraction of the exact path, and for an
+integer matrix rank mod p <= rank over Q: every minor that is nonzero
+mod p is a nonzero integer.  Callers use it where that inequality
+certifies the answer and fall back to the exact path where it does not.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import namedtuple
+from itertools import islice
 from math import gcd, lcm
 
 
@@ -124,34 +129,89 @@ def _back_substitute(pivots):
     return pivots
 
 
-def rank_mod(rows, p: int) -> int:
-    """Rank over GF(p) of integer rows, each a dict {column: value}.
-    `rows` is not modified."""
-    return _rank_mod(list(rows), p)
+class Columns(namedtuple("Columns", "offsets rows values")):
+    """An integer matrix in compressed-column form: column j holds
+    values[offsets[j]:offsets[j + 1]] at the rows of the same slice of
+    `rows`, an array('l'), each row at most once and every value
+    nonzero."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, vectors) -> Columns:
+        """The matrix whose columns are `vectors`, dicts {row: value}."""
+        offsets, rows, values = array("l", [0]), array("l"), []
+        for vec in vectors:
+            rows.extend(vec)
+            values.extend(vec.values())
+            offsets.append(len(values))
+        return cls(offsets, rows, values)
+
+    @property
+    def ncols(self) -> int:
+        return len(self.offsets) - 1
 
 
-def _rank_mod(rows: list, p: int) -> int:
-    """`rank_mod` of a list it takes over: each row is replaced by its
-    residues, one at a time, and reduced in place; the list is emptied."""
+def rank_mod(matrix: Columns, p: int) -> int:
+    """Rank over GF(p) of `matrix`, which is read and not modified.
 
-    def update(row, pivot, c):
-        if pivot[c] != 1:  # scale the pivot once, in place
-            inv = pow(pivot[c], -1, p)
-            for col in pivot:
-                pivot[col] = pivot[col] * inv % p
-        factor = row[c]
-        for col, val in pivot.items():
-            new = (row.get(col, 0) - factor * val) % p
-            if new:
-                row[col] = new
-            elif col in row:
-                del row[col]
-        return row
-
-    for n, row in enumerate(rows):
-        rows[n] = {c: v % p for c, v in row.items() if v % p}
-    rank = len(_forward_eliminate(rows, update))
-    rows.clear()
+    The columns are eliminated against each other, rows resolved in
+    ascending order, and the pivot of row c is the sparsest column
+    holding it, ties by column index.  Each column is filed under its
+    lowest row, in one sorted array of 8 bytes a column, and becomes a
+    dict {row: residue} only when row c comes up; one whose residue
+    there is 0 is filed again under its lowest nonzero one.  An updated
+    column has no row <= c and is filed again too.  A rank needs only
+    the count, so each pivot is dropped once its row is resolved."""
+    offsets, rows, values = matrix
+    n = len(offsets) - 1
+    # the key r * n + j files column j under its lowest row r
+    queue = array("q", sorted([
+        min(rows[a:b]) * n + j
+        for j, (a, b) in enumerate(zip(offsets, islice(offsets, 1, None)))
+        if a < b]))
+    low = queue[0] // n if queue else -1  # the row of queue[k]
+    leading: dict = {}  # row -> pairs (column, residues) filed there
+    rank, c, k = 0, -1, 0
+    while leading or low >= 0:
+        c += 1
+        live = leading.pop(c, None)
+        if low == c:
+            live = live or []
+            while low == c:
+                j = queue[k] - c * n
+                k += 1
+                low = queue[k] // n if k < len(queue) else -1
+                a, b = offsets[j], offsets[j + 1]
+                col = {r: x for r, v in zip(rows[a:b], values[a:b])
+                       if (x := v % p)}
+                if c in col:
+                    live.append((j, col))
+                elif col:
+                    leading.setdefault(min(col), []).append((j, col))
+        if not live:
+            continue
+        rank += 1
+        if len(live) == 1:
+            continue
+        _, pivot = min(live, key=lambda held: (len(held[1]), held[0]))
+        top = pivot[c]
+        if top != 1:
+            inv = pow(top, -1, p)
+            for r in pivot:
+                pivot[r] = pivot[r] * inv % p
+        for j, col in live:
+            if col is pivot:
+                continue
+            factor = col[c]
+            for r, val in pivot.items():
+                new = (col.get(r, 0) - factor * val) % p
+                if new:
+                    col[r] = new
+                elif r in col:
+                    del col[r]
+            if col:
+                leading.setdefault(min(col), []).append((j, col))
     return rank
 
 

@@ -403,6 +403,10 @@ def test_dims_only_stress_holds_one_degree_at_a_time(capsys, monkeypatch,
     monkeypatch.setattr(exactla_module, "_forward_eliminate",
                         lambda rows, update: seen.append(len(live))
                         or real(rows, update))
+    real_mod = engine_module.rank_mod
+    monkeypatch.setattr(engine_module, "rank_mod",
+                        lambda matrix, p: seen.append(len(live))
+                        or real_mod(matrix, p))
     monkeypatch.setattr(engine_module, "_Block", Tracked)
     monkeypatch.setattr(engine_module, "PRIMES", primes)
     path = str(CORPUS_DIR / "crosspoly_d4.json")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import comb, gcd
@@ -39,12 +40,14 @@ from csstress import (
 from csstress.claims import linear_table, stress_table
 from csstress.engine import (
     certify_dims,
+    certify_zero,
     echelon_rows,
     full_terms,
     integer_family,
     orbit_family,
     stress_dims,
 )
+from csstress.exactla import Columns
 from csstress.polynomials import delta_exps
 from oracles import (
     brute_contains,
@@ -577,9 +580,13 @@ def test_split_blocks_hold_orbit_representatives_only(cx, data):
             assert space.blocks[0].columns == exps, i
         for b in space.blocks:
             assert all(type(e) is tuple for e in b.columns)
-            # one int object per row index, shared by every entry there
-            keys = [r for column in b.matrix for r in column]
-            assert len(set(map(id, keys))) == len(set(keys)), i
+            # row indices are machine words in one flat array, not an int
+            # object per entry, and a column holds each row at most once
+            m = b.matrix
+            assert m.rows.typecode == "l" and m.ncols == len(b.columns), i
+            assert len(m.rows) == len(m.values) == m.offsets[-1], i
+            assert all(len(set(rows)) == len(rows) for rows in (
+                m.rows[a:z] for a, z in zip(m.offsets, m.offsets[1:]))), i
             family = orbit_family(b)
             assert all(p in terms for p, terms in family)
             whole = integer_family(b)
@@ -642,7 +649,9 @@ def test_cross_polytope_block_columns_have_one_entry_per_vertex(d):
     for i in range(d + 1):
         space = stress_space(cx, seq, i)
         for block in space.blocks:
-            for rep, column in zip(block.columns, block.matrix):
+            offsets = block.matrix.offsets
+            for j, rep in enumerate(block.columns):
+                column = block.matrix.rows[offsets[j]:offsets[j + 1]]
                 # a degree-1 monomial reaches only the fixed row orbit of
                 # 1, where antisymmetric forms have no symmetric part;
                 # forms as drawn would put d entries per vertex
@@ -651,10 +660,12 @@ def test_cross_polytope_block_columns_have_one_entry_per_vertex(d):
                 assert len(column) == want, (i, block.sign, rep)
 
 
-def test_top_degree_of_the_7_cross_polytope_assembles_in_12_mib():
-    # 14 407 columns per block, each held as its exponent tuple, with
-    # row indices and entries shared; a Monomial per column and two new
-    # ints per entry traced about 14.3 MiB here, the shared form 11.1
+def test_top_degree_of_the_7_cross_polytope_assembles_in_5_5_mib():
+    # 14 407 columns per block, each held as its exponent tuple, and the
+    # entries in compressed columns: row indices in one array, values
+    # shared ints in one list.  A Monomial per column and two new ints per
+    # entry traced about 14.3 MiB here, shared ints in one dict per
+    # column 11.1, compressed columns 4.9
     cx = relabelled_cross_polytope(7, seed=7)
     seq = special_lsop(cx, seed=1)
     tracemalloc.start()
@@ -664,14 +675,14 @@ def test_top_degree_of_the_7_cross_polytope_assembles_in_12_mib():
     finally:
         tracemalloc.stop()
     assert len(space.blocks[0].columns) == 14407
-    assert peak < 12.5 * 2**20, peak
+    assert peak < 5.5 * 2**20, peak
 
 
 def test_exact_solve_takes_its_block_over():
-    # the solve drops each column as it files its entries under their
-    # rows, and the kernel routine scales those rows in place: at the
-    # degree-4 plus block of the 7-cross-polytope, rows plus scaled
-    # copies of them traced about 0.94 MiB, the rows alone 0.46
+    # the solve drops the block's matrix once it has filed its entries
+    # under their rows, and the kernel routine scales those rows in place:
+    # at the degree-4 plus block of the 7-cross-polytope, rows plus scaled
+    # copies of them traced about 0.94 MiB, the rows alone 0.51
     cx = relabelled_cross_polytope(7, seed=7)
     block = stress_space(cx, special_lsop(cx, seed=1), 4).blocks[0]
     columns = block.matrix
@@ -682,8 +693,34 @@ def test_exact_solve_takes_its_block_over():
     finally:
         tracemalloc.stop()
     assert len(vectors) == comb(7, 4)
-    assert block.matrix is None and not any(columns)
+    # no reference to the matrix is left but this test's own
+    assert block.matrix is None and sys.getrefcount(columns) == 2
     assert peak < 0.7 * 2**20, peak
+
+
+def test_certify_zero_ranks_the_minus_block_without_a_copy():
+    # the rank reads the compressed block in place: at degree 7 of the
+    # 7-cross-polytope it traces about 0.67 MiB, under the 1.16 MiB of
+    # the block's own arrays, where a residue copy of its column dicts
+    # took about 7.2 MiB.  The block is left as it was, and solves to the
+    # empty kernel the rank certified
+    cx = relabelled_cross_polytope(7, seed=7)
+    seq = special_lsop(cx, seed=1)
+    block = stress_space(cx, seq, 7).blocks[1]
+    matrix = block.matrix
+    size = sum(map(sys.getsizeof, matrix))
+    copy = Columns(matrix.offsets[:], matrix.rows[:], matrix.values[:])
+    tracemalloc.start()
+    try:
+        certify_zero(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block.known == 0
+    assert block.matrix is matrix and matrix == copy
+    assert peak < size, (peak, size)
+    block.known = None  # solved exactly from the same matrix
+    assert block.vectors == () and block.matrix is None
 
 
 # -- stresses of a subcomplex ------------------------------------------------------

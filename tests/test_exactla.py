@@ -4,13 +4,13 @@ import random
 import tracemalloc
 from fractions import Fraction
 from math import gcd
-from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csstress import exactla
-from csstress.exactla import int_nullspace, int_rank, int_rref, rank_mod
+from csstress.engine import _Block
+from csstress.exactla import Columns, int_nullspace, int_rank, int_rref, rank_mod
 from oracles import (
     column_index_eliminate,
     dense_nullspace,
@@ -123,7 +123,7 @@ def test_integer_row_entry_points_match_the_matrix_path(nrows, ncols, seed):
             == dense_rank([r[:c] for r in dense])]
     assert [f for f, _ in int_nullspace(rows, ncols)] == free
     # a rank mod p never exceeds the rank over Q
-    assert rank_mod(rows, 5) <= int_rank(rows)
+    assert rank_mod(Columns.of(rows), 5) <= int_rank(rows)
     assert rows == before
 
 
@@ -166,11 +166,46 @@ def test_rank_mod_is_the_same_on_rows_and_columns(matrix, p):
     rows = [{c: x for c, x in enumerate(row) if x} for row in dense]
     columns = [{r: row[c] for r, row in enumerate(dense) if row[c]}
                for c in range(ncols)]
-    before = ([dict(row) for row in rows], [dict(col) for col in columns])
     want = dense_rank_mod(dense, p)
-    assert rank_mod(rows, p) == rank_mod(columns, p) == want
-    assert (rows, columns) == before
+    assert (rank_mod(Columns.of(rows), p) == rank_mod(Columns.of(columns), p)
+            == want)
     assert want <= int_rank(rows) == dense_rank(dense)
+
+
+@st.composite
+def compressed_blocks(draw):
+    """(Columns, dense rows, p) of a random block: some columns empty, some
+    with every entry 0 mod p, and each column's rows in a drawn order, not
+    ascending."""
+    p = draw(st.sampled_from([3, 5, 32749]))
+    nrows, ncols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    entry = (st.integers(-9, 9).filter(bool)
+             | st.sampled_from([p, -p, 7 * p, 32749 * 3 * 5]))
+    vectors = []
+    for _ in range(ncols):
+        kind = draw(st.sampled_from(("random", "empty", "zero mod p")))
+        held = [] if kind == "empty" or not nrows else draw(st.lists(
+            st.integers(0, nrows - 1), max_size=nrows, unique=True))
+        values = (st.sampled_from([p, -2 * p, 11 * p])
+                  if kind == "zero mod p" else entry)
+        vectors.append({r: draw(values) for r in held})
+    dense = [[vec.get(r, 0) for vec in vectors] for r in range(nrows)]
+    return Columns.of(vectors), dense, p
+
+
+@given(compressed_blocks())
+@settings(max_examples=200, deadline=None)
+def test_rank_mod_of_a_compressed_block_is_the_dense_rank(block):
+    # the rank reads the block and leaves it as it was, and an exact solve
+    # from the same block is `int_nullspace` of its rows
+    matrix, dense, p = block
+    copy = Columns(matrix.offsets[:], matrix.rows[:], matrix.values[:])
+    assert rank_mod(matrix, p) == dense_rank_mod(dense, p)
+    assert matrix == copy
+    rows = [{c: x for c, x in enumerate(row) if x} for row in dense]
+    solved = _Block(tuple(range(matrix.ncols)), matrix, 0)
+    assert list(solved.vectors) == int_nullspace(rows, matrix.ncols)
+    assert solved.matrix is None
 
 
 def test_results_are_deterministic():
@@ -281,12 +316,18 @@ def sparse_integer_rows(draw):
 
 
 def rank_mod_update(p):
-    """The GF(p) update that `_rank_mod` passes to `_forward_eliminate`."""
-    seen = []
-    with mock.patch.object(exactla, "_forward_eliminate",
-                           lambda rows, update: seen.append(update) or []):
-        exactla._rank_mod([], p)
-    return seen[0]
+    """An update over GF(p), on rows of residues: it cancels columns, and
+    whole rows, far more often than the exact one."""
+    def update(row, pivot, c):
+        factor = row[c] * pow(pivot[c], -1, p)
+        for col, val in pivot.items():
+            new = (row.get(col, 0) - factor * val) % p
+            if new:
+                row[col] = new
+            elif col in row:
+                del row[col]
+        return row
+    return update
 
 
 @given(sparse_integer_rows(), st.sampled_from([None, 2, 3, 32749]))
