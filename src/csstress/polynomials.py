@@ -374,28 +374,31 @@ def delta_exps(cx: SimplicialComplex, i: int,
     check_monomial_count(cx, i)
     bit, faces = cx.face_masks()
     out = []
-    emit = out.append
-
-    def walk(prefix, face, left, later, heads):
-        # later: (bit, ((v, 0), ..., (v, i))) per later vertex v whose
-        # bit extends `face` to a face; heads: the indices of those to
-        # start at
-        for n in heads:
-            b, powers = later[n]
-            emit(prefix + (powers[left],))
-            if left > 1:
-                grown = face | b
-                rest = [u for u in later[n + 1:] if grown | u[0] in faces]
-                if rest:
-                    heads = range(len(rest))
-                    for e in range(left - 1, 0, -1):
-                        walk(prefix + (powers[e],), grown, left - e, rest,
-                             heads)
-
-    walk((), 0, i, [(b, tuple((v, e) for e in range(i + 1)))
-                    for v, b in bit.items()],
-         [n for n, v in enumerate(bit) if v > 0 or not representatives])
+    # a tuple of a list is built at its size; one of a generator is cut
+    # down from a larger one, which grows the free lists at every call
+    _delta_walk(out.append, faces, (), 0, i,
+                [(b, tuple([(v, e) for e in range(i + 1)]))
+                 for v, b in bit.items()],
+                [n for n, v in enumerate(bit) if v > 0 or not representatives])
     return out
+
+
+def _delta_walk(emit, faces, prefix, face, left, later, heads):
+    # later: (bit, ((v, 0), ..., (v, i))) per later vertex v whose bit
+    # extends `face` to a face; heads: the indices of those to start at.
+    # A module-level walk, unlike a closure that calls itself, makes no
+    # reference cycle to keep `emit`'s list alive after the call
+    for n in heads:
+        b, powers = later[n]
+        emit(prefix + (powers[left],))
+        if left > 1:
+            grown = face | b
+            rest = [u for u in later[n + 1:] if grown | u[0] in faces]
+            if rest:
+                heads = range(len(rest))
+                for e in range(left - 1, 0, -1):
+                    _delta_walk(emit, faces, prefix + (powers[e],), grown,
+                                left - e, rest, heads)
 
 
 # -- Differential operators and the involution -----------------------------

@@ -53,8 +53,8 @@ from csstress.engine import (
     on_faces,
     orbit_family,
 )
-from csstress.exactla import rank_mod
-from csstress.polynomials import negated_exps
+from csstress.exactla import int_nullspace, rank_mod
+from csstress.polynomials import exps_partials, negated_exps
 from csstress.claims import (
     CLAIM_IDS,
     affine_table,
@@ -352,6 +352,41 @@ def test_lemma31_refuses_a_stand_in_table(octahedron):
 
 
 # -- squarefree / pair-sum structure -------------------------------------------------
+# `verify_lemma32_34` counts W_i by one rank per block; these references
+# solve W_i and its y-subspace, so the tests can check on data the
+# conclusions that the count takes from the lemmas' argument
+
+
+def _subfamily(family, conditions, sign) -> list:
+    """The members of span(family), on a block's columns, on which the
+    linear map `conditions(terms, sign)`, to {condition: value},
+    vanishes, from one integer system over the family.  Like the family,
+    they are positive at their own pivots and 0 at the others'."""
+    rows: dict = {}
+    for b, (_, terms) in enumerate(family):
+        for key, x in conditions(terms, sign).items():
+            rows.setdefault(key, {})[b] = x
+    return [(family[f][0], claims_module._accumulate(
+        (exps, x * c) for b, x in y.items()
+        for exps, c in family[b][1].items()))
+        for f, y in int_nullspace(list(rows.values()), len(family))]
+
+
+def _y_obstruction(terms, sign) -> dict:
+    # zero exactly when each vertex derivative u is squarefree and has
+    # d/dx_k u = d/dx_{-k} u for every k > 0: then u is a polynomial in
+    # the pair sums y_k
+    def pairs():
+        for v, c, lower in claims_module._vertex_partials(terms, sign):
+            if any(f > 1 for _, f in lower):
+                yield (None, v, lower), c
+            for u, f, lowest in exps_partials(lower):
+                yield (v, abs(u), lowest), (c if u > 0 else -c) * f
+    return claims_module._accumulate(pairs())
+
+
+def _squarefree(terms) -> bool:
+    return all(e == 1 for exps in terms for _, e in exps)
 
 
 def test_lemma32_34_on_octahedron(octahedron):
@@ -391,28 +426,35 @@ def test_lemma32_34_checks_all_of_w_i(half, seed):
         assert r.computed["skipped"] == table[1][i].dim - dense, i
         assert r.verdict == ("pass" if dense else "hypothesis_unmet"), i
         # the integer members of W_i, on orbit representatives, are
-        # stresses of their block's parity, each positive at its own
-        # pivot and 0 at the others'; over every monomial they solve the
-        # conditions at every vertex, not only the positive ones
+        # squarefree stresses of their block's parity, each positive at
+        # its own pivot and 0 at the others'; over every monomial they
+        # solve the conditions at every vertex, not only the positive ones
+        w_i = {}
         for sign, block in zip((1, -1), table[1][i].blocks):
             assert block.sign == sign
-            family = claims_module._subfamily(
+            family = w_i[sign] = _subfamily(
                 orbit_family(block), claims_module._asymmetry, sign)
             pivots = {p for p, _ in family}
             for pivot, terms in family:
                 assert terms[pivot] > 0
+                assert _squarefree(terms)
                 assert not set(terms) & (pivots - {pivot})
                 full = full_terms(terms, sign)
                 assert brute_is_stress(cx.facets, rows, full)
                 assert mirror_terms(full) == {e: sign * c
                                               for e, c in full.items()}
                 assert claims_module._asymmetry(full, 0) == {}
+        assert len(w_i[1]) + len(w_i[-1]) == dense, i
+        # above degree 1 no antisymmetric member has y-polynomial
+        # derivatives: the y-subspace of the minus part of W_i is empty
+        if i >= 2:
+            assert _subfamily(w_i[-1], _y_obstruction, -1) == [], i
 
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 4), i=st.integers(1, 4), data=st.data())
 def test_squarefree_symmetric_members_of_w_i_are_y_polynomials(n, i, data):
-    # the members of W_i^+ that Lem3.2-3.4 computes, inside the span of
+    # the members of W_i^+, as the reference solves them, inside the span of
     # symmetric squarefree orbit sums m + sigma m, are squarefree and
     # symmetric with symmetric vertex derivatives, which makes each a
     # y-polynomial: the y-obstruction vanishes on every one of them
@@ -424,38 +466,28 @@ def test_squarefree_symmetric_members_of_w_i_are_y_polynomials(n, i, data):
     keep = data.draw(st.lists(st.booleans(), min_size=len(sums),
                               max_size=len(sums)))
     for family in (sums, [m for m, k in zip(sums, keep) if k]):
-        w_plus = claims_module._subfamily(family, claims_module._asymmetry,
-                                          0)
+        w_plus = _subfamily(family, claims_module._asymmetry, 0)
         for _, terms in w_plus:
-            assert terms and claims_module._squarefree(terms)
-            assert claims_module._y_obstruction(terms, 0) == {}
+            assert terms and _squarefree(terms)
+            assert _y_obstruction(terms, 0) == {}
         if family is sums:
             # the products of i distinct pair sums y_k
             assert len(w_plus) == comb(n, i)
 
 
-NOT_SQUAREFREE = "stress is not squarefree"
-NOT_FORCED = ("derivative y-representations did not force a symmetric "
-              "y-polynomial")
-
-
-@pytest.mark.parametrize("part, w, reasons", [
-    # (x_1 + x_-1)^2 has symmetric derivatives 2 y_1 but is not squarefree
-    ("plus_basis", pair_sum(1) * pair_sum(1), [NOT_SQUAREFREE]),
-    # the same posing as an antisymmetric stress: its derivatives are
-    # y-polynomials too, so it also lies in Y_2, which must hold no
-    # antisymmetric stress
-    ("minus_basis", pair_sum(1) * pair_sum(1), [NOT_SQUAREFREE, NOT_FORCED]),
-    ("minus_basis", pair_sum(1) * pair_sum(2), [NOT_FORCED]),
-    # the derivatives 3 y_1^2 of y_1^3 have no y-representation, because
-    # they are not squarefree, so y_1^3 lies outside Y_3
-    ("minus_basis", pair_sum(1) * pair_sum(1) * pair_sum(1),
-     [NOT_SQUAREFREE]),
+@pytest.mark.parametrize("part, w", [
+    # y_1^2 and y_1^3 carry x_1 x_-1 and x_1^2 x_-1, which no face of the
+    # octahedron carries; y_1 y_2 lies on faces
+    ("plus_basis", pair_sum(1) * pair_sum(1)),
+    ("minus_basis", pair_sum(1) * pair_sum(1)),
+    ("minus_basis", pair_sum(1) * pair_sum(2)),
+    ("minus_basis", pair_sum(1) * pair_sum(1) * pair_sum(1)),
 ])
-def test_lemma32_34_fails_with_a_witness(octahedron, part, w, reasons):
-    # a stand-in block whose one kernel vector is w, with its pivot at a
-    # monomial of coefficient 1, so the reduced vector is w itself; its
-    # sign 0 says that its columns are every monomial, with no mirror
+def test_lemma32_34_refuses_a_stand_in_table(octahedron, part, w):
+    # a stand-in block whose one kernel vector is w, with its sign 0
+    # saying that its columns are every monomial, with no mirror.  The
+    # lemmas hold by their argument only on blocks split by sigma over
+    # face monomials, so the count refuses any block of sign 0
     items = w.items()
     pivot = next(j for j, (_, c) in enumerate(items) if c == 1)
     block = SimpleNamespace(
@@ -466,11 +498,24 @@ def test_lemma32_34_fails_with_a_witness(octahedron, part, w, reasons):
     blocks[("plus_basis", "minus_basis").index(part)] = block
     space = SimpleNamespace(blocks=blocks, dim=1)
     table = (None, [None] * w.degree + [space])
-    r = verify_lemma32_34(octahedron, table, w.degree)
-    assert r.verdict == "fail"
-    assert r.computed == {"degree": w.degree, "checked": 1, "skipped": 0}
-    assert r.witness == [{"stress": w.text(), "reason": reason}
-                         for reason in reasons]
+    with pytest.raises(HypothesisUnmet, match="definite parity"):
+        verify_lemma32_34(octahedron, table, w.degree)
+
+
+@pytest.mark.parametrize("name", ["bipyramid_m4", "crosspoly_d4"])
+def test_verify_records_need_no_kernel_of_the_lemma32_34_conditions(
+        corpus_by_name, monkeypatch, name):
+    # W_i is counted by a rank, so no claim solves a kernel of the
+    # conditions: with `int_nullspace` refused in `claims`, the records
+    # are those of an unpatched run
+    inst = corpus_by_name[name]
+    want = [r.to_json_obj() for r in instance_reports(inst, 1)]
+
+    def refuse(rows, ncols):
+        raise AssertionError("a claim solved a kernel")
+    monkeypatch.setattr(claims_module, "int_nullspace", refuse,
+                        raising=False)
+    assert [r.to_json_obj() for r in instance_reports(inst, 1)] == want
 
 
 # -- upward propagation ---------------------------------------------------------------
@@ -664,14 +709,12 @@ def test_representative_coordinates_give_the_full_results(half, seed, data):
         half + [[-v for v in f] for f in half], expect_cs=True
     )
     seq, spaces = linear_table(cx, seed)
-    sub = claims_module._subfamily
     for i in range(1, cx.dim + 2):
         for block in spaces[i].blocks:
             sign = block.sign
-            for conditions in (claims_module._asymmetry,
-                               claims_module._y_obstruction):
-                ours = sub(orbit_family(block), conditions, sign)
-                full = sub(integer_family(block), conditions, 0)
+            for conditions in (claims_module._asymmetry, _y_obstruction):
+                ours = _subfamily(orbit_family(block), conditions, sign)
+                full = _subfamily(integer_family(block), conditions, 0)
                 assert [(p, full_terms(terms, sign))
                         for p, terms in ours] == full, i
             for _, terms in orbit_family(block):

@@ -51,6 +51,10 @@ RENDERS = {
         ["stress", "--format", "json"]),
     "stress_affine_table.txt": lambda: _per_file(
         ["stress", "--affine"], only=_is_polytope),
+    "stress_basis_json.txt": lambda: _per_file(
+        ["stress", "--basis", "--format", "json"]),
+    "stress_affine_basis_table.txt": lambda: _per_file(
+        ["stress", "--affine", "--basis"], only=_is_polytope),
     "verify_table.txt": lambda: _stdout(["verify", str(CORPUS_DIR)]),
     "verify_json.txt": lambda: _stdout(
         ["verify", str(CORPUS_DIR), "--format", "json", "--seed", "1"]),

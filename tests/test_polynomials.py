@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -18,7 +20,12 @@ from csstress import (
     delta_monomials,
     partial_derivative,
 )
-from csstress.polynomials import exps_divide, monomial_count, negated_exps
+from csstress.polynomials import (
+    delta_exps,
+    exps_divide,
+    monomial_count,
+    negated_exps,
+)
 from oracles import (
     _face_monomials,
     brute_faces,
@@ -291,6 +298,30 @@ def test_monomial_basis_respects_missing_faces(noncm):
     supports = {m.support for m in ms}
     assert (1, 2) in {tuple(sorted(s)) for s in supports}
     assert all(set(m.support) != {1, -2} for m in ms)
+
+
+
+def test_delta_exps_leaves_no_cyclic_garbage(corpus_by_name):
+    # the walk holds no reference to itself, so a dropped output is freed
+    # by reference counting alone: 50 calls with the cycle collector off
+    # leave next to nothing traced (a self-referencing walk held 408
+    # KiB).  One call before tracing refills the free lists that
+    # `gc.collect` empties
+    cx = corpus_by_name["crosspoly_d4"].complex
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        delta_exps(cx, 3)
+        tracemalloc.start()
+        for _ in range(50):
+            delta_exps(cx, 3)
+        traced, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert traced < 16 * 2**10, traced
 
 
 # -- derivatives -----------------------------------------------------------------
